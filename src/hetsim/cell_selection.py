@@ -11,8 +11,10 @@ Four ways to pick a serving cell per user:
 
 All interference arithmetic runs in linear milliwatts. A user's own
 transmit power never enters its own metric, so candidate evaluation can
-keep every other power fixed; powers and block allocations are rebuilt
-after each committed move.
+keep every other power fixed. A committed move re-ranks only the mover's
+slot inside its old and new cell, and marks for re-evaluation only the
+users whose block it touched; a search that returns to an earlier
+pass-end assignment is fast-forwarded along its cycle.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ class Assignment:
     converged: bool = True
     passes_used: int = 0
     moves_per_pass: list[int] = field(default_factory=list)
+    cycle_period: int | None = None    # passes per cycle of a search that cycled
+    cycle_detected_at: int | None = None  # pass whose end state repeated
 
 
 @dataclass
@@ -119,13 +123,22 @@ class NetworkState:
         self.per_rb_power_dbm = self.total_power_dbm - bw_term
         self.per_rb_power_mw = 10.0 ** (self.per_rb_power_dbm / 10.0)
 
-    def move_user(self, user: int, cell: int):
-        """Commit a serving-cell change and rebuild dependent quantities."""
+    def move_user(self, user: int, cell: int) -> np.ndarray:
+        """Commit a serving-cell change; return the users whose metric it can change.
+
+        A user's metric reads only who shares its block and their powers,
+        and only the mover's power changes. So the touched users are the
+        members of the old and the new block of every user whose block
+        changed, and the members of the mover's block.
+        """
+        old_cell = int(self.serving[user])
+        old_key = self.alloc.block_key
         self.serving[user] = cell
-        self.alloc = allocate(
-            self.serving, self.gains.n_cells, self.total_rbs, self.power_cfg.rbs_per_user
-        )
+        self.alloc, changed = self.alloc.move(self.serving, user, old_cell)
         self._refresh_powers()
+        key = self.alloc.block_key
+        touched = np.concatenate((old_key[changed], key[changed], key[[user]]))
+        return np.flatnonzero((key[:, None] == touched).any(axis=1))
 
 
 def _argbest(values: np.ndarray, space: tuple[int, ...] | None, maximize: bool) -> np.ndarray:
@@ -163,15 +176,14 @@ def _metric_vector(user: int, state: NetworkState) -> np.ndarray:
     intra-cell allocation), hence the co-set is simply every other user
     on the block.
     """
-    alloc = state.alloc
-    sf = int(alloc.user_subframe[user])
-    start = int(alloc.user_rb_start[user])
-    members = alloc.block_members(sf, start)
-    others = members[members != user]
+    key = state.alloc.block_key
+    on_block = key == key[user]
+    on_block[user] = False
+    others = on_block.nonzero()[0]
     g_lin = state.gains.g_linear
     interference = g_lin[:, others] @ state.per_rb_power_mw[others] if len(others) else 0.0
     per_rb = interference + state.noise_rb_mw
-    return alloc.rbs_per_user * per_rb / g_lin[:, user]
+    return state.alloc.rbs_per_user * per_rb / g_lin[:, user]
 
 
 def interference_metric(user: int, cell: int, state: NetworkState) -> float:
@@ -218,6 +230,15 @@ def select_interference_based(
     minimizing its metric given the current state, and the move commits
     immediately (power and both cells' allocations refresh). A full pass
     without moves means convergence; ties prefer the incumbent cell.
+
+    A user whose block no move has touched since it last stayed put is
+    skipped: its metric vector, and so its choice, would be the same. The
+    state after a pass is a pure function of the serving vector, so when
+    a pass ends in the assignment an earlier pass j ended in, every later
+    pass repeats with period p. The search then returns what a run of
+    max_passes passes would: the assignment after pass
+    j + (max_passes - j) % p, not converged, all passes used, and the
+    moves of each pass extended periodically.
     """
     if initial is None:
         serving = select_rsrp(gains, cfg.search_space).c.copy()
@@ -226,31 +247,52 @@ def select_interference_based(
     state = NetworkState.build(gains, serving, power_cfg, noise_rb_mw, total_rbs)
 
     space = np.arange(gains.n_cells) if cfg.search_space is None else np.asarray(cfg.search_space, dtype=int)
+    dirty = np.ones(gains.n_users, dtype=bool)
+    pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
+    seen = {state.serving.tobytes(): 0}
     moves_per_pass: list[int] = []
     converged = False
-    passes = 0
-    for _ in range(cfg.max_passes):
-        passes += 1
+    cycle_start = period = None
+    while len(moves_per_pass) < cfg.max_passes:
         moves = 0
         for k in range(gains.n_users):
+            if not dirty[k]:
+                continue
+            dirty[k] = False
             metrics = _metric_vector(k, state)[space]
             current = int(state.serving[k])
             best_pos = int(np.argmin(metrics))
             best_cell = int(space[best_pos])
             current_pos = int(np.flatnonzero(space == current)[0])
             if best_cell != current and metrics[best_pos] < metrics[current_pos] * (1.0 - MOVE_REL_THRESHOLD):
-                state.move_user(k, best_cell)
+                dirty[state.move_user(k, best_cell)] = True
                 moves += 1
         moves_per_pass.append(moves)
         if moves == 0:
             converged = True
             break
+        end = state.serving.tobytes()
+        if end in seen:
+            cycle_start = seen[end]
+            period = len(moves_per_pass) - cycle_start
+            break
+        seen[end] = len(moves_per_pass)
+        pass_ends.append(state.serving.copy())
 
+    c = state.serving.copy()
+    detected = None
+    if period:
+        detected = len(moves_per_pass)
+        c = pass_ends[cycle_start + (cfg.max_passes - cycle_start) % period]
+        while len(moves_per_pass) < cfg.max_passes:
+            moves_per_pass.append(moves_per_pass[-period])
     return Assignment(
-        c=state.serving.copy(),
+        c=c,
         converged=converged,
-        passes_used=passes,
+        passes_used=len(moves_per_pass),
         moves_per_pass=moves_per_pass,
+        cycle_period=period,
+        cycle_detected_at=detected,
     )
 
 

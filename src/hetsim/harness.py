@@ -108,6 +108,8 @@ class Scenario:
             raise ConfigError("alphas must be non-empty")
         if any(not 0.0 <= a <= 1.0 for a in self.alphas):
             raise ConfigError("every alpha must lie in [0, 1]")
+        if len(set(self.alphas)) != len(self.alphas):
+            raise ConfigError(f"alphas repeat a value: {', '.join(f'{a:g}' for a in self.alphas)}")
         if isinstance(self.p0_dbm, tuple) and len(self.p0_dbm) != len(self.alphas):
             raise ConfigError(
                 f"p0_dbm lists {len(self.p0_dbm)} values for {len(self.alphas)} alphas; "
@@ -115,8 +117,9 @@ class Scenario:
             )
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        for token in self.strategies:
-            _parse_strategy_token(token, self)  # raises on bad token
+        labels = [_parse_strategy_token(token, self).label for token in self.strategies]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"strategies repeat a label: {', '.join(labels)}")
         return self
 
     # ---- derived objects -------------------------------------------------
@@ -306,6 +309,7 @@ class StrategySummary:
     passes_used: int
     moves_total: int
     capped_users: int
+    cycle_period: int | None  # passes per cycle of a search that cycled
 
 
 @dataclass
@@ -316,27 +320,24 @@ class DropResult:
 
 
 def _all_user_sinr_db(state: NetworkState) -> np.ndarray:
-    """Wideband SINR (dB) of every user, grouped by scheduled block.
+    """Wideband SINR (dB) of every user, one combiner call per scheduled block.
 
     Within one (subframe, block) group the mutual interference matrix is
-    a single small product; each user's per-block SINR is flat across its
-    RBs, and the MMSE combination runs over the expanded subcarriers.
+    a single small product. Each user's per-RB SINR is flat across its
+    RBs, so its row of the block's (members x rbs_per_user) matrix is
+    constant and the combiner returns it exactly.
     """
     g_lin = state.gains.g_linear
     serving = state.serving
     alloc = state.alloc
     p = state.per_rb_power_mw
-    n = len(serving)
-    out = np.empty(n)
+    out = np.empty(len(serving))
     for _, members in alloc.blocks():
         rx = g_lin[np.ix_(serving[members], members)] * p[members][None, :]
-        totals = rx.sum(axis=1)
-        for i, u in enumerate(members):
-            signal = rx[i, i]
-            interference = totals[i] - signal
-            gamma_rb = signal / (interference + state.noise_rb_mw)
-            per_sc = np.full(alloc.rbs_per_user * metrics_mod.SUBCARRIERS_PER_RB, gamma_rb)
-            out[u] = 10.0 * math.log10(wideband_sinr(per_sc))
+        signal = np.diagonal(rx)
+        gamma_rb = signal / (rx.sum(axis=1) - signal + state.noise_rb_mw)
+        per_rb = np.repeat(gamma_rb[:, None], alloc.rbs_per_user, axis=1)
+        out[members] = [10.0 * math.log10(x) for x in wideband_sinr(per_rb)]
     return out
 
 
@@ -389,9 +390,13 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
         s.label: _baseline_assignment(s, gains) for s in strategies if s.kind != "interference"
     }
 
+    # one int per user, one str per tier and label, shared by the drop's samples
+    users = list(range(gains.n_users))
+    cell_tier = gains.cell_tier.tolist()
     samples: list[SinrSample] = []
     summaries: list[StrategySummary] = []
     for strategy in strategies:
+        label = strategy.label
         for alpha in scenario.alphas:
             power_cfg = scenario.power_config(alpha)
             if strategy.kind == "interference":
@@ -399,29 +404,29 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
                     gains, power_cfg, noise_mw, strategy, scenario.total_data_rbs
                 )
             else:
-                assignment = baselines[strategy.label]
+                assignment = baselines[label]
             state = NetworkState.build(
                 gains, assignment.c, power_cfg, noise_mw, scenario.total_data_rbs
             )
             sinr_db = _all_user_sinr_db(state)
             tiers = gains.cell_tier[assignment.c]
-            for u in range(gains.n_users):
+            for u in users:
                 samples.append(
                     SinrSample(
                         drop=drop_index,
                         user=u,
-                        strategy=strategy.label,
+                        strategy=label,
                         alpha=alpha,
                         p0_dbm=power_cfg.p0_dbm,
                         serving_cell=int(assignment.c[u]),
-                        tier=str(tiers[u]),
+                        tier=cell_tier[assignment.c[u]],
                         sinr_db=float(sinr_db[u]),
                     )
                 )
             summaries.append(
                 StrategySummary(
                     drop=drop_index,
-                    strategy=strategy.label,
+                    strategy=label,
                     alpha=alpha,
                     macro_attached=int(np.sum(tiers == MACRO)),
                     pico_attached=int(np.sum(tiers == PICO)),
@@ -429,6 +434,7 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
                     passes_used=int(assignment.passes_used),
                     moves_total=int(sum(assignment.moves_per_pass)),
                     capped_users=int(np.sum(state.capped)),
+                    cycle_period=assignment.cycle_period,
                 )
             )
     return DropResult(drop_index=drop_index, samples=samples, summaries=summaries)
@@ -557,6 +563,17 @@ def random_small_gains(rng: np.random.Generator, n_cells: int, n_users: int) -> 
     return GainMatrix(g=g, cell_tier=tier, rs_power_dbm=rs)
 
 
+def oracle_instances(count: int, seed: int = 0, max_cells: int = 3, max_users: int = 5):
+    """The oracle suite's seeded random instances, in order: (gains, power_cfg)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_cells = int(rng.integers(2, max_cells + 1))
+        n_users = int(rng.integers(3, max_users + 1))
+        gains = random_small_gains(rng, n_cells, n_users)
+        alpha = float(rng.choice([0.4, 0.6, 0.8, 1.0]))
+        yield gains, PowerConfig(p0_dbm=-90.0, alpha=alpha)
+
+
 @dataclass
 class OracleSuiteResult:
     instances: int
@@ -579,18 +596,12 @@ def run_oracle_suite(
     Containment: every converged run must end in the brute-force stable
     set. Non-convergence is counted, not failed here.
     """
-    rng = np.random.default_rng(seed)
     noise_mw = NoiseModel().per_rb_noise_mw
+    strategy = StrategyConfig(kind="interference", max_passes=max_passes)
     converged = 0
     failures = 0
     non_converged: list[int] = []
-    for i in range(instances):
-        n_cells = int(rng.integers(2, max_cells + 1))
-        n_users = int(rng.integers(3, max_users + 1))
-        gains = random_small_gains(rng, n_cells, n_users)
-        alpha = float(rng.choice([0.4, 0.6, 0.8, 1.0]))
-        power_cfg = PowerConfig(p0_dbm=-90.0, alpha=alpha)
-        strategy = StrategyConfig(kind="interference", max_passes=max_passes)
+    for i, (gains, power_cfg) in enumerate(oracle_instances(instances, seed, max_cells, max_users)):
         result = select_interference_based(gains, power_cfg, noise_mw, strategy, total_rbs)
         if not result.converged:
             non_converged.append(i)

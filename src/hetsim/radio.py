@@ -98,12 +98,6 @@ def antenna_pattern_db(theta_deg, params: RadioParams = DEFAULT_RADIO):
     return -atten if atten.shape else -float(atten)
 
 
-def sample_shadowing(tier: str, rng: np.random.Generator, params: RadioParams = DEFAULT_RADIO) -> float:
-    """One zero-mean log-normal shadowing draw (dB) for a link of the tier."""
-    sigma = params.macro_shadow_sigma_db if tier == MACRO else params.pico_shadow_sigma_db
-    return float(rng.normal(0.0, sigma))
-
-
 def compute_gain_matrix(
     layout: Layout,
     nodes: NodeSet,

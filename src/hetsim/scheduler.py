@@ -16,7 +16,8 @@ with user 12 spilling to subframe 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,25 +34,40 @@ class Allocation:
         start = int(self.user_rb_start[user])
         return range(start, start + self.rbs_per_user)
 
+    @cached_property
+    def block_key(self) -> np.ndarray:
+        """(K,) block id subframe * total_rbs + rb_start of every user."""
+        return self.user_subframe * self.total_rbs + self.user_rb_start
+
     def block_members(self, subframe: int, rb_start: int) -> np.ndarray:
-        """Users whose block is exactly (subframe, rb_start)."""
-        return self._members.get((subframe, rb_start), _EMPTY)
+        """Users whose block is exactly (subframe, rb_start), ascending."""
+        return np.flatnonzero(self.block_key == subframe * self.total_rbs + rb_start)
 
     def blocks(self):
-        """Iterate ((subframe, rb_start), member users) over occupied blocks."""
-        return self._members.items()
+        """Iterate ((subframe, rb_start), member users) over occupied blocks.
 
-    @property
-    def _members(self) -> dict:
-        cached = getattr(self, "_members_cache", None)
-        if cached is None:
-            cached = {}
-            for u in range(len(self.user_subframe)):
-                key = (int(self.user_subframe[u]), int(self.user_rb_start[u]))
-                cached.setdefault(key, []).append(u)
-            cached = {k: np.array(v, dtype=int) for k, v in cached.items()}
-            object.__setattr__(self, "_members_cache", cached)
-        return cached
+        Blocks come in ascending id order; members in ascending user order.
+        """
+        key = self.block_key
+        for block in np.unique(key):
+            yield divmod(int(block), self.total_rbs), np.flatnonzero(key == block)
+
+    def move(self, serving: np.ndarray, user: int, old_cell: int) -> tuple["Allocation", np.ndarray]:
+        """Allocation after `user` moved from old_cell to serving[user].
+
+        Equal to allocate(serving, ...): only the ranks of the user's slot
+        inside its old and new cell can change, so only those two groups
+        are re-ranked. Also returns the users whose subframe changed.
+        """
+        slots = self.total_rbs // self.rbs_per_user
+        same_slot = np.arange(user % slots, len(serving), slots)
+        subframe = self.user_subframe.copy()
+        for cell in (old_cell, serving[user]):
+            group = same_slot[serving[same_slot] == cell]
+            subframe[group] = np.arange(len(group))
+        changed = same_slot[subframe[same_slot] != self.user_subframe[same_slot]]
+        moved = replace(self, user_subframe=subframe, subframes_per_epoch=int(subframe.max()) + 1)
+        return moved, changed
 
 
 _EMPTY = np.array([], dtype=int)

@@ -115,13 +115,6 @@ def build_layout(isd: float) -> Layout:
     )
 
 
-def wrap_displacement(a: np.ndarray, b: np.ndarray, layout: Layout) -> np.ndarray:
-    """Displacement from a to the nearest wraparound image of b."""
-    diffs = (np.asarray(b) + layout.wrap_vectors) - np.asarray(a)
-    best = np.argmin(np.einsum("ij,ij->i", diffs, diffs))
-    return diffs[best]
-
-
 def wrap_distance(a: np.ndarray, b: np.ndarray, layout: Layout) -> float:
     """Minimum distance between a and b over the 7 mirror images."""
     diffs = (np.asarray(b) + layout.wrap_vectors) - np.asarray(a)

@@ -57,8 +57,3 @@ def open_loop_power(cfg: PowerConfig, pl_db: float, n_rb: int | None = None) -> 
     uncapped = cfg.p0_dbm + bw_term + cfg.alpha * pl_db
     total = min(cfg.pmax_dbm, uncapped)
     return UserPower(total_dbm=total, per_rb_dbm=total - bw_term, capped=uncapped > cfg.pmax_dbm)
-
-
-def per_rb_power_dbm(up: UserPower) -> float:
-    """Per-block power; equals P0 + alpha*PL when the cap does not bind."""
-    return up.per_rb_dbm

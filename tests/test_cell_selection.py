@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetsim.cell_selection import (
     MOVE_REL_THRESHOLD,
@@ -341,3 +342,122 @@ def test_descent_moves_strictly_improve():
         if not moved:
             break
     assert committed >= 1
+
+
+# ---- incremental engine against a rebuild-everything reference ---------------
+
+
+def reference_best_response(gains, power, cfg, total_rbs):
+    """The search as first written: it rebuilds the whole state after every
+    move, evaluates every user in every pass and runs out every pass."""
+    serving = select_rsrp(gains).c.copy()
+    state = NetworkState.build(gains, serving, power, NOISE_MW, total_rbs)
+    moves_per_pass = []
+    for _ in range(cfg.max_passes):
+        moves = 0
+        for k in range(gains.n_users):
+            metrics = _metric_vector(k, state)
+            current = int(serving[k])
+            best = int(np.argmin(metrics))
+            if best != current and metrics[best] < metrics[current] * (1.0 - MOVE_REL_THRESHOLD):
+                serving[k] = best
+                state = NetworkState.build(gains, serving, power, NOISE_MW, total_rbs)
+                moves += 1
+        moves_per_pass.append(moves)
+        if moves == 0:
+            return serving, True, moves_per_pass
+    return serving, False, moves_per_pass
+
+
+def assert_matches_reference(gains, power, total_rbs, max_passes):
+    cfg = StrategyConfig(kind="interference", max_passes=max_passes)
+    result = select_interference_based(gains, power, NOISE_MW, cfg, total_rbs)
+    c, converged, moves_per_pass = reference_best_response(gains, power, cfg, total_rbs)
+    assert np.array_equal(result.c, c)
+    assert result.converged == converged
+    assert result.passes_used == len(moves_per_pass)
+    assert result.moves_per_pass == moves_per_pass
+    return result
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(2, 5),
+    n_users=st.integers(1, 40),
+    alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
+    total_rbs=st.sampled_from([4, 8, 48]),
+    max_passes=st.integers(1, 25),
+)
+def test_engine_matches_reference_on_random_instances(seed, n_cells, n_users, alpha, total_rbs, max_passes):
+    gains = random_gm(np.random.default_rng(seed), n_cells, n_users)
+    assert_matches_reference(gains, PowerConfig(-90.0, alpha), total_rbs, max_passes)
+
+
+@pytest.mark.parametrize("max_passes", [20, 21])
+def test_oracle_instance_37_cycles(max_passes):
+    """Oracle instance 37 (seed 0) never converges. It has 3 cells, 4 users
+    and one block, so the users of a cell share it in subframes ranked by
+    user index. From pass 2 on, user 1 alternates between cells 0 and 1.
+    In cell 1 it ranks behind user 0 and sits alone in subframe 1, where
+    only noise counts and cell 0's better gain draws it back. In cell 0 it
+    ranks ahead of user 2 and lands in subframe 0 with users 0 and 3,
+    whose interference drives it to cell 1 again. The assignment after
+    pass 3 equals the one after pass 1: a 2-cycle, which the engine
+    fast-forwards by the parity of max_passes."""
+    from hetsim.harness import oracle_instances
+
+    *_, (gains, power) = oracle_instances(38, seed=0)
+    result = assert_matches_reference(gains, power, 4, max_passes)
+    assert (result.cycle_period, result.cycle_detected_at) == (2, 3)
+    assert not result.converged
+
+
+@pytest.mark.parametrize("max_passes", [20, 21])
+def test_cycling_drop_matches_reference(max_passes):
+    # 342 users of a real drop (2 picos and 6 users per sector, seed 1,
+    # drop 0, alpha = 1) end in a 2-cycle the engine detects at pass 4
+    from dataclasses import replace
+
+    from hetsim.harness import Scenario
+    from hetsim.radio import compute_gain_matrix
+    from hetsim.topology import build_layout, place_picos, place_users
+
+    scenario = replace(Scenario(), picos_per_sector=2, users_per_sector=6, master_seed=1)
+    rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(0,)))
+    layout = build_layout(scenario.isd_m)
+    picos, pico_sector = place_picos(layout, 2, rng)
+    nodes = place_users(layout, picos, pico_sector, 6, rng)
+    gains = compute_gain_matrix(layout, nodes, rng, scenario.radio_params())
+    result = assert_matches_reference(gains, scenario.power_config(1.0), 48, max_passes)
+    assert (result.cycle_period, result.cycle_detected_at) == (2, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 5),
+    n_users=st.integers(1, 40),
+    total_rbs=st.sampled_from([4, 8, 48]),
+    n_moves=st.integers(1, 12),
+)
+def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_moves):
+    rng = np.random.default_rng(seed)
+    gains = random_gm(rng, n_cells, n_users)
+    power = PowerConfig(-90.0, 0.8)
+    state = NetworkState.build(gains, rng.integers(0, n_cells, n_users), power, NOISE_MW, total_rbs)
+    for _ in range(n_moves):
+        before = [_metric_vector(k, state) for k in range(n_users)]
+        user, cell = int(rng.integers(0, n_users)), int(rng.integers(0, n_cells))
+        touched = state.move_user(user, cell)
+        fresh = NetworkState.build(gains, state.serving.copy(), power, NOISE_MW, total_rbs)
+        for name in ("user_subframe", "user_rb_start", "block_key"):
+            assert np.array_equal(getattr(state.alloc, name), getattr(fresh.alloc, name))
+        assert state.alloc.subframes_per_epoch == fresh.alloc.subframes_per_epoch
+        blocks = [(b, list(m)) for b, m in state.alloc.blocks()]
+        assert blocks == [(b, list(m)) for b, m in fresh.alloc.blocks()]
+        for name in ("total_power_dbm", "per_rb_power_dbm", "per_rb_power_mw", "capped"):
+            assert np.array_equal(getattr(state, name), getattr(fresh, name))
+        # skipping an untouched user is exact: its metric vector is unchanged
+        for k in sorted(set(range(n_users)) - set(touched.tolist())):
+            assert np.array_equal(_metric_vector(k, state), before[k])

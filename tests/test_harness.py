@@ -1,3 +1,4 @@
+import math
 import os
 from dataclasses import replace
 
@@ -121,6 +122,36 @@ def test_scenario_validation_errors():
         replace(Scenario(), p0_dbm=(-50.0, -90.0)).validate()
 
 
+def test_duplicate_sweep_entries_rejected(tmp_path, capsys):
+    # a repeated alpha would take the first alpha's P0; a repeated label
+    # would merge two runs into one percentile row
+    with pytest.raises(ConfigError, match="alphas repeat"):
+        replace(Scenario(), alphas=(0.8, 0.8)).validate()
+    with pytest.raises(ConfigError, match="strategies repeat"):
+        replace(Scenario(), strategies=("cre:6", "cre:6.0")).validate()
+    with pytest.raises(ConfigError, match="strategies repeat"):
+        replace(Scenario(), strategies=("cre", "rsrp", "cre:6")).validate()
+    path = tmp_path / "s.cfg"
+    path.write_text("[power]\nalphas = 0.4, 1.0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="alphas repeat"):
+        load_scenario(str(path), {"alphas": (1.0, 1.0)})
+    code = cli_main(["run", "--config", str(path), "--alphas", "0.8,0.8", "--drops", "1"])
+    assert code == 2
+    assert "alphas repeat" in capsys.readouterr().err
+
+
+def test_summaries_carry_cycle_period():
+    # drop 0 of this scenario cycles with period 2 at alpha = 1
+    scenario = replace(
+        Scenario(), picos_per_sector=2, users_per_sector=6, alphas=(1.0,),
+        strategies=("rsrp", "interference"), master_seed=1,
+    )
+    rsrp, searched = run_drop(scenario, 0).summaries
+    assert rsrp.cycle_period is None
+    assert searched.cycle_period == 2
+    assert not searched.converged and searched.passes_used == scenario.max_passes
+
+
 def test_strategy_tokens():
     sc = replace(Scenario(), strategies=("rsrp", "cre:9", "cre", "interference"))
     cfgs = sc.strategy_configs()
@@ -202,23 +233,43 @@ def test_outputs_schema(tmp_path):
     assert resolved == scenario
 
 
+def per_user_sinr_db(state):
+    """The drop runner's SINR as first written: one combiner call per user,
+    on its per-RB SINR repeated over every subcarrier of its block."""
+    from hetsim.metrics import SUBCARRIERS_PER_RB, wideband_sinr
+
+    g_lin, serving, alloc, p = state.gains.g_linear, state.serving, state.alloc, state.per_rb_power_mw
+    out = np.empty(len(serving))
+    for u in range(len(serving)):
+        members = alloc.block_members(int(alloc.user_subframe[u]), int(alloc.user_rb_start[u]))
+        rx = g_lin[np.ix_(serving[members], members)] * p[members][None, :]
+        i = int(np.flatnonzero(members == u)[0])
+        gamma_rb = rx[i, i] / (rx.sum(axis=1)[i] - rx[i, i] + state.noise_rb_mw)
+        per_sc = np.full(alloc.rbs_per_user * SUBCARRIERS_PER_RB, gamma_rb)
+        out[u] = 10.0 * math.log10(wideband_sinr(per_sc))
+    return out
+
+
 def test_fast_sinr_path_matches_reference():
-    # the grouped computation in the drop runner must reproduce the
-    # per-RB reference path user by user
-    from hetsim.cell_selection import NetworkState, select_rsrp
+    # the per-block computation in the drop runner must reproduce the
+    # per-user combiner bit for bit, and the per-RB reference path to
+    # rounding (that path sums the interferers, not row minus own term)
+    from hetsim.cell_selection import NetworkState
     from hetsim.harness import _all_user_sinr_db, random_small_gains
     from hetsim.metrics import NoiseModel, user_wideband_sinr_db
     from hetsim.uplink_power import PowerConfig
 
     rng = np.random.default_rng(13)
-    gains = random_small_gains(rng, 4, 6)
     noise = NoiseModel().per_rb_noise_mw
-    serving = rng.integers(0, 4, size=6)
-    for total_rbs in (4, 8, 48):
-        state = NetworkState.build(gains, serving, PowerConfig(-90.0, 0.8), noise, total_rbs)
-        fast = _all_user_sinr_db(state)
-        slow = [user_wideband_sinr_db(u, state) for u in range(6)]
-        assert np.allclose(fast, slow, rtol=1e-12)
+    for n_cells, n_users in ((4, 6), (3, 40)):
+        gains = random_small_gains(rng, n_cells, n_users)
+        serving = rng.integers(0, n_cells, size=n_users)
+        for total_rbs in (4, 8, 48):
+            state = NetworkState.build(gains, serving, PowerConfig(-90.0, 0.8), noise, total_rbs)
+            fast = _all_user_sinr_db(state)
+            assert np.array_equal(fast, per_user_sinr_db(state))
+            slow = [user_wideband_sinr_db(u, state) for u in range(n_users)]
+            assert np.allclose(fast, slow, rtol=1e-12)
 
 
 def test_oracle_suite_smoke():

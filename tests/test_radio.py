@@ -9,7 +9,6 @@ from hetsim.radio import (
     compute_gain_matrix,
     path_loss_db,
     rsrp_dbm,
-    sample_shadowing,
 )
 from hetsim.topology import NodeSet, build_layout
 
@@ -48,16 +47,35 @@ def test_antenna_pattern_symmetric_and_clipped():
     assert np.all(vals >= -20.0)
 
 
+def _shadowing_db(params, n_users=2000, seed=1):
+    """Shadowing of every link of one gain matrix: g without it minus g with it."""
+    rng = np.random.default_rng(seed)
+    layout = build_layout(500.0)
+    nodes = NodeSet(
+        picos=rng.uniform(-800, 800, size=(20, 2)),
+        pico_sector=np.zeros(20, dtype=int),
+        users=rng.uniform(-800, 800, size=(n_users, 2)),
+        user_sector=np.zeros(n_users, dtype=int),
+        user_seed_pico=np.full(n_users, -1),
+    )
+    shadowed = compute_gain_matrix(layout, nodes, rng, params)
+    plain = compute_gain_matrix(layout, nodes, rng, NO_SHADOW)
+    return plain.g - shadowed.g, shadowed.cell_tier
+
+
 def test_shadowing_sigma_zero_override():
-    rng = np.random.default_rng(0)
-    draws = [sample_shadowing("macro", rng, NO_SHADOW) for _ in range(100)]
-    assert all(d == 0.0 for d in draws)
+    # a zero sigma removes shadowing from that tier's links only
+    params = RadioParams(macro_shadow_sigma_db=0.0)
+    shadow, tier = _shadowing_db(params, n_users=50)
+    assert np.all(shadow[tier == "macro"] == 0.0)
+    assert np.all(shadow[tier == "pico"] != 0.0)
 
 
 @pytest.mark.parametrize("tier,sigma,tol", [("macro", 8.0, 0.2), ("pico", 10.0, 0.25)])
 def test_shadowing_sample_sigma(tier, sigma, tol):
-    rng = np.random.default_rng(1)
-    draws = np.array([sample_shadowing(tier, rng) for _ in range(100_000)])
+    shadow, tiers = _shadowing_db(DEFAULT_RADIO)
+    draws = shadow[tiers == tier]
+    assert draws.size >= 40_000
     assert abs(draws.mean()) < tol
     assert draws.std() == pytest.approx(sigma, abs=tol)
 

@@ -4,12 +4,12 @@ import pytest
 from hetsim.topology import (
     PLACEMENT_RETRY_BUDGET,
     Layout,
+    NodeSet,
     PlacementError,
     build_layout,
     place_picos,
     place_users,
     sector_of,
-    wrap_displacement,
     wrap_distance,
 )
 
@@ -87,12 +87,27 @@ def test_wrap_shrinks_edge_to_edge_distance(layout):
 
 
 def test_wrap_displacement_consistent_with_distance(layout):
+    # the gain matrix measures each link along the displacement to the
+    # nearest wraparound image: its pico path loss is that of wrap_distance
+    from hetsim.radio import RadioParams, compute_gain_matrix, path_loss_db
+
+    no_shadow = RadioParams(macro_shadow_sigma_db=0.0, pico_shadow_sigma_db=0.0)
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        a = rng.uniform(-1000, 1000, size=2)
-        b = rng.uniform(-1000, 1000, size=2)
-        disp = wrap_displacement(a, b, layout)
-        assert np.linalg.norm(disp) == pytest.approx(wrap_distance(a, b, layout), rel=1e-12)
+    picos = rng.uniform(-1000, 1000, size=(20, 2))
+    users = rng.uniform(-1000, 1000, size=(20, 2))
+    nodes = NodeSet(
+        picos=picos,
+        pico_sector=np.zeros(20, dtype=int),
+        users=users,
+        user_sector=np.zeros(20, dtype=int),
+        user_seed_pico=np.full(20, -1),
+    )
+    gains = compute_gain_matrix(layout, nodes, rng, no_shadow)
+    for i, p in enumerate(picos):
+        for u, a in enumerate(users):
+            pl = path_loss_db("pico", wrap_distance(a, p, layout), no_shadow)
+            expected = -pl + no_shadow.pico_rx_gain_db - no_shadow.penetration_loss_db
+            assert gains.g[layout.n_sectors + i, u] == pytest.approx(expected, rel=1e-12)
 
 
 def test_place_picos_zero(layout):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hetsim.uplink_power import PowerConfig, UserPower, open_loop_power, per_rb_power_dbm
+from hetsim.uplink_power import PowerConfig, UserPower, open_loop_power
 
 
 def cfg(alpha, p0=-90.0):
@@ -16,15 +16,15 @@ def test_uncapped_example():
     assert up.total_dbm == pytest.approx(-3.98, abs=0.005)
     assert not up.capped
     # per-RB power collapses to P0 + alpha*PL when uncapped
-    assert per_rb_power_dbm(up) == pytest.approx(-10.0, abs=1e-12)
+    assert up.per_rb_dbm == pytest.approx(-10.0, abs=1e-12)
 
 
 def test_capped_example():
     up = open_loop_power(cfg(1.0), pl_db=140.0, n_rb=4)
     assert up.total_dbm == 23.0
     assert up.capped
-    assert per_rb_power_dbm(up) == pytest.approx(23.0 - 10 * math.log10(4), abs=1e-12)
-    assert per_rb_power_dbm(up) == pytest.approx(16.98, abs=0.005)
+    assert up.per_rb_dbm == pytest.approx(23.0 - 10 * math.log10(4), abs=1e-12)
+    assert up.per_rb_dbm == pytest.approx(16.98, abs=0.005)
 
 
 def test_zero_alpha_removes_pl_dependence():
