@@ -117,22 +117,16 @@ class SinrReport:
 
     samples: list[SinrSample]
 
-    def groups(self) -> list[tuple[str, float]]:
-        """Distinct (strategy, alpha) pairs in first-appearance order."""
-        seen: dict[tuple[str, float], None] = {}
+    def grouped(self) -> dict[tuple[str, float], np.ndarray]:
+        """SINR values per (strategy, alpha), in first-appearance order, one pass."""
+        buckets: dict[tuple[str, float], list[float]] = {}
         for s in self.samples:
-            seen.setdefault((s.strategy, s.alpha), None)
-        return list(seen)
-
-    def group_samples(self, strategy: str, alpha: float) -> np.ndarray:
-        return np.array(
-            [s.sinr_db for s in self.samples if s.strategy == strategy and s.alpha == alpha]
-        )
+            buckets.setdefault((s.strategy, s.alpha), []).append(s.sinr_db)
+        return {key: np.array(values) for key, values in buckets.items()}
 
     def percentile_table(self) -> list[dict]:
         rows = []
-        for strategy, alpha in self.groups():
-            values = self.group_samples(strategy, alpha)
+        for (strategy, alpha), values in self.grouped().items():
             pct = percentiles(values)
             rows.append(
                 {
@@ -150,9 +144,8 @@ class SinrReport:
 def export_cdf(report: SinrReport) -> list[tuple[str, float, float, float]]:
     """(strategy, alpha, sinr_db, fraction) rows, fraction = rank/N ascending."""
     rows: list[tuple[str, float, float, float]] = []
-    for strategy, alpha in report.groups():
-        values = np.sort(report.group_samples(strategy, alpha))
+    for (strategy, alpha), values in report.grouped().items():
         n = values.size
-        for i, v in enumerate(values, start=1):
-            rows.append((strategy, alpha, float(v), i / n))
+        for i, v in enumerate(np.sort(values).tolist(), start=1):
+            rows.append((strategy, alpha, v, i / n))
     return rows

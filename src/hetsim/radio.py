@@ -111,7 +111,6 @@ def compute_gain_matrix(
     """
     n_sec = layout.n_sectors
     n_pico = nodes.n_picos
-    n_cells = n_sec + n_pico
     users = nodes.users
 
     cell_pos = np.concatenate([layout.sites[layout.sector_site], nodes.picos]) if n_pico else layout.sites[layout.sector_site]
@@ -119,13 +118,11 @@ def compute_gain_matrix(
 
     # nearest wraparound image of every user as seen from every cell
     images = users[None, :, :] + layout.wrap_vectors[:, None, :]       # (7, K, 2)
-    diff = images[None, :, :, :] - cell_pos[:, None, None, :]          # (C, 7, K, 2)
-    dist2 = np.sum(diff * diff, axis=3)                                # (C, 7, K)
-    pick = np.argmin(dist2, axis=1)                                    # (C, K)
-    cidx = np.arange(n_cells)[:, None]
-    kidx = np.arange(len(users))[None, :]
-    disp = diff[cidx, pick, kidx, :]                                   # (C, K, 2)
-    dist = np.sqrt(dist2[cidx, pick, kidx])                            # (C, K)
+    dx = images[None, :, :, 0] - cell_pos[:, 0, None, None]            # (C, 7, K)
+    dy = images[None, :, :, 1] - cell_pos[:, 1, None, None]            # (C, 7, K)
+    dist2 = dx * dx + dy * dy                                          # (C, 7, K)
+    pick = np.argmin(dist2, axis=1)[:, None, :]                        # (C, 1, K)
+    dist = np.sqrt(np.take_along_axis(dist2, pick, axis=1)[:, 0, :])   # (C, K)
 
     pl = np.empty_like(dist)
     pl[:n_sec] = path_loss_db(MACRO, dist[:n_sec], params)
@@ -136,7 +133,10 @@ def compute_gain_matrix(
     shadow = rng.standard_normal(dist.shape) * sigma[:, None]
 
     pattern = np.zeros_like(dist)
-    theta = np.rad2deg(np.arctan2(disp[:n_sec, :, 1], disp[:n_sec, :, 0]))
+    macro_pick = pick[:n_sec]
+    disp_x = np.take_along_axis(dx[:n_sec], macro_pick, axis=1)[:, 0, :]
+    disp_y = np.take_along_axis(dy[:n_sec], macro_pick, axis=1)[:, 0, :]
+    theta = np.rad2deg(np.arctan2(disp_y, disp_x))
     off = (theta - layout.sector_boresight_deg[:n_sec, None] + 180.0) % 360.0 - 180.0
     pattern[:n_sec] = antenna_pattern_db(off, params)
 

@@ -115,15 +115,26 @@ def build_layout(isd: float) -> Layout:
     )
 
 
-def wrap_distance(a: np.ndarray, b: np.ndarray, layout: Layout) -> float:
-    """Minimum distance between a and b over the 7 mirror images."""
-    diffs = (np.asarray(b) + layout.wrap_vectors) - np.asarray(a)
-    return float(np.sqrt(np.min(np.einsum("ij,ij->i", diffs, diffs))))
+def wrap_distance(a: np.ndarray, b: np.ndarray, layout: Layout) -> float | np.ndarray:
+    """Minimum distance between a and b over the 7 mirror images.
+
+    b may be one point (2,), giving a float, or N points (N, 2), giving
+    the (N,) distances of N single-point calls bit for bit.
+    """
+    b = np.asarray(b)
+    diffs = (b[..., None, :] + layout.wrap_vectors) - np.asarray(a)
+    d = np.sqrt(np.min(np.einsum("...ij,...ij->...i", diffs, diffs), axis=-1))
+    return d if b.ndim > 1 else float(d)
 
 
 def _wrap180(angle_deg):
     """Wrap angle(s) to [-180, 180)."""
-    return (np.asarray(angle_deg) + 180.0) % 360.0 - 180.0
+    return (angle_deg + 180.0) % 360.0 - 180.0
+
+
+# outward normals of the six hexagon edges, at azimuths 0, 60, ..., 300 degrees
+_HEX_ANGLES = np.deg2rad(np.arange(0.0, 360.0, 60.0))
+_HEX_NORMALS = np.stack([np.cos(_HEX_ANGLES), np.sin(_HEX_ANGLES)], axis=1)
 
 
 def _in_hexagon(point: np.ndarray, center: np.ndarray, isd: float) -> bool:
@@ -132,10 +143,7 @@ def _in_hexagon(point: np.ndarray, center: np.ndarray, isd: float) -> bool:
     The cell has flat edges facing the six lattice neighbors at azimuths
     0, 60, ..., 300 degrees, each at perpendicular distance isd/2.
     """
-    rel = point - center
-    angles = np.deg2rad(np.arange(0.0, 360.0, 60.0))
-    normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return bool(np.all(normals @ rel <= isd / 2.0 + 1e-9))
+    return bool((_HEX_NORMALS @ (point - center) <= isd / 2.0 + 1e-9).all())
 
 
 def sector_of(point: np.ndarray, layout: Layout) -> int:
@@ -160,12 +168,17 @@ def _sample_in_sector(layout: Layout, sector: int, rng: np.random.Generator) -> 
     boresight = layout.sector_boresight_deg[sector]
     radius = layout.isd / np.sqrt(3.0)  # hexagon circumradius
     for _ in range(PLACEMENT_RETRY_BUDGET):
-        r = radius * np.sqrt(rng.uniform())
-        phi = rng.uniform(0.0, 360.0)
-        point = center + r * np.array([np.cos(np.deg2rad(phi)), np.sin(np.deg2rad(phi))])
-        if not _in_hexagon(point, center, layout.isd):
-            continue
+        # rng.uniform(0, s) returns 0 + s * rng.random(): same value, same
+        # stream, and the plain call is cheaper
+        u = rng.random()
+        phi = 360.0 * rng.random()
+        # both tests are pure, so the cheap wedge test goes first
         if abs(_wrap180(phi - boresight)) >= 60.0:
+            continue
+        r = radius * np.sqrt(u)
+        rad = np.deg2rad(phi)
+        point = center + r * np.array([np.cos(rad), np.sin(rad)])
+        if not _in_hexagon(point, center, layout.isd):
             continue
         return point
     raise PlacementError(f"could not draw a point in sector {sector}")
@@ -186,28 +199,27 @@ def place_picos(
     """
     if per_sector < 0:
         raise ValueError("per_sector must be >= 0")
-    positions: list[np.ndarray] = []
-    sectors: list[int] = []
+    picos = np.empty((layout.n_sectors * per_sector, 2))
+    placed = 0
     for sector in range(layout.n_sectors):
         for _ in range(per_sector):
-            placed = False
             for _ in range(PLACEMENT_RETRY_BUDGET):
                 cand = _sample_in_sector(layout, sector, rng)
-                if any(wrap_distance(cand, s, layout) < min_to_site_m for s in layout.sites):
+                # distances, not squared distances: the threshold test must
+                # round exactly as the scalar check did
+                if np.any(wrap_distance(cand, layout.sites, layout) < min_to_site_m):
                     continue
-                if any(wrap_distance(cand, p, layout) < min_to_pico_m for p in positions):
+                if np.any(wrap_distance(cand, picos[:placed], layout) < min_to_pico_m):
                     continue
-                positions.append(cand)
-                sectors.append(sector)
-                placed = True
+                picos[placed] = cand
+                placed += 1
                 break
-            if not placed:
+            else:
                 raise PlacementError(
                     f"pico placement in sector {sector} exhausted "
                     f"{PLACEMENT_RETRY_BUDGET} retries (constraints infeasible?)"
                 )
-    picos = np.array(positions) if positions else np.zeros((0, 2))
-    return picos, np.array(sectors, dtype=int)
+    return picos, np.repeat(np.arange(layout.n_sectors), per_sector)
 
 
 def place_users(
@@ -236,7 +248,7 @@ def place_users(
     bs_positions = np.concatenate([layout.sites, picos]) if len(picos) else layout.sites
 
     def clear_of_stations(point):
-        return np.min(np.sum((bs_positions - point) ** 2, axis=1)) > _MIN_BS_SEPARATION_M**2
+        return ((bs_positions - point) ** 2).sum(axis=1).min() > _MIN_BS_SEPARATION_M**2
 
     user_pos: list[np.ndarray] = []
     user_sector: list[int] = []
@@ -247,8 +259,8 @@ def place_users(
         for pid in pico_ids:
             center = picos[pid]
             for _ in range(PLACEMENT_RETRY_BUDGET):
-                r = seed_radius_m * np.sqrt(rng.uniform())
-                phi = rng.uniform(0.0, 2 * np.pi)
+                r = seed_radius_m * np.sqrt(rng.random())
+                phi = 2 * np.pi * rng.random()
                 point = center + r * np.array([np.cos(phi), np.sin(phi)])
                 if sector_of(point, layout) != sector:
                     continue

@@ -229,3 +229,25 @@ def test_percentile_table_groups_in_order():
     assert table[0]["n"] == 10
     assert table[0]["p5_db"] == 0.0
     assert table[1]["p90_db"] == -1.0
+
+
+def test_grouping_interleaved_samples_matches_per_group_scan():
+    # one bucketing pass gives each group's values in sample order and the
+    # groups in first-appearance order, as a scan per group would
+    rng = np.random.default_rng(8)
+    keys = [("rsrp", 0.4), ("interference", 1.0), ("rsrp", 1.0), ("pl", 0.4)]
+    samples = [
+        sample(*keys[k], float(v), user=i)
+        for i, (k, v) in enumerate(zip(rng.integers(0, 4, size=200), rng.normal(size=200)))
+    ]
+    report = SinrReport(samples=samples)
+    order = list(dict.fromkeys((s.strategy, s.alpha) for s in samples))
+    grouped = report.grouped()
+    assert list(grouped) == order
+    for strategy, alpha in order:
+        scan = [s.sinr_db for s in samples if s.strategy == strategy and s.alpha == alpha]
+        assert grouped[(strategy, alpha)].tolist() == scan
+    assert [(r["strategy"], r["alpha"]) for r in report.percentile_table()] == order
+    assert [r[:2] for r in export_cdf(report)] == [
+        key for key in order for _ in grouped[key]
+    ]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetsim.radio import (
     DEFAULT_RADIO,
+    MACRO,
+    PICO,
     GainMatrix,
     RadioParams,
     antenna_pattern_db,
@@ -191,3 +194,70 @@ def test_gain_matrix_validation():
             cell_tier=np.array(["macro"]),
             rs_power_dbm=np.array([46.0]),
         )
+
+
+def _reference_gain_matrix(layout, nodes, rng, params=DEFAULT_RADIO):
+    """The gain matrix built from the (C, 7, K, 2) displacement array, as before
+    x and y were split; kept as the bitwise reference of compute_gain_matrix."""
+    n_sec = layout.n_sectors
+    n_pico = nodes.n_picos
+    n_cells = n_sec + n_pico
+    users = nodes.users
+    cell_pos = np.concatenate([layout.sites[layout.sector_site], nodes.picos]) if n_pico else layout.sites[layout.sector_site]
+    tier = np.array([MACRO] * n_sec + [PICO] * n_pico)
+    images = users[None, :, :] + layout.wrap_vectors[:, None, :]
+    diff = images[None, :, :, :] - cell_pos[:, None, None, :]
+    dist2 = np.sum(diff * diff, axis=3)
+    pick = np.argmin(dist2, axis=1)
+    cidx = np.arange(n_cells)[:, None]
+    kidx = np.arange(len(users))[None, :]
+    disp = diff[cidx, pick, kidx, :]
+    dist = np.sqrt(dist2[cidx, pick, kidx])
+    pl = np.empty_like(dist)
+    pl[:n_sec] = path_loss_db(MACRO, dist[:n_sec], params)
+    if n_pico:
+        pl[n_sec:] = path_loss_db(PICO, dist[n_sec:], params)
+    sigma = np.where(tier == MACRO, params.macro_shadow_sigma_db, params.pico_shadow_sigma_db)
+    shadow = rng.standard_normal(dist.shape) * sigma[:, None]
+    pattern = np.zeros_like(dist)
+    theta = np.rad2deg(np.arctan2(disp[:n_sec, :, 1], disp[:n_sec, :, 0]))
+    off = (theta - layout.sector_boresight_deg[:n_sec, None] + 180.0) % 360.0 - 180.0
+    pattern[:n_sec] = antenna_pattern_db(off, params)
+    rx_gain = np.where(tier == MACRO, params.macro_rx_gain_db, params.pico_rx_gain_db)
+    g = -pl - shadow + pattern + rx_gain[:, None] - params.penetration_loss_db
+    rs_power = np.where(tier == MACRO, params.macro_rs_power_dbm, params.pico_rs_power_dbm)
+    return GainMatrix(g=g, cell_tier=tier, rs_power_dbm=rs_power)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_picos=st.integers(0, 12),
+    n_uniform=st.integers(0, 40),
+    n_seam=st.integers(0, 20),
+    isd=st.sampled_from([200.0, 500.0, 1732.0]),
+)
+def test_gain_matrix_matches_reference(seed, n_picos, n_uniform, n_seam, isd):
+    # users near the midpoints of the wrap translations sit where two
+    # images of a user are (almost or exactly) equally far from a cell
+    layout = build_layout(isd)
+    rng = np.random.default_rng(seed)
+    seam = layout.wrap_vectors[rng.integers(1, 7, size=n_seam)] / 2.0
+    seam += rng.choice([0.0, 1e-9, 1.0], size=(n_seam, 1)) * rng.uniform(-1.0, 1.0, size=(n_seam, 2))
+    users = np.concatenate([rng.uniform(-2.5 * isd, 2.5 * isd, size=(n_uniform, 2)), seam])
+    nodes = NodeSet(
+        picos=rng.uniform(-2.5 * isd, 2.5 * isd, size=(n_picos, 2)),
+        pico_sector=np.zeros(n_picos, dtype=int),
+        users=users,
+        user_sector=np.zeros(len(users), dtype=int),
+        user_seed_pico=np.full(len(users), -1),
+    )
+    ref_rng = np.random.default_rng(seed + 1)
+    new_rng = np.random.default_rng(seed + 1)
+    ref = _reference_gain_matrix(layout, nodes, ref_rng)
+    new = compute_gain_matrix(layout, nodes, new_rng)
+    assert new.g.shape == ref.g.shape
+    assert new.g.tobytes() == ref.g.tobytes()
+    assert np.array_equal(new.cell_tier, ref.cell_tier)
+    assert np.array_equal(new.rs_power_dbm, ref.rs_power_dbm)
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state

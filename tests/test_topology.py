@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hetsim import topology
 from hetsim.topology import (
     PLACEMENT_RETRY_BUDGET,
+    SECTOR_BORESIGHTS_DEG,
+    SECTORS_PER_SITE,
     Layout,
     NodeSet,
     PlacementError,
@@ -199,3 +205,219 @@ def test_users_clear_of_station_positions(layout):
         np.sum((nodes.users[:, None, :] - stations[None, :, :]) ** 2, axis=2), axis=1
     )
     assert np.all(d2 > 0.0)
+
+
+# ---- scalar placement reference ----------------------------------------------
+#
+# The placement loops as they were before the candidate checks were
+# vectorized: one wrap_distance call per (candidate, station) pair, the
+# hexagon normals rebuilt on every draw, the hexagon tested before the
+# wedge. The retry budget is read from the module at call time, so a
+# patched budget applies to the reference and the library alike.
+
+
+def _ref_wrap_distance(a, b, layout):
+    diffs = (np.asarray(b) + layout.wrap_vectors) - np.asarray(a)
+    return float(np.sqrt(np.min(np.einsum("ij,ij->i", diffs, diffs))))
+
+
+def _ref_wrap180(angle_deg):
+    return (np.asarray(angle_deg) + 180.0) % 360.0 - 180.0
+
+
+def _ref_in_hexagon(point, center, isd):
+    rel = point - center
+    angles = np.deg2rad(np.arange(0.0, 360.0, 60.0))
+    normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return bool(np.all(normals @ rel <= isd / 2.0 + 1e-9))
+
+
+def _ref_sector_of(point, layout):
+    d2 = np.sum((layout.sites - point) ** 2, axis=1)
+    site = int(np.argmin(d2))
+    rel = point - layout.sites[site]
+    theta = np.rad2deg(np.arctan2(rel[1], rel[0]))
+    offsets = np.abs(_ref_wrap180(theta - np.array(SECTOR_BORESIGHTS_DEG)))
+    return site * SECTORS_PER_SITE + int(np.argmin(offsets))
+
+
+def _ref_sample_in_sector(layout, sector, rng):
+    site = layout.sector_site[sector]
+    center = layout.sites[site]
+    boresight = layout.sector_boresight_deg[sector]
+    radius = layout.isd / np.sqrt(3.0)
+    for _ in range(topology.PLACEMENT_RETRY_BUDGET):
+        r = radius * np.sqrt(rng.uniform())
+        phi = rng.uniform(0.0, 360.0)
+        point = center + r * np.array([np.cos(np.deg2rad(phi)), np.sin(np.deg2rad(phi))])
+        if not _ref_in_hexagon(point, center, layout.isd):
+            continue
+        if abs(_ref_wrap180(phi - boresight)) >= 60.0:
+            continue
+        return point
+    raise PlacementError(f"could not draw a point in sector {sector}")
+
+
+def _ref_place_picos(layout, per_sector, rng, min_to_site_m=75.0, min_to_pico_m=35.0):
+    positions = []
+    sectors = []
+    for sector in range(layout.n_sectors):
+        for _ in range(per_sector):
+            placed = False
+            for _ in range(topology.PLACEMENT_RETRY_BUDGET):
+                cand = _ref_sample_in_sector(layout, sector, rng)
+                if any(_ref_wrap_distance(cand, s, layout) < min_to_site_m for s in layout.sites):
+                    continue
+                if any(_ref_wrap_distance(cand, p, layout) < min_to_pico_m for p in positions):
+                    continue
+                positions.append(cand)
+                sectors.append(sector)
+                placed = True
+                break
+            if not placed:
+                raise PlacementError(f"pico placement in sector {sector} exhausted retries")
+    picos = np.array(positions) if positions else np.zeros((0, 2))
+    return picos, np.array(sectors, dtype=int)
+
+
+def _ref_place_users(layout, picos, pico_sector, users_per_sector, rng, seed_radius_m=50.0):
+    bs_positions = np.concatenate([layout.sites, picos]) if len(picos) else layout.sites
+
+    def clear_of_stations(point):
+        return np.min(np.sum((bs_positions - point) ** 2, axis=1)) > 1e-6**2
+
+    user_pos, user_sector, user_seed = [], [], []
+    for sector in range(layout.n_sectors):
+        pico_ids = np.flatnonzero(pico_sector == sector) if len(pico_sector) else np.array([], dtype=int)
+        for pid in pico_ids:
+            center = picos[pid]
+            for _ in range(topology.PLACEMENT_RETRY_BUDGET):
+                r = seed_radius_m * np.sqrt(rng.uniform())
+                phi = rng.uniform(0.0, 2 * np.pi)
+                point = center + r * np.array([np.cos(phi), np.sin(phi)])
+                if _ref_sector_of(point, layout) != sector:
+                    continue
+                if not clear_of_stations(point):
+                    continue
+                break
+            else:
+                raise PlacementError(f"seed user for pico {pid} exhausted retries")
+            user_pos.append(point)
+            user_sector.append(sector)
+            user_seed.append(int(pid))
+        for _ in range(users_per_sector - len(pico_ids)):
+            for _ in range(topology.PLACEMENT_RETRY_BUDGET):
+                point = _ref_sample_in_sector(layout, sector, rng)
+                if clear_of_stations(point):
+                    break
+            else:
+                raise PlacementError(f"user placement in sector {sector} exhausted retries")
+            user_pos.append(point)
+            user_sector.append(sector)
+            user_seed.append(-1)
+    return NodeSet(
+        picos=picos,
+        pico_sector=np.asarray(pico_sector, dtype=int),
+        users=np.array(user_pos) if user_pos else np.zeros((0, 2)),
+        user_sector=np.array(user_sector, dtype=int),
+        user_seed_pico=np.array(user_seed, dtype=int),
+    )
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _placement(place_picos_fn, place_users_fn, params, seed):
+    """(outcome, generator state after it): NodeSet fields or the PlacementError."""
+    rng = np.random.default_rng(seed)
+    layout = build_layout(params["isd"])
+    try:
+        picos, psec = place_picos_fn(
+            layout, params["picos"], rng, params["min_to_site_m"], params["min_to_pico_m"]
+        )
+        nodes = place_users_fn(layout, picos, psec, params["users"], rng, params["seed_radius_m"])
+    except PlacementError:
+        return PlacementError, rng.bit_generator.state
+    fields = (nodes.picos, nodes.pico_sector, nodes.users, nodes.user_sector, nodes.user_seed_pico)
+    return fields, rng.bit_generator.state
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    picos=st.integers(0, 8),
+    extra_users=st.integers(0, 3),
+    isd=st.floats(300.0, 800.0),
+    site_frac=st.floats(0.0, 0.25),
+    pico_frac=st.floats(0.0, 0.12),
+    seed_frac=st.floats(0.02, 0.2),
+)
+def test_placement_matches_scalar_reference(seed, picos, extra_users, isd, site_frac, pico_frac, seed_frac):
+    # positions, sectors, seed-pico ids and the generator state afterwards
+    # (which keeps the shadowing draws aligned) are equal bit for bit
+    params = {
+        "isd": isd,
+        "picos": picos,
+        "users": picos + extra_users,
+        "min_to_site_m": site_frac * isd,
+        "min_to_pico_m": pico_frac * isd,
+        "seed_radius_m": seed_frac * isd,
+    }
+    with mock.patch.object(topology, "PLACEMENT_RETRY_BUDGET", 2000):
+        ref, ref_state = _placement(_ref_place_picos, _ref_place_users, params, seed)
+        new, new_state = _placement(place_picos, place_users, params, seed)
+    if ref is PlacementError:
+        assert new is PlacementError
+    else:
+        assert new is not PlacementError
+        assert all(_same_bits(a, b) for a, b in zip(ref, new))
+    assert new_state == ref_state
+
+
+@pytest.mark.parametrize(
+    "min_to_site_m,min_to_pico_m",
+    [(500.0, 35.0), (75.0, 5000.0)],
+    ids=["sites-exclude-sector", "second-pico-too-close"],
+)
+def test_infeasible_placement_raises_like_reference(min_to_site_m, min_to_pico_m):
+    params = {
+        "isd": 500.0,
+        "picos": 2,
+        "users": 2,
+        "min_to_site_m": min_to_site_m,
+        "min_to_pico_m": min_to_pico_m,
+        "seed_radius_m": 50.0,
+    }
+    with mock.patch.object(topology, "PLACEMENT_RETRY_BUDGET", 200):
+        ref, ref_state = _placement(_ref_place_picos, _ref_place_users, params, 9)
+        new, new_state = _placement(place_picos, place_users, params, 9)
+    assert ref is PlacementError and new is PlacementError
+    assert new_state == ref_state
+
+
+def _seam_points(layout, rng, n):
+    """Points within a metre of the midpoints of the wrap translations."""
+    halves = layout.wrap_vectors[rng.integers(1, 7, size=n)] / 2.0
+    return halves + rng.uniform(-1.0, 1.0, size=(n, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 30), isd=st.floats(100.0, 2000.0))
+def test_wrap_distance_rows_equal_scalar_calls(seed, n, isd):
+    layout = build_layout(isd)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-3.0 * isd, 3.0 * isd, size=2)
+    b = np.concatenate([
+        rng.uniform(-3.0 * isd, 3.0 * isd, size=(n, 2)),
+        _seam_points(layout, rng, n),
+        layout.sites,
+    ])
+    rows = wrap_distance(a, b, layout)
+    assert rows.shape == (len(b),)
+    scalar = np.array([wrap_distance(a, p, layout) for p in b])
+    assert _same_bits(rows, scalar)
+    assert _same_bits(scalar, [_ref_wrap_distance(a, p, layout) for p in b])
+    assert isinstance(wrap_distance(a, b[0], layout), float)
+    assert wrap_distance(a, b[:0], layout).shape == (0,)
