@@ -11,10 +11,16 @@ Four ways to pick a serving cell per user:
 
 All interference arithmetic runs in linear milliwatts. A user's own
 transmit power never enters its own metric, so candidate evaluation can
-keep every other power fixed. A committed move re-ranks only the mover's
-slot inside its old and new cell, and marks for re-evaluation only the
-users whose block it touched; a search that returns to an earlier
-pass-end assignment is fast-forwarded along its cycle.
+keep every other power fixed. A user's RB slot (index mod slots) never
+changes, and only users of one slot share blocks, so the search is one
+independent game per slot. NetworkState therefore keeps its users in a
+per-slot layout, and one kernel, _metric_rows, scores any batch of users
+with one stacked product. The search walks each pass in steps of one user
+per slot, scores a step's users together and commits its moves in index
+order. A move re-ranks only the mover's slot inside its old and new cell
+and marks for re-evaluation only the users whose block it touched; a
+search that returns to an earlier pass-end assignment is fast-forwarded
+along its cycle.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from hetsim import uplink_power
 from hetsim.radio import GainMatrix, PICO
 from hetsim.scheduler import Allocation, allocate, cochannel_interferers
 from hetsim.uplink_power import PowerConfig
@@ -69,18 +76,26 @@ class Assignment:
 
 @dataclass
 class NetworkState:
-    """Everything the interference metric needs about the current network."""
+    """Everything the interference metric needs about the current network.
+
+    Users sit in a per-slot layout: user k is entry k // slots of slot
+    k % slots, with slots = total_rbs / rbs_per_user. subframe[s, j] is
+    that user's subframe and rows[s, j] its per-RB received power at
+    every cell. Slots shorter than users_per_slot are padded with
+    subframe -1 and zero rows, so padding never shares a block.
+    """
 
     gains: GainMatrix
     serving: np.ndarray
-    alloc: Allocation
     power_cfg: PowerConfig
+    noise_rb_mw: float
+    total_rbs: int
+    subframe: np.ndarray          # (slots, users_per_slot)
+    rows: np.ndarray              # (slots, users_per_slot, cells)
     total_power_dbm: np.ndarray
     per_rb_power_dbm: np.ndarray
     per_rb_power_mw: np.ndarray
     capped: np.ndarray
-    noise_rb_mw: float
-    total_rbs: int
 
     @classmethod
     def build(
@@ -91,54 +106,86 @@ class NetworkState:
         noise_rb_mw: float,
         total_rbs: int = 48,
     ) -> "NetworkState":
+        """State of an assignment. Coupling loss to the serving cell (the
+        negative composite gain, shadowing included) is what the open-loop
+        law compensates."""
         serving = np.asarray(serving, dtype=int)
-        state = cls(
+        alloc = allocate(serving, gains.n_cells, total_rbs, power_cfg.rbs_per_user)
+        n_users = len(serving)
+        slots = total_rbs // power_cfg.rbs_per_user
+        per_slot = -(-n_users // slots)
+        power = uplink_power.open_loop_power(power_cfg, -gains.g[serving, np.arange(n_users)])
+        mw = 10.0 ** (power.per_rb_dbm / 10.0)
+        subframe = np.full((slots, per_slot), -1)
+        rows = np.zeros((slots, per_slot, gains.n_cells))
+        for s in range(slots):
+            members, count = slice(s, n_users, slots), len(range(s, n_users, slots))
+            subframe[s, :count] = alloc.user_subframe[members]
+            rows[s, :count] = gains.g_linear[:, members].T * mw[members, None]
+        return cls(
             gains=gains,
             serving=serving,
-            alloc=allocate(serving, gains.n_cells, total_rbs, power_cfg.rbs_per_user),
             power_cfg=power_cfg,
-            total_power_dbm=np.zeros(len(serving)),
-            per_rb_power_dbm=np.zeros(len(serving)),
-            per_rb_power_mw=np.zeros(len(serving)),
-            capped=np.zeros(len(serving), dtype=bool),
             noise_rb_mw=noise_rb_mw,
             total_rbs=total_rbs,
+            subframe=subframe,
+            rows=rows,
+            total_power_dbm=power.total_dbm,
+            per_rb_power_dbm=power.per_rb_dbm,
+            per_rb_power_mw=mw,
+            capped=power.capped,
         )
-        state._refresh_powers()
-        return state
 
-    def _refresh_powers(self):
-        """Recompute all transmit powers from the current assignment.
-
-        Coupling loss to the serving cell (the negative composite gain,
-        shadowing included) is what the open-loop law compensates.
-        """
-        cfg = self.power_cfg
+    @property
+    def alloc(self) -> Allocation:
+        """The block allocation, read back from the per-slot layout."""
+        slots = len(self.subframe)
         k = np.arange(len(self.serving))
-        pl = -self.gains.g[self.serving, k]
-        bw_term = 10.0 * np.log10(cfg.rbs_per_user)
-        uncapped = cfg.p0_dbm + bw_term + cfg.alpha * pl
-        self.total_power_dbm = np.minimum(cfg.pmax_dbm, uncapped)
-        self.capped = uncapped > cfg.pmax_dbm
-        self.per_rb_power_dbm = self.total_power_dbm - bw_term
-        self.per_rb_power_mw = 10.0 ** (self.per_rb_power_dbm / 10.0)
+        user_subframe = self.subframe[k % slots, k // slots]
+        rbs = self.power_cfg.rbs_per_user
+        return Allocation(
+            user_subframe=user_subframe,
+            user_rb_start=k % slots * rbs,
+            rbs_per_user=rbs,
+            total_rbs=self.total_rbs,
+            subframes_per_epoch=int(user_subframe.max(initial=0)) + 1,
+        )
 
     def move_user(self, user: int, cell: int) -> np.ndarray:
         """Commit a serving-cell change; return the users whose metric it can change.
 
-        A user's metric reads only who shares its block and their powers,
-        and only the mover's power changes. So the touched users are the
-        members of the old and the new block of every user whose block
-        changed, and the members of the mover's block.
+        Only the mover's slot changes: its ranks inside the old and the new
+        cell are redone, and the mover's power and row are refreshed. A
+        user's metric reads only who shares its block and their powers, so
+        the touched users are the members of the old and the new block of
+        every user whose subframe changed, and the members of the mover's
+        block.
         """
-        old_cell = int(self.serving[user])
-        old_key = self.alloc.block_key
-        self.serving[user] = cell
-        self.alloc, changed = self.alloc.move(self.serving, user, old_cell)
-        self._refresh_powers()
-        key = self.alloc.block_key
-        touched = np.concatenate((old_key[changed], key[changed], key[[user]]))
-        return np.flatnonzero((key[:, None] == touched).any(axis=1))
+        slots = len(self.subframe)
+        slot, pos = user % slots, user // slots
+        cells = self.serving[slot::slots]
+        subframe = self.subframe[slot]
+        before = subframe.copy()
+        old_cell = cells[pos]
+        cells[pos] = cell
+        for c in (old_cell, cell):
+            group = np.flatnonzero(cells == c)
+            subframe[group] = np.arange(len(group))
+        changed = subframe != before
+        hit = np.zeros(len(subframe) + 1, dtype=bool)  # hit[-1] stays False for the padding
+        hit[before[changed]] = True
+        hit[subframe[changed]] = True
+        hit[subframe[pos]] = True
+
+        one = slice(user, user + 1)
+        power = uplink_power.open_loop_power(self.power_cfg, -self.gains.g[cell, one])
+        mw = 10.0 ** (power.per_rb_dbm / 10.0)
+        self.total_power_dbm[one] = power.total_dbm
+        self.per_rb_power_dbm[one] = power.per_rb_dbm
+        self.capped[one] = power.capped
+        self.per_rb_power_mw[one] = mw
+        self.rows[slot, pos] = self.gains.g_linear[:, user] * mw
+        return slot + slots * np.flatnonzero(hit[subframe])
 
 
 def _argbest(values: np.ndarray, space: tuple[int, ...] | None, maximize: bool) -> np.ndarray:
@@ -167,23 +214,35 @@ def select_cre(gains: GainMatrix, cfg: StrategyConfig) -> Assignment:
     return Assignment(c=_argbest(biased, cfg.search_space, maximize=True))
 
 
-def _metric_vector(user: int, state: NetworkState) -> np.ndarray:
-    """Interference metric of one user against every cell at once.
+def _metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
+    """(len(users), cells) interference metric of each user against every cell.
 
     Blocks are aligned, so the co-scheduled set is identical on each of
-    the user's RBs and the per-block sum is rbs_per_user times the
+    a user's RBs and the per-block sum is rbs_per_user times the
     single-RB term. Same-cell co-channel users cannot exist (orthogonal
-    intra-cell allocation), hence the co-set is simply every other user
-    on the block.
+    intra-cell allocation), so user k's co-set is every other user of
+    its slot in its subframe. Its interference is mask_k @ rows[slot_k]
+    with a 0/1 mask that is zero at k: one stacked product for the whole
+    batch, a sum of nonnegative terms, and each row the same whatever
+    else is in the batch.
     """
-    key = state.alloc.block_key
-    on_block = key == key[user]
-    on_block[user] = False
-    others = on_block.nonzero()[0]
+    users = np.asarray(users)
+    pos, slot = np.divmod(users, len(state.subframe))
+    subframe = state.subframe[slot]
+    batch = np.arange(len(users))
+    mask = subframe == subframe[batch, pos][:, None]
+    mask[batch, pos] = False
+    if len(users) and (slot[1:] > slot[:-1]).all():
+        # ascending slots (a search step): multiply the slot range in place
+        # instead of copying each user's slot, zero masks on the gaps
+        offset = slot - slot[0]
+        stacked = np.zeros((offset[-1] + 1, 1, mask.shape[1]))
+        stacked[offset, 0] = mask
+        interference = np.matmul(stacked, state.rows[slot[0]:slot[-1] + 1])[offset, 0]
+    else:
+        interference = np.matmul(mask[:, None, :].astype(float), state.rows[slot])[:, 0]
     g_lin = state.gains.g_linear
-    interference = g_lin[:, others] @ state.per_rb_power_mw[others] if len(others) else 0.0
-    per_rb = interference + state.noise_rb_mw
-    return state.alloc.rbs_per_user * per_rb / g_lin[:, user]
+    return state.power_cfg.rbs_per_user * (interference + state.noise_rb_mw) / g_lin[:, users].T
 
 
 def interference_metric(user: int, cell: int, state: NetworkState) -> float:
@@ -228,8 +287,14 @@ def select_interference_based(
     Starts from the rsrp assignment (the standards-default incumbent).
     Users are visited in fixed index order; each moves to the cell
     minimizing its metric given the current state, and the move commits
-    immediately (power and both cells' allocations refresh). A full pass
+    immediately (power and the slot's allocation refresh). A full pass
     without moves means convergence; ties prefer the incumbent cell.
+
+    Users in different RB slots never affect each other, so a pass walks
+    in steps of one user per slot (users slots*j .. slots*j + slots - 1),
+    scores the step's users in one batched call and commits its movers in
+    index order: the same moves, in the same per-slot order, as a visit
+    of one user at a time.
 
     A user whose block no move has touched since it last stayed put is
     skipped: its metric vector, and so its choice, would be the same. The
@@ -247,6 +312,11 @@ def select_interference_based(
     state = NetworkState.build(gains, serving, power_cfg, noise_rb_mw, total_rbs)
 
     space = np.arange(gains.n_cells) if cfg.search_space is None else np.asarray(cfg.search_space, dtype=int)
+    position = np.full(gains.n_cells, -1)   # cell -> its column in space
+    position[space] = np.arange(len(space))
+    if (position[state.serving] < 0).any():
+        raise ValueError("initial assignment uses cells outside the search space")
+    slots = len(state.subframe)
     dirty = np.ones(gains.n_users, dtype=bool)
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
     seen = {state.serving.tobytes(): 0}
@@ -255,17 +325,19 @@ def select_interference_based(
     cycle_start = period = None
     while len(moves_per_pass) < cfg.max_passes:
         moves = 0
-        for k in range(gains.n_users):
-            if not dirty[k]:
+        for start in range(0, gains.n_users, slots):
+            step = start + np.flatnonzero(dirty[start:start + slots])
+            if not len(step):
                 continue
-            dirty[k] = False
-            metrics = _metric_vector(k, state)[space]
-            current = int(state.serving[k])
-            best_pos = int(np.argmin(metrics))
-            best_cell = int(space[best_pos])
-            current_pos = int(np.flatnonzero(space == current)[0])
-            if best_cell != current and metrics[best_pos] < metrics[current_pos] * (1.0 - MOVE_REL_THRESHOLD):
-                dirty[state.move_user(k, best_cell)] = True
+            dirty[step] = False
+            metrics = _metric_rows(step, state)[:, space]
+            batch = np.arange(len(step))
+            best = metrics.argmin(axis=1)
+            current = state.serving[step]
+            own = metrics[batch, position[current]]
+            moving = (space[best] != current) & (metrics[batch, best] < own * (1.0 - MOVE_REL_THRESHOLD))
+            for k, cell in zip(step[moving].tolist(), space[best[moving]].tolist()):
+                dirty[state.move_user(k, cell)] = True
                 moves += 1
         moves_per_pass.append(moves)
         if moves == 0:
@@ -328,18 +400,14 @@ def brute_force_oracle(
     best_combo: tuple[int, ...] | None = None
     best_total = np.inf
     cell_arr = np.asarray(cells, dtype=int)
+    users = np.arange(n_users)
     for combo in itertools.product(cells, repeat=n_users):
         serving = np.array(combo, dtype=int)
         state = NetworkState.build(gains, serving, power_cfg, noise_rb_mw, total_rbs)
-        total = 0.0
-        is_stable = True
-        for k in range(n_users):
-            metrics = _metric_vector(k, state)[cell_arr]
-            own = metrics[cells.index(combo[k])]
-            total += own
-            if np.min(metrics) < own * (1.0 - MOVE_REL_THRESHOLD):
-                is_stable = False
-        if is_stable:
+        metrics = _metric_rows(users, state)[:, cell_arr]
+        own = metrics[users, [cells.index(c) for c in combo]]
+        total = own.sum()
+        if not (metrics.min(axis=1) < own * (1.0 - MOVE_REL_THRESHOLD)).any():
             stable.append(combo)
         if total < best_total:
             best_total = total

@@ -30,7 +30,8 @@ from hetsim.cell_selection import (
     select_pl,
     select_rsrp,
 )
-from hetsim.metrics import NoiseModel, SinrReport, SinrSample, wideband_sinr
+from hetsim.metrics import NoiseModel, SinrReport, SinrSample
+from hetsim.metrics import wideband_sinr  # noqa: F401 - kept bound here, hetbench traces harness.wideband_sinr
 from hetsim.radio import MACRO, PICO, GainMatrix, RadioParams, compute_gain_matrix
 from hetsim.topology import PlacementError, build_layout, place_picos, place_users
 from hetsim.uplink_power import PowerConfig
@@ -320,24 +321,22 @@ class DropResult:
 
 
 def _all_user_sinr_db(state: NetworkState) -> np.ndarray:
-    """Wideband SINR (dB) of every user, one combiner call per scheduled block.
+    """Wideband SINR (dB) of every user, one small product per scheduled block.
 
     Within one (subframe, block) group the mutual interference matrix is
     a single small product. Each user's per-RB SINR is flat across its
-    RBs, so its row of the block's (members x rbs_per_user) matrix is
-    constant and the combiner returns it exactly.
+    RBs, and the MMSE combiner returns a constant row exactly, so the
+    wideband value is the per-RB one.
     """
     g_lin = state.gains.g_linear
     serving = state.serving
-    alloc = state.alloc
     p = state.per_rb_power_mw
     out = np.empty(len(serving))
-    for _, members in alloc.blocks():
+    for _, members in state.alloc.blocks():
         rx = g_lin[np.ix_(serving[members], members)] * p[members][None, :]
         signal = np.diagonal(rx)
         gamma_rb = signal / (rx.sum(axis=1) - signal + state.noise_rb_mw)
-        per_rb = np.repeat(gamma_rb[:, None], alloc.rbs_per_user, axis=1)
-        out[members] = [10.0 * math.log10(x) for x in wideband_sinr(per_rb)]
+        out[members] = [10.0 * math.log10(x) for x in gamma_rb.tolist()]
     return out
 
 
@@ -487,6 +486,7 @@ def run_campaign(scenario: Scenario, workers: int | None = None) -> tuple[SinrRe
 def write_outputs(scenario: Scenario, report: SinrReport, summaries: list[StrategySummary]):
     outdir = scenario.output_dir
     os.makedirs(outdir, exist_ok=True)
+    table = report.percentile_table()
 
     with open(os.path.join(outdir, "samples.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("drop,user,strategy,alpha,serving_cell,tier,sinr_db\n")
@@ -497,7 +497,7 @@ def write_outputs(scenario: Scenario, report: SinrReport, summaries: list[Strate
 
     with open(os.path.join(outdir, "percentiles.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("strategy,alpha,p5_db,p50_db,p90_db,n\n")
-        for row in report.percentile_table():
+        for row in table:
             fh.write(
                 f"{row['strategy']},{row['alpha']:g},{row['p5_db']:.6f},"
                 f"{row['p50_db']:.6f},{row['p90_db']:.6f},{row['n']}\n"
@@ -509,13 +509,13 @@ def write_outputs(scenario: Scenario, report: SinrReport, summaries: list[Strate
             fh.write(f"{strategy},{alpha:g},{sinr_db:.6f},{fraction:.8f}\n")
 
     with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_summary_text(scenario, report, summaries))
+        fh.write(_summary_text(scenario, table, summaries))
 
     with open(os.path.join(outdir, "scenario.resolved.cfg"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(scenario_to_ini(scenario))
 
 
-def _summary_text(scenario: Scenario, report: SinrReport, summaries: list[StrategySummary]) -> str:
+def _summary_text(scenario: Scenario, table: list[dict], summaries: list[StrategySummary]) -> str:
     lines = [
         f"drops={scenario.drops} master_seed={scenario.master_seed} "
         f"picos_per_sector={scenario.picos_per_sector} users_per_sector={scenario.users_per_sector}",
@@ -544,7 +544,7 @@ def _summary_text(scenario: Scenario, report: SinrReport, summaries: list[Strate
         lines.append(f"  passes={passes}: {hist[passes]}")
     lines.append("")
     lines.append("percentiles (dB):")
-    for row in report.percentile_table():
+    for row in table:
         lines.append(
             f"  {row['strategy']} alpha={row['alpha']:g} "
             f"p5={row['p5_db']:.2f} p50={row['p50_db']:.2f} p90={row['p90_db']:.2f} n={row['n']}"

@@ -16,7 +16,7 @@ with user 12 spilling to subframe 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,23 +51,6 @@ class Allocation:
         key = self.block_key
         for block in np.unique(key):
             yield divmod(int(block), self.total_rbs), np.flatnonzero(key == block)
-
-    def move(self, serving: np.ndarray, user: int, old_cell: int) -> tuple["Allocation", np.ndarray]:
-        """Allocation after `user` moved from old_cell to serving[user].
-
-        Equal to allocate(serving, ...): only the ranks of the user's slot
-        inside its old and new cell can change, so only those two groups
-        are re-ranked. Also returns the users whose subframe changed.
-        """
-        slots = self.total_rbs // self.rbs_per_user
-        same_slot = np.arange(user % slots, len(serving), slots)
-        subframe = self.user_subframe.copy()
-        for cell in (old_cell, serving[user]):
-            group = same_slot[serving[same_slot] == cell]
-            subframe[group] = np.arange(len(group))
-        changed = same_slot[subframe[same_slot] != self.user_subframe[same_slot]]
-        moved = replace(self, user_subframe=subframe, subframes_per_epoch=int(subframe.max()) + 1)
-        return moved, changed
 
 
 _EMPTY = np.array([], dtype=int)

@@ -15,6 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 # compensation factors the LTE signalling actually carries
 STANDARD_ALPHAS = (0.0, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -40,20 +42,28 @@ class PowerConfig:
 
 @dataclass(frozen=True)
 class UserPower:
-    total_dbm: float
-    per_rb_dbm: float
-    capped: bool
+    total_dbm: float | np.ndarray
+    per_rb_dbm: float | np.ndarray
+    capped: bool | np.ndarray
 
 
-def open_loop_power(cfg: PowerConfig, pl_db: float, n_rb: int | None = None) -> UserPower:
-    """Transmit power of a user with coupling loss pl_db on n_rb blocks."""
+def open_loop_power(cfg: PowerConfig, pl_db, n_rb: int | None = None) -> UserPower:
+    """Transmit power of users with coupling loss pl_db on n_rb blocks.
+
+    pl_db is one loss (floats come back) or an array of losses (arrays
+    come back, each entry equal to the scalar call on that loss).
+    """
     if n_rb is None:
         n_rb = cfg.rbs_per_user
     if n_rb < 1:
         raise ValueError(f"n_rb must be >= 1, got {n_rb}")
-    if not math.isfinite(pl_db):
+    pl = np.asarray(pl_db, dtype=float)
+    if not np.isfinite(pl).all():
         raise ValueError("pl_db must be finite")
-    bw_term = 10.0 * math.log10(n_rb)
-    uncapped = cfg.p0_dbm + bw_term + cfg.alpha * pl_db
-    total = min(cfg.pmax_dbm, uncapped)
-    return UserPower(total_dbm=total, per_rb_dbm=total - bw_term, capped=uncapped > cfg.pmax_dbm)
+    bw_term = 10.0 * np.log10(n_rb)
+    uncapped = cfg.p0_dbm + bw_term + cfg.alpha * pl
+    total = np.minimum(cfg.pmax_dbm, uncapped)
+    capped = uncapped > cfg.pmax_dbm
+    if pl.ndim == 0:
+        return UserPower(total_dbm=float(total), per_rb_dbm=float(total - bw_term), capped=bool(capped))
+    return UserPower(total_dbm=total, per_rb_dbm=total - bw_term, capped=capped)

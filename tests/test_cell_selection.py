@@ -13,7 +13,7 @@ from hetsim.cell_selection import (
     select_interference_based,
     select_pl,
     select_rsrp,
-    _metric_vector,
+    _metric_rows,
 )
 from hetsim.metrics import NoiseModel
 from hetsim.radio import GainMatrix
@@ -135,6 +135,7 @@ def test_metric_matches_literal_formula():
         state = NetworkState.build(gains, serving, PowerConfig(-90.0, 0.8), NOISE_MW, total_rbs=4)
         g_lin = 10 ** (gains.g / 10.0)
         p_mw = 10 ** (state.per_rb_power_dbm / 10.0)
+        kernel = _metric_rows(np.arange(n_users), state)
         for k in range(n_users):
             sf = state.alloc.user_subframe[k]
             co = [
@@ -148,7 +149,7 @@ def test_metric_matches_literal_formula():
                     for _ in range(4)
                 )
                 assert interference_metric(k, cell, state) == pytest.approx(expected, rel=1e-12)
-                assert _metric_vector(k, state)[cell] == pytest.approx(expected, rel=1e-12)
+                assert kernel[k, cell] == pytest.approx(expected, rel=1e-12)
 
 
 def test_metric_at_serving_cell_is_serving_interference():
@@ -228,8 +229,7 @@ def test_two_user_pile_splits_and_is_stable():
     assert result.passes_used == 2
     # verify stability by each user's unilateral metrics
     state = NetworkState.build(gains, result.c, power, NOISE_MW, total_rbs=4)
-    for k in range(2):
-        metrics = _metric_vector(k, state)
+    for k, metrics in enumerate(_metric_rows(np.arange(2), state)):
         assert metrics[result.c[k]] == pytest.approx(metrics.min(), rel=1e-12)
 
 
@@ -246,8 +246,7 @@ def test_converged_run_has_no_improving_deviation():
             continue
         checked += 1
         state = NetworkState.build(gains, result.c, power, NOISE_MW, total_rbs=4)
-        for k in range(5):
-            metrics = _metric_vector(k, state)
+        for k, metrics in enumerate(_metric_rows(np.arange(5), state)):
             own = metrics[result.c[k]]
             assert metrics.min() >= own * (1.0 - MOVE_REL_THRESHOLD)
     assert checked >= 15  # the dynamics should converge on most small instances
@@ -328,7 +327,7 @@ def test_descent_moves_strictly_improve():
     for _ in range(20):
         moved = False
         for k in range(5):
-            metrics = _metric_vector(k, state)
+            metrics = _metric_rows([k], state)[0]
             current = int(state.serving[k])
             best = int(np.argmin(metrics))
             if best != current and metrics[best] < metrics[current] * (1 - MOVE_REL_THRESHOLD):
@@ -356,7 +355,7 @@ def reference_best_response(gains, power, cfg, total_rbs):
     for _ in range(cfg.max_passes):
         moves = 0
         for k in range(gains.n_users):
-            metrics = _metric_vector(k, state)
+            metrics = _metric_rows([k], state)[0]
             current = int(serving[k])
             best = int(np.argmin(metrics))
             if best != current and metrics[best] < metrics[current] * (1.0 - MOVE_REL_THRESHOLD):
@@ -446,8 +445,9 @@ def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_m
     gains = random_gm(rng, n_cells, n_users)
     power = PowerConfig(-90.0, 0.8)
     state = NetworkState.build(gains, rng.integers(0, n_cells, n_users), power, NOISE_MW, total_rbs)
+    users = np.arange(n_users)
     for _ in range(n_moves):
-        before = [_metric_vector(k, state) for k in range(n_users)]
+        before = _metric_rows(users, state)
         user, cell = int(rng.integers(0, n_users)), int(rng.integers(0, n_cells))
         touched = state.move_user(user, cell)
         fresh = NetworkState.build(gains, state.serving.copy(), power, NOISE_MW, total_rbs)
@@ -458,6 +458,134 @@ def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_m
         assert blocks == [(b, list(m)) for b, m in fresh.alloc.blocks()]
         for name in ("total_power_dbm", "per_rb_power_dbm", "per_rb_power_mw", "capped"):
             assert np.array_equal(getattr(state, name), getattr(fresh, name))
+        # the per-slot layout: subframes and per-RB received power rows
+        assert np.array_equal(state.subframe, fresh.subframe)
+        assert np.array_equal(state.rows, fresh.rows)
         # skipping an untouched user is exact: its metric vector is unchanged
-        for k in sorted(set(range(n_users)) - set(touched.tolist())):
-            assert np.array_equal(_metric_vector(k, state), before[k])
+        untouched = np.setdiff1d(users, touched)
+        assert np.array_equal(_metric_rows(untouched, state), before[untouched])
+
+
+# ---- the batched kernel and the per-slot decomposition ------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 5),
+    slots=st.integers(1, 12),
+    n_users=st.integers(1, 60),
+    data=st.data(),
+)
+def test_metric_rows_batch_equals_single_calls(seed, n_cells, slots, n_users, data):
+    # one row per user, bit for bit the row of a call on that user alone,
+    # whatever else is in the batch and in whatever order: a search step
+    # (distinct slots, ascending), an arbitrary subset, or one slot repeated
+    rng = np.random.default_rng(seed)
+    gains = random_gm(rng, n_cells, n_users)
+    power = PowerConfig(-90.0, float(rng.choice([0.4, 0.6, 0.8, 1.0])))
+    state = NetworkState.build(gains, rng.integers(0, n_cells, n_users), power, NOISE_MW, 4 * slots)
+    for _ in range(int(rng.integers(0, 4))):
+        state.move_user(int(rng.integers(0, n_users)), int(rng.integers(0, n_cells)))
+    kind = data.draw(st.sampled_from(["step", "subset"]))
+    if kind == "step":
+        start = slots * data.draw(st.integers(0, (n_users - 1) // slots))
+        chosen = data.draw(st.lists(st.integers(0, slots - 1), min_size=1, max_size=12, unique=True))
+        users = sorted(start + s for s in chosen if start + s < n_users) or [start]
+    else:
+        users = data.draw(
+            st.lists(st.integers(0, n_users - 1), min_size=1, max_size=min(12, n_users), unique=True)
+        )
+    batch = _metric_rows(np.array(users), state)
+    single = np.vstack([_metric_rows(np.array([u]), state) for u in users])
+    assert batch.shape == (len(users), n_cells)
+    assert np.array_equal(batch, single)
+
+
+def acceptance_drop_gains(drop, picos_per_sector=2, users_per_sector=12, master_seed=1):
+    """Gain matrix of one drop of the 2-pico acceptance campaign, drawn as run_drop draws it."""
+    from hetsim.harness import Scenario
+    from hetsim.radio import compute_gain_matrix
+    from hetsim.topology import build_layout, place_picos, place_users
+
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(drop,)))
+    layout = build_layout(500.0)
+    picos, pico_sector = place_picos(layout, picos_per_sector, rng)
+    nodes = place_users(layout, picos, pico_sector, users_per_sector, rng)
+    return compute_gain_matrix(layout, nodes, rng, Scenario().radio_params())
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.6, 0.8, 1.0])
+def test_metric_rows_match_scalar_metric_at_acceptance_points(alpha):
+    # P0 by the common-Pmax-crossing rule, as in the acceptance campaigns.
+    # The kernel sums the co-block users' received powers (all terms
+    # nonnegative), so it stays within rounding of the scalar metric even
+    # where a user's own power dominates its block, as for user 441 of
+    # drop 2 at alpha = 0.4. A block total minus the user's own term loses
+    # precision there.
+    p0 = alpha * -90.0 + (1.0 - alpha) * (23.0 - 10.0 * np.log10(4))
+    power = PowerConfig(p0, alpha)
+    gains = acceptance_drop_gains(2)
+    result = select_interference_based(gains, power, NOISE_MW, StrategyConfig(kind="interference"))
+    for serving in (select_rsrp(gains).c, result.c):
+        state = NetworkState.build(gains, serving.copy(), power, NOISE_MW)
+        users = np.arange(gains.n_users)
+        kernel = _metric_rows(users, state)
+        # the users whose own received power most dominates their block
+        slots = len(state.subframe)
+        own = state.rows[users % slots, users // slots]
+        dominance = (own / (kernel / 4 * gains.g_linear.T - NOISE_MW).clip(min=1e-300)).max(axis=1)
+        picked = sorted(set(np.argsort(dominance)[-6:].tolist()) | {441})
+        for k in picked:
+            scalar = [interference_metric(k, cell, state) for cell in range(gains.n_cells)]
+            np.testing.assert_allclose(kernel[k], scalar, rtol=1e-12, atol=0)
+
+
+def compose_slot_searches(gains, power, cfg, slots):
+    """The search as one independent search per RB slot, composed: passes are
+    the maximum over slots, moves are summed pass by pass (a slot that
+    stopped adds none), and the search converged only if every slot did."""
+    c = np.empty(gains.n_users, dtype=int)
+    per_slot = []
+    for s in range(min(slots, gains.n_users)):
+        sub = GainMatrix(g=gains.g[:, s::slots], cell_tier=gains.cell_tier, rs_power_dbm=gains.rs_power_dbm)
+        result = select_interference_based(sub, power, NOISE_MW, cfg, total_rbs=power.rbs_per_user)
+        c[s::slots] = result.c
+        per_slot.append(result)
+    passes = max(r.passes_used for r in per_slot)
+    moves = [sum(r.moves_per_pass[i] for r in per_slot if i < r.passes_used) for i in range(passes)]
+    return c, all(r.converged for r in per_slot), passes, moves
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(2, 5),
+    slots=st.integers(2, 6),
+    n_users=st.integers(2, 40),
+    alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
+    max_passes=st.integers(1, 25),
+)
+def test_search_equals_composed_slot_searches(seed, n_cells, slots, n_users, alpha, max_passes):
+    gains = random_gm(np.random.default_rng(seed), n_cells, n_users)
+    power = PowerConfig(-90.0, alpha)
+    cfg = StrategyConfig(kind="interference", max_passes=max_passes)
+    result = select_interference_based(gains, power, NOISE_MW, cfg, total_rbs=4 * slots)
+    c, converged, passes, moves = compose_slot_searches(gains, power, cfg, slots)
+    assert np.array_equal(result.c, c)
+    assert result.converged == converged
+    assert result.passes_used == passes
+    assert result.moves_per_pass == moves
+
+
+def test_acceptance_drop_equals_composed_slot_searches():
+    # drop 0 at alpha = 0.8 and P0 = -90 dBm: 12 slots of 57 users, and the
+    # search ends in a 2-cycle (user 194 flips between cells 15 and 16)
+    gains = acceptance_drop_gains(0)
+    power = PowerConfig(-90.0, 0.8)
+    cfg = StrategyConfig(kind="interference")
+    result = select_interference_based(gains, power, NOISE_MW, cfg)
+    c, converged, passes, moves = compose_slot_searches(gains, power, cfg, 12)
+    assert (result.cycle_period, result.cycle_detected_at) == (2, 5)
+    assert np.array_equal(result.c, c)
+    assert (result.converged, result.passes_used, result.moves_per_pass) == (converged, passes, moves)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hetsim.uplink_power import PowerConfig, UserPower, open_loop_power
+from hetsim.uplink_power import STANDARD_ALPHAS, PowerConfig, UserPower, open_loop_power
 
 
 def cfg(alpha, p0=-90.0):
@@ -81,3 +82,30 @@ def test_default_nrb_from_config():
 def test_userpower_is_plain_record():
     up = UserPower(total_dbm=3.0, per_rb_dbm=-3.0, capped=False)
     assert up.total_dbm == 3.0 and not up.capped
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pls=st.lists(st.floats(40.0, 170.0), min_size=1, max_size=30),
+    alpha=st.sampled_from(STANDARD_ALPHAS),
+    p0=st.floats(-110.0, -20.0),
+    pmax=st.floats(10.0, 30.0),
+    n_rb=st.integers(1, 12),
+)
+def test_array_law_equals_scalar_law(pls, alpha, p0, pmax, n_rb):
+    # one law: an array call is the scalar call entry by entry, bit for bit,
+    # and a length-1 slice gives the same entry as the whole array
+    config = PowerConfig(p0_dbm=p0, alpha=alpha, pmax_dbm=pmax, rbs_per_user=n_rb)
+    pl = np.array(pls)
+    arr = open_loop_power(config, pl)
+    for i, value in enumerate(pls):
+        up = open_loop_power(config, value)
+        assert type(up.total_dbm) is float and type(up.capped) is bool
+        assert (up.total_dbm, up.per_rb_dbm, up.capped) == (arr.total_dbm[i], arr.per_rb_dbm[i], arr.capped[i])
+        one = open_loop_power(config, pl[i:i + 1])
+        assert (one.total_dbm[0], one.per_rb_dbm[0], one.capped[0]) == (arr.total_dbm[i], arr.per_rb_dbm[i], arr.capped[i])
+
+
+def test_array_law_rejects_non_finite_entries():
+    with pytest.raises(ValueError):
+        open_loop_power(cfg(0.8), np.array([100.0, float("inf")]))
