@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +83,8 @@ class NetworkState:
     k % slots, with slots = total_rbs / rbs_per_user. subframe[s, j] is
     that user's subframe and rows[s, j] its per-RB received power at
     every cell. Slots shorter than users_per_slot are padded with
-    subframe -1 and zero rows, so padding never shares a block.
+    subframe -1 and zero rows, so padding never shares a block. The rows
+    are built on first use: a state built only for SINR never needs them.
     """
 
     gains: GainMatrix
@@ -91,7 +93,6 @@ class NetworkState:
     noise_rb_mw: float
     total_rbs: int
     subframe: np.ndarray          # (slots, users_per_slot)
-    rows: np.ndarray              # (slots, users_per_slot, cells)
     total_power_dbm: np.ndarray
     per_rb_power_dbm: np.ndarray
     per_rb_power_mw: np.ndarray
@@ -117,11 +118,8 @@ class NetworkState:
         power = uplink_power.open_loop_power(power_cfg, -gains.g[serving, np.arange(n_users)])
         mw = 10.0 ** (power.per_rb_dbm / 10.0)
         subframe = np.full((slots, per_slot), -1)
-        rows = np.zeros((slots, per_slot, gains.n_cells))
         for s in range(slots):
-            members, count = slice(s, n_users, slots), len(range(s, n_users, slots))
-            subframe[s, :count] = alloc.user_subframe[members]
-            rows[s, :count] = gains.g_linear[:, members].T * mw[members, None]
+            subframe[s, :len(range(s, n_users, slots))] = alloc.user_subframe[s::slots]
         return cls(
             gains=gains,
             serving=serving,
@@ -129,12 +127,23 @@ class NetworkState:
             noise_rb_mw=noise_rb_mw,
             total_rbs=total_rbs,
             subframe=subframe,
-            rows=rows,
             total_power_dbm=power.total_dbm,
             per_rb_power_dbm=power.per_rb_dbm,
             per_rb_power_mw=mw,
             capped=power.capped,
         )
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(slots, users_per_slot, cells) per-RB received power of every user at every cell."""
+        slots, per_slot = self.subframe.shape
+        n_users = len(self.serving)
+        rows = np.zeros((slots, per_slot, self.gains.n_cells))
+        for s in range(slots):
+            rows[s, :len(range(s, n_users, slots))] = (
+                self.gains.g_linear[:, s::slots].T * self.per_rb_power_mw[s::slots, None]
+            )
+        return rows
 
     @property
     def alloc(self) -> Allocation:

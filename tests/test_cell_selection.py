@@ -444,12 +444,17 @@ def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_m
     rng = np.random.default_rng(seed)
     gains = random_gm(rng, n_cells, n_users)
     power = PowerConfig(-90.0, 0.8)
-    state = NetworkState.build(gains, rng.integers(0, n_cells, n_users), power, NOISE_MW, total_rbs)
+    initial = rng.integers(0, n_cells, n_users)
+    state = NetworkState.build(gains, initial.copy(), power, NOISE_MW, total_rbs)
+    # the same moves on a state that is never scored, so its rows are first
+    # built from the moved state
+    unscored = NetworkState.build(gains, initial.copy(), power, NOISE_MW, total_rbs)
     users = np.arange(n_users)
     for _ in range(n_moves):
         before = _metric_rows(users, state)
         user, cell = int(rng.integers(0, n_users)), int(rng.integers(0, n_cells))
         touched = state.move_user(user, cell)
+        unscored.move_user(user, cell)
         fresh = NetworkState.build(gains, state.serving.copy(), power, NOISE_MW, total_rbs)
         for name in ("user_subframe", "user_rb_start", "block_key"):
             assert np.array_equal(getattr(state.alloc, name), getattr(fresh.alloc, name))
@@ -464,6 +469,7 @@ def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_m
         # skipping an untouched user is exact: its metric vector is unchanged
         untouched = np.setdiff1d(users, touched)
         assert np.array_equal(_metric_rows(untouched, state), before[untouched])
+    assert np.array_equal(unscored.rows, fresh.rows)
 
 
 # ---- the batched kernel and the per-slot decomposition ------------------------
