@@ -13,11 +13,11 @@ All interference arithmetic runs in linear milliwatts. A user's own
 transmit power never enters its own metric, so candidate evaluation can
 keep every other power fixed. A user's RB slot (index mod slots) never
 changes, and only users of one slot share blocks, so the search is one
-independent game per slot. NetworkState therefore keeps its users in a
-per-slot layout, and one kernel, _metric_rows, scores any batch of users
-with one stacked product. The search walks each pass in steps of one user
-per slot, scores a step's users together and commits its moves in index
-order. A move re-ranks only the mover's slot inside its old and new cell
+independent game per slot. The allocation and NetworkState's received
+powers therefore keep their users in scheduler's per-slot layout, and
+one kernel, _metric_rows, scores any batch of users with one stacked
+product. The search walks each pass in steps of one user per slot,
+scores a step's users together and commits its moves in index order. A move re-ranks only the mover's slot inside its old and new cell
 and marks for re-evaluation only the users whose block it touched; a
 search that returns to an earlier pass-end assignment is fast-forwarded
 along its cycle.
@@ -33,7 +33,7 @@ import numpy as np
 
 from hetsim import uplink_power
 from hetsim.radio import GainMatrix, PICO
-from hetsim.scheduler import Allocation, allocate, cochannel_interferers
+from hetsim.scheduler import Allocation, allocate, cochannel_interferers, per_slot
 from hetsim.uplink_power import PowerConfig
 
 VALID_KINDS = ("rsrp", "pl", "cre", "interference")
@@ -79,20 +79,19 @@ class Assignment:
 class NetworkState:
     """Everything the interference metric needs about the current network.
 
-    Users sit in a per-slot layout: user k is entry k // slots of slot
-    k % slots, with slots = total_rbs / rbs_per_user. subframe[s, j] is
-    that user's subframe and rows[s, j] its per-RB received power at
-    every cell. Slots shorter than users_per_slot are padded with
-    subframe -1 and zero rows, so padding never shares a block. The rows
-    are built on first use: a state built only for SINR never needs them.
+    The allocation keeps its users in the per-slot layout of
+    scheduler.per_slot, and rows[s, j] is the per-RB received power at
+    every cell of the user at alloc.subframe[s, j] (zero rows pad short
+    slots). The rows are built on first use: a state built only for SINR
+    never needs them.
     """
 
     gains: GainMatrix
     serving: np.ndarray
+    alloc: Allocation
     power_cfg: PowerConfig
     noise_rb_mw: float
     total_rbs: int
-    subframe: np.ndarray          # (slots, users_per_slot)
     total_power_dbm: np.ndarray
     per_rb_power_dbm: np.ndarray
     per_rb_power_mw: np.ndarray
@@ -111,80 +110,36 @@ class NetworkState:
         negative composite gain, shadowing included) is what the open-loop
         law compensates."""
         serving = np.asarray(serving, dtype=int)
-        alloc = allocate(serving, gains.n_cells, total_rbs, power_cfg.rbs_per_user)
-        n_users = len(serving)
-        slots = total_rbs // power_cfg.rbs_per_user
-        per_slot = -(-n_users // slots)
-        power = uplink_power.open_loop_power(power_cfg, -gains.g[serving, np.arange(n_users)])
-        mw = 10.0 ** (power.per_rb_dbm / 10.0)
-        subframe = np.full((slots, per_slot), -1)
-        for s in range(slots):
-            subframe[s, :len(range(s, n_users, slots))] = alloc.user_subframe[s::slots]
+        power = uplink_power.open_loop_power(power_cfg, -gains.g[serving, np.arange(len(serving))])
         return cls(
             gains=gains,
             serving=serving,
+            alloc=allocate(serving, gains.n_cells, total_rbs, power_cfg.rbs_per_user),
             power_cfg=power_cfg,
             noise_rb_mw=noise_rb_mw,
             total_rbs=total_rbs,
-            subframe=subframe,
             total_power_dbm=power.total_dbm,
             per_rb_power_dbm=power.per_rb_dbm,
-            per_rb_power_mw=mw,
+            per_rb_power_mw=10.0 ** (power.per_rb_dbm / 10.0),
             capped=power.capped,
         )
 
     @cached_property
     def rows(self) -> np.ndarray:
         """(slots, users_per_slot, cells) per-RB received power of every user at every cell."""
-        slots, per_slot = self.subframe.shape
-        n_users = len(self.serving)
-        rows = np.zeros((slots, per_slot, self.gains.n_cells))
-        for s in range(slots):
-            rows[s, :len(range(s, n_users, slots))] = (
-                self.gains.g_linear[:, s::slots].T * self.per_rb_power_mw[s::slots, None]
-            )
-        return rows
-
-    @property
-    def alloc(self) -> Allocation:
-        """The block allocation, read back from the per-slot layout."""
-        slots = len(self.subframe)
-        k = np.arange(len(self.serving))
-        user_subframe = self.subframe[k % slots, k // slots]
-        rbs = self.power_cfg.rbs_per_user
-        return Allocation(
-            user_subframe=user_subframe,
-            user_rb_start=k % slots * rbs,
-            rbs_per_user=rbs,
-            total_rbs=self.total_rbs,
-            subframes_per_epoch=int(user_subframe.max(initial=0)) + 1,
-        )
+        return per_slot(self.gains.g_linear.T * self.per_rb_power_mw[:, None], self.alloc.slots)
 
     def move_user(self, user: int, cell: int) -> np.ndarray:
         """Commit a serving-cell change; return the users whose metric it can change.
 
-        Only the mover's slot changes: its ranks inside the old and the new
-        cell are redone, and the mover's power and row are refreshed. A
-        user's metric reads only who shares its block and their powers, so
-        the touched users are the members of the old and the new block of
-        every user whose subframe changed, and the members of the mover's
-        block.
+        A user's metric reads only who shares its block and their powers,
+        and only the mover's power changes, so the users the allocation's
+        move touches are all that can change. The mover's power and row
+        are refreshed.
         """
-        slots = len(self.subframe)
-        slot, pos = user % slots, user // slots
-        cells = self.serving[slot::slots]
-        subframe = self.subframe[slot]
-        before = subframe.copy()
-        old_cell = cells[pos]
-        cells[pos] = cell
-        for c in (old_cell, cell):
-            group = np.flatnonzero(cells == c)
-            subframe[group] = np.arange(len(group))
-        changed = subframe != before
-        hit = np.zeros(len(subframe) + 1, dtype=bool)  # hit[-1] stays False for the padding
-        hit[before[changed]] = True
-        hit[subframe[changed]] = True
-        hit[subframe[pos]] = True
+        old_cell = int(self.serving[user])
+        self.serving[user] = cell
+        self.alloc, touched = self.alloc.move(self.serving, user, old_cell)
 
         one = slice(user, user + 1)
         power = uplink_power.open_loop_power(self.power_cfg, -self.gains.g[cell, one])
@@ -193,8 +148,9 @@ class NetworkState:
         self.per_rb_power_dbm[one] = power.per_rb_dbm
         self.capped[one] = power.capped
         self.per_rb_power_mw[one] = mw
+        pos, slot = divmod(user, self.alloc.slots)
         self.rows[slot, pos] = self.gains.g_linear[:, user] * mw
-        return slot + slots * np.flatnonzero(hit[subframe])
+        return touched
 
 
 def _argbest(values: np.ndarray, space: tuple[int, ...] | None, maximize: bool) -> np.ndarray:
@@ -236,8 +192,8 @@ def _metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
     else is in the batch.
     """
     users = np.asarray(users)
-    pos, slot = np.divmod(users, len(state.subframe))
-    subframe = state.subframe[slot]
+    pos, slot = np.divmod(users, state.alloc.slots)
+    subframe = state.alloc.subframe[slot]
     batch = np.arange(len(users))
     mask = subframe == subframe[batch, pos][:, None]
     mask[batch, pos] = False
@@ -325,7 +281,7 @@ def select_interference_based(
     position[space] = np.arange(len(space))
     if (position[state.serving] < 0).any():
         raise ValueError("initial assignment uses cells outside the search space")
-    slots = len(state.subframe)
+    slots = state.alloc.slots
     dirty = np.ones(gains.n_users, dtype=bool)
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
     seen = {state.serving.tobytes(): 0}

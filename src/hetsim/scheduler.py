@@ -9,6 +9,10 @@ separated in time (consecutive subframes, ordered by user index), so a
 cell's transmissions are always orthogonal and co-channel interference
 comes only from other cells' users on the same subframe and RBs.
 
+Only users of one slot ever share a block, so an Allocation keeps its
+subframes in a per-slot layout (see per_slot) and a move re-ranks the
+mover's slot alone.
+
 For the canonical case of one cell holding users 0..L-1 this reproduces
 plain left-to-right packing: blocks [0-3], [4-7], ... in subframe 0,
 with user 12 spilling to subframe 1.
@@ -22,13 +26,44 @@ from functools import cached_property
 import numpy as np
 
 
+def per_slot(values: np.ndarray, slots: int, fill=0) -> np.ndarray:
+    """A (K, ...) per-user array in the per-slot layout, (slots, ceil(K / slots), ...).
+
+    User k sits at [k % slots, k // slots]; slots shorter than the
+    longest are padded with fill.
+    """
+    values = np.asarray(values)
+    n_users = len(values)
+    depth = -(-n_users // slots)
+    out = np.full((depth * slots,) + values.shape[1:], fill, dtype=values.dtype)
+    out[:n_users] = values
+    return np.ascontiguousarray(out.reshape((depth, slots) + values.shape[1:]).swapaxes(0, 1))
+
+
 @dataclass(frozen=True)
 class Allocation:
-    user_subframe: np.ndarray  # (K,) subframe carrying the user's block
-    user_rb_start: np.ndarray  # (K,) first RB of the user's block
+    subframe: np.ndarray  # (slots, users_per_slot) per-slot layout of each user's subframe, -1 pads
+    n_users: int
     rbs_per_user: int
     total_rbs: int
-    subframes_per_epoch: int
+
+    @property
+    def slots(self) -> int:
+        return self.total_rbs // self.rbs_per_user
+
+    @cached_property
+    def user_subframe(self) -> np.ndarray:
+        """(K,) subframe carrying each user's block."""
+        return self.subframe.T.ravel()[:self.n_users]
+
+    @cached_property
+    def user_rb_start(self) -> np.ndarray:
+        """(K,) first RB of each user's block."""
+        return np.arange(self.n_users) % self.slots * self.rbs_per_user
+
+    @cached_property
+    def subframes_per_epoch(self) -> int:
+        return int(self.subframe.max(initial=0)) + 1
 
     def rb_range(self, user: int) -> range:
         start = int(self.user_rb_start[user])
@@ -52,6 +87,32 @@ class Allocation:
         for block in np.unique(key):
             yield divmod(int(block), self.total_rbs), np.flatnonzero(key == block)
 
+    def move(self, serving: np.ndarray, user: int, old_cell: int) -> tuple["Allocation", np.ndarray]:
+        """Allocation after `user` moved from old_cell to serving[user], and the users it touched.
+
+        Equal to allocate(serving, ...): only the ranks of the user's slot
+        inside its old and new cell can change, so only that slot is
+        re-ranked. The touched users are those now in the mover's block
+        or in a block that a user whose subframe changed left or entered.
+        """
+        slots = self.slots
+        slot, pos = user % slots, user // slots
+        cells = serving[slot::slots]
+        before = self.subframe[slot]
+        row = before.copy()
+        for cell in (old_cell, cells[pos]):
+            group = np.flatnonzero(cells == cell)
+            row[group] = np.arange(len(group))
+        changed = row != before
+        hit = np.zeros(len(row) + 1, dtype=bool)  # hit[-1] stays False for the padding
+        hit[before[changed]] = True
+        hit[row[changed]] = True
+        hit[row[pos]] = True
+        subframe = self.subframe.copy()
+        subframe[slot] = row
+        moved = Allocation(subframe, self.n_users, self.rbs_per_user, self.total_rbs)
+        return moved, slot + slots * np.flatnonzero(hit[row])
+
 
 _EMPTY = np.array([], dtype=int)
 
@@ -73,7 +134,6 @@ def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = 48, rbs_per_use
     n_users = len(serving)
     slot = np.arange(n_users) % slots
     user_subframe = np.zeros(n_users, dtype=int)
-    n_subframes = 1
     if n_users:
         # rank users inside each (cell, slot) group in ascending index order
         order = np.lexsort((np.arange(n_users), slot, serving))
@@ -81,16 +141,13 @@ def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = 48, rbs_per_use
         slot_sorted = slot[order]
         new_group = np.r_[True, (cell_sorted[1:] != cell_sorted[:-1]) | (slot_sorted[1:] != slot_sorted[:-1])]
         group_start = np.maximum.accumulate(np.where(new_group, np.arange(n_users), 0))
-        rank = np.arange(n_users) - group_start
-        user_subframe[order] = rank
-        n_subframes = int(rank.max()) + 1
+        user_subframe[order] = np.arange(n_users) - group_start
 
     return Allocation(
-        user_subframe=user_subframe,
-        user_rb_start=slot * rbs_per_user,
+        subframe=per_slot(user_subframe, slots, fill=-1),
+        n_users=n_users,
         rbs_per_user=rbs_per_user,
         total_rbs=total_rbs,
-        subframes_per_epoch=n_subframes,
     )
 
 

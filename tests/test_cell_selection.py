@@ -271,6 +271,13 @@ def test_custom_initial_assignment():
     assert result.c[0] == 1
 
 
+def test_initial_outside_search_space_is_rejected():
+    gains = gm([[-100.0, -95.0], [-90.0, -92.0], [-95.0, -90.0]], ["macro", "pico", "pico"])
+    cfg = StrategyConfig(kind="interference", search_space=(0, 2))
+    with pytest.raises(ValueError, match="outside the search space"):
+        select_interference_based(gains, PowerConfig(-90.0, 0.8), NOISE_MW, cfg, initial=np.array([0, 1]))
+
+
 # ---- brute-force oracle -----------------------------------------------------
 
 
@@ -456,15 +463,14 @@ def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_m
         touched = state.move_user(user, cell)
         unscored.move_user(user, cell)
         fresh = NetworkState.build(gains, state.serving.copy(), power, NOISE_MW, total_rbs)
-        for name in ("user_subframe", "user_rb_start", "block_key"):
+        for name in ("subframe", "user_subframe", "user_rb_start", "block_key"):
             assert np.array_equal(getattr(state.alloc, name), getattr(fresh.alloc, name))
         assert state.alloc.subframes_per_epoch == fresh.alloc.subframes_per_epoch
         blocks = [(b, list(m)) for b, m in state.alloc.blocks()]
         assert blocks == [(b, list(m)) for b, m in fresh.alloc.blocks()]
         for name in ("total_power_dbm", "per_rb_power_dbm", "per_rb_power_mw", "capped"):
             assert np.array_equal(getattr(state, name), getattr(fresh, name))
-        # the per-slot layout: subframes and per-RB received power rows
-        assert np.array_equal(state.subframe, fresh.subframe)
+        # the per-RB received power rows in the per-slot layout
         assert np.array_equal(state.rows, fresh.rows)
         # skipping an untouched user is exact: its metric vector is unchanged
         untouched = np.setdiff1d(users, touched)
@@ -540,7 +546,7 @@ def test_metric_rows_match_scalar_metric_at_acceptance_points(alpha):
         kernel = _metric_rows(users, state)
         # the users whose own received power most dominates their block's
         # interference plus noise, kernel / (rbs_per_user / gain)
-        slots = len(state.subframe)
+        slots = state.alloc.slots
         own = state.rows[users % slots, users // slots]
         dominance = (own / (kernel / 4 * gains.g_linear.T)).max(axis=1)
         picked = sorted(set(np.argsort(dominance)[-6:].tolist()) | {172, 441})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hetsim.scheduler import Allocation, allocate, cochannel_interferers
+from hetsim.scheduler import Allocation, allocate, cochannel_interferers, per_slot
 
 
 def test_three_users_pack_left_to_right():
@@ -129,11 +129,16 @@ def test_interferers_errors():
 
 
 def test_rb_range():
-    alloc = Allocation(
-        user_subframe=np.array([0]),
-        user_rb_start=np.array([8]),
-        rbs_per_user=4,
-        total_rbs=48,
-        subframes_per_epoch=1,
-    )
-    assert list(alloc.rb_range(0)) == [8, 9, 10, 11]
+    alloc = Allocation(subframe=np.array([[-1], [-1], [0]]), n_users=3, rbs_per_user=4, total_rbs=12)
+    assert list(alloc.rb_range(2)) == [8, 9, 10, 11]
+
+
+def test_per_slot_layout():
+    # user k at [k % slots, k // slots]; the short slot is padded
+    assert per_slot(np.arange(5), 2, fill=-1).tolist() == [[0, 2, 4], [1, 3, -1]]
+    rows = per_slot(np.arange(10).reshape(5, 2), 2)
+    assert rows.shape == (2, 3, 2)
+    assert rows[1, 1].tolist() == [6, 7] and rows[1, 2].tolist() == [0, 0]
+    alloc = allocate(np.array([0, 0, 0, 1, 0]), n_cells=2, total_rbs=8)
+    assert alloc.subframe.tolist() == [[0, 1, 2], [0, 0, -1]]
+    assert alloc.user_subframe.tolist() == [0, 0, 1, 0, 2]

@@ -5,12 +5,14 @@
 Run from the repository root. Each revision is exported with `git archive`
 into a temporary directory, so only committed files are measured, and
 `python3 hetbench/run.py` runs there as the benchmark definition says
-(BENCHMARK.json gives the workloads and the run length). Per workload, the
-untraced runs come in pairs, one per side with the same seed, and the side
-that runs first alternates from pair to pair; then each side runs once
-traced at the workload's recorded seed. The file keeps every run's metrics
-and, per (side, workload), the min and median of each untraced metric and
-the traced per-layer metrics, with the full git revisions and the CPU count.
+(BENCHMARK.json gives the workloads and the run length, the same for both
+sides). Per workload, PAIRS untraced pairs run, one run per side with the
+same seed (FIRST_SEED, FIRST_SEED + 1, ...), and the side that runs first
+alternates from pair to pair; then each side runs once traced at the
+workload's recorded seed. The file keeps every run's metrics; per (side,
+workload), the min and median of each untraced metric and the traced
+per-layer metrics; per workload and end-to-end metric, the number of pairs
+the change won; and the full git revisions and the CPU count.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+PAIRS = 10       # untraced pairs per workload, enough to test a gain claim
+FIRST_SEED = 2   # away from the recorded seeds (1 and 0), whose outputs are gated
 
 
 def _git(*args: str) -> bytes:
@@ -65,6 +70,17 @@ def stats(runs: list[dict]) -> dict:
     }
 
 
+def wins(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per end-to-end metric, the pairs in which the change beat the parent."""
+    untraced = {(r["side"], r["seed"]): r["metrics"] for r in runs if r["trace"] == 0}
+    seeds = sorted({seed for _, seed in untraced})
+    return {
+        name: sum((untraced["change", s][name] < untraced["parent", s][name]) if sense == "lower"
+                  else (untraced["change", s][name] > untraced["parent", s][name]) for s in seeds)
+        for name, sense in better.items()
+    }
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -72,14 +88,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=3, help="untraced pairs per workload (>= 3)")
-    parser.add_argument("--first-seed", type=int, default=2, help="seed of the first untraced pair")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                        help="budget of each run (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args(argv)
-    if args.repeats < 3:
-        parser.error("--repeats must be at least 3")
-    seconds = args.seconds
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
 
     runs = []
@@ -87,8 +97,8 @@ def main(argv=None) -> int:
         dirs = {side: os.path.join(tmp, side) for side in ("parent", "change")}
         revisions = {side: export(getattr(args, side), path) for side, path in dirs.items()}
         for workload in workloads:
-            for i in range(args.repeats):
-                seed = args.first_seed + i
+            for i in range(PAIRS):
+                seed = FIRST_SEED + i
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     runs.append({"side": side, "workload": workload, "trace": 0, "seed": seed,
                                  **bench(dirs[side], workload, seconds, 0, seed)})
@@ -115,6 +125,12 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)),
         "summary": summary,
+        "wins": {
+            workload: wins([r for r in runs if r["workload"] == workload],
+                           {m["name"]: m["better"] for m in spec["end_to_end"]})
+            for workload in workloads
+        },
+        "pairs": PAIRS,
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
