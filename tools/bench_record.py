@@ -10,9 +10,9 @@ sides). Per workload, PAIRS untraced pairs run, one run per side with the
 same seed (FIRST_SEED, FIRST_SEED + 1, ...), and the side that runs first
 alternates from pair to pair; then each side runs once traced at the
 workload's recorded seed. The file keeps every run's metrics; per (side,
-workload), the min and median of each untraced metric and the traced
-per-layer metrics; per workload and end-to-end metric, the number of pairs
-the change won; and the full git revisions and the CPU count.
+workload), the min, quartiles and median of each untraced metric and the
+traced per-layer metrics; per workload and end-to-end metric, the number
+of pairs the change won; and the full git revisions and the CPU count.
 """
 
 from __future__ import annotations
@@ -61,13 +61,13 @@ def bench(checkout: str, workload: str, seconds: float, trace: int, seed: int | 
 
 
 def stats(runs: list[dict]) -> dict:
-    """Min and median of every metric over runs."""
-    names = runs[0]["metrics"]
-    return {
-        name: {"min": min(r["metrics"][name] for r in runs),
-               "median": statistics.median(r["metrics"][name] for r in runs)}
-        for name in names
-    }
+    """Min, quartiles and median of every metric over runs."""
+    out = {}
+    for name in runs[0]["metrics"]:
+        values = [r["metrics"][name] for r in runs]
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        out[name] = {"min": min(values), "q1": q1, "median": median, "q3": q3}
+    return out
 
 
 def wins(runs: list[dict], better: dict[str, str]) -> dict:
