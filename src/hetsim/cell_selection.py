@@ -179,6 +179,19 @@ def select_cre(gains: GainMatrix, cfg: StrategyConfig) -> Assignment:
     return Assignment(c=_argbest(biased, cfg.search_space, maximize=True))
 
 
+def _block_metric(mask, rows, gain, rbs_per_user, noise_rb_mw, items=slice(None)):
+    """rbs_per_user * (I + noise) / gain, the metric of users against every cell.
+
+    I is the interference (mask @ rows)[items], one stacked product:
+    mask is (..., U) 0/1 floats over a slot's U users, zero at the user
+    itself, and rows is (..., U, C), those users' per-RB received power at
+    every cell. Each item is a (1, U) @ (U, C) product, so a user's row
+    has the same bits in any batch.
+    """
+    interference = np.matmul(mask[..., None, :], rows)[items][..., 0, :]
+    return rbs_per_user * (interference + noise_rb_mw) / gain
+
+
 def _metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
     """(len(users), cells) interference metric of each user against every cell.
 
@@ -186,10 +199,8 @@ def _metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
     a user's RBs and the per-block sum is rbs_per_user times the
     single-RB term. Same-cell co-channel users cannot exist (orthogonal
     intra-cell allocation), so user k's co-set is every other user of
-    its slot in its subframe. Its interference is mask_k @ rows[slot_k]
-    with a 0/1 mask that is zero at k: one stacked product for the whole
-    batch, a sum of nonnegative terms, and each row the same whatever
-    else is in the batch.
+    its slot in its subframe: a 0/1 mask over the slot that is zero at
+    k, and its interference is a sum of nonnegative terms.
     """
     users = np.asarray(users)
     pos, slot = np.divmod(users, state.alloc.slots)
@@ -197,17 +208,17 @@ def _metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
     batch = np.arange(len(users))
     mask = subframe == subframe[batch, pos][:, None]
     mask[batch, pos] = False
-    if len(users) and (slot[1:] > slot[:-1]).all():
+    if len(users) > 1 and (slot[1:] > slot[:-1]).all():
         # ascending slots (a search step): multiply the slot range in place
         # instead of copying each user's slot, zero masks on the gaps
         offset = slot - slot[0]
-        stacked = np.zeros((offset[-1] + 1, 1, mask.shape[1]))
-        stacked[offset, 0] = mask
-        interference = np.matmul(stacked, state.rows[slot[0]:slot[-1] + 1])[offset, 0]
+        stacked = np.zeros((offset[-1] + 1, mask.shape[1]))
+        stacked[offset] = mask
+        mask, rows, items = stacked, state.rows[slot[0]:slot[-1] + 1], offset
     else:
-        interference = np.matmul(mask[:, None, :].astype(float), state.rows[slot])[:, 0]
-    g_lin = state.gains.g_linear
-    return state.power_cfg.rbs_per_user * (interference + state.noise_rb_mw) / g_lin[:, users].T
+        mask, rows, items = mask.astype(float), state.rows[slot], slice(None)
+    gain = state.gains.g_linear[:, users].T
+    return _block_metric(mask, rows, gain, state.power_cfg.rbs_per_user, state.noise_rb_mw, items)
 
 
 def interference_metric(user: int, cell: int, state: NetworkState) -> float:
@@ -340,6 +351,46 @@ class OracleResult:
     min_total_value: float
 
 
+def _assignment_metrics(
+    gains: GainMatrix,
+    power_cfg: PowerConfig,
+    noise_rb_mw: float,
+    total_rbs: int,
+    cells: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every assignment of the users to cells and its metric array.
+
+    Returns grid, (A, K) positions in cells of each assignment in
+    itertools.product order, and metrics, (A, K, n_cells) the metric of
+    every user of every assignment against every cell.
+    """
+    n_users = gains.n_users
+    slots = total_rbs // power_cfg.rbs_per_user
+    grid = np.array(list(itertools.product(range(len(cells)), repeat=n_users)), dtype=int).reshape(-1, n_users)
+    cell_arr = np.asarray(cells, dtype=int)
+    serving = cell_arr[grid]
+    users = np.arange(n_users)
+    slot = users % slots
+    # subframe: the number of lower-index users of the same slot and cell
+    earlier = np.tril(slot[:, None] == slot[None, :], -1)
+    subframe = ((serving[:, :, None] == serving[:, None, :]) & earlier).sum(axis=2)
+    # each user's slot in the per-slot layout; a user n_users in subframe -1
+    # with zero received power pads short slots
+    members = per_slot(users, slots, fill=n_users)[slot]                      # (K, U)
+    padded = np.pad(subframe, ((0, 0), (0, 1)), constant_values=-1)
+    mask = padded[:, members] == subframe[:, :, None]                          # (A, K, U)
+    mask[:, users, users // slots] = False
+    # per-RB received power of user j at every cell when served by cells[i]
+    power = uplink_power.open_loop_power(power_cfg, -gains.g[cell_arr])
+    mw = 10.0 ** (power.per_rb_dbm / 10.0)                                     # (len(cells), K)
+    g_lin_t = gains.g_linear.T
+    received = np.zeros((n_users + 1, len(cells), gains.n_cells))
+    received[:n_users] = g_lin_t[:, None, :] * mw.T[:, :, None]
+    rows = received[members, np.pad(grid, ((0, 0), (0, 1)))[:, members]]     # (A, K, U, C)
+    metrics = _block_metric(mask.astype(float), rows, g_lin_t, power_cfg.rbs_per_user, noise_rb_mw)
+    return grid, metrics
+
+
 def brute_force_oracle(
     gains: GainMatrix,
     power_cfg: PowerConfig,
@@ -349,8 +400,13 @@ def brute_force_oracle(
 ) -> OracleResult:
     """Exhaustive stability check over every possible assignment.
 
-    Independent of the best-response path: re-derives powers, blocks and
-    metrics from scratch for each of the |cells|^K assignments. Stability
+    All |cells|^K assignments are scored at once, and each is derived
+    from the model's rules, not from the search's allocation path
+    (allocate, Allocation.move, NetworkState): a user's power follows
+    from its own coupling loss to its cell alone, and its subframe is the
+    number of lower-index users of its slot in its cell. The metric is
+    the kernel the search uses, so each assignment's metric array has
+    the bits of the search's on a state of that assignment. Stability
     uses the same strict-improvement margin as the iterative search.
     """
     cells = tuple(range(gains.n_cells)) if search_space is None else tuple(search_space)
@@ -361,21 +417,14 @@ def brute_force_oracle(
             f"got {len(cells)} x {n_users}"
         )
 
-    stable: list[tuple[int, ...]] = []
-    best_combo: tuple[int, ...] | None = None
-    best_total = np.inf
-    cell_arr = np.asarray(cells, dtype=int)
-    users = np.arange(n_users)
-    for combo in itertools.product(cells, repeat=n_users):
-        serving = np.array(combo, dtype=int)
-        state = NetworkState.build(gains, serving, power_cfg, noise_rb_mw, total_rbs)
-        metrics = _metric_rows(users, state)[:, cell_arr]
-        own = metrics[users, [cells.index(c) for c in combo]]
-        total = own.sum()
-        if not (metrics.min(axis=1) < own * (1.0 - MOVE_REL_THRESHOLD)).any():
-            stable.append(combo)
-        if total < best_total:
-            best_total = total
-            best_combo = combo
-
-    return OracleResult(stable=stable, min_total=best_combo, min_total_value=float(best_total))
+    grid, metrics = _assignment_metrics(gains, power_cfg, noise_rb_mw, total_rbs, cells)
+    metrics = metrics[:, :, list(cells)]
+    own = np.take_along_axis(metrics, grid[:, :, None], axis=2)[:, :, 0]
+    totals = own.sum(axis=1)
+    unstable = (metrics.min(axis=2) < own * (1.0 - MOVE_REL_THRESHOLD)).any(axis=1)
+    best = int(np.argmin(totals))
+    return OracleResult(
+        stable=[tuple(cells[i] for i in row) for row in grid[~unstable].tolist()],
+        min_total=tuple(cells[i] for i in grid[best]),
+        min_total_value=float(totals[best]),
+    )

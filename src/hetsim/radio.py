@@ -116,13 +116,20 @@ def compute_gain_matrix(
     cell_pos = np.concatenate([layout.sites[layout.sector_site], nodes.picos]) if n_pico else layout.sites[layout.sector_site]
     tier = np.array([MACRO] * n_sec + [PICO] * n_pico)
 
-    # nearest wraparound image of every user as seen from every cell
-    images = users[None, :, :] + layout.wrap_vectors[:, None, :]       # (7, K, 2)
-    dx = images[None, :, :, 0] - cell_pos[:, 0, None, None]            # (C, 7, K)
-    dy = images[None, :, :, 1] - cell_pos[:, 1, None, None]            # (C, 7, K)
-    dist2 = dx * dx + dy * dy                                          # (C, 7, K)
-    pick = np.argmin(dist2, axis=1)[:, None, :]                        # (C, 1, K)
-    dist = np.sqrt(np.take_along_axis(dist2, pick, axis=1)[:, 0, :])   # (C, K)
+    # nearest wraparound image of every user as seen from every cell: a
+    # running minimum over the images that keeps the first on ties
+    for k, shift in enumerate(layout.wrap_vectors):
+        dx = (users[:, 0] + shift[0])[None, :] - cell_pos[:, 0, None]     # (C, K)
+        dy = (users[:, 1] + shift[1])[None, :] - cell_pos[:, 1, None]
+        dist2 = dx * dx + dy * dy
+        if k == 0:
+            best2, disp_x, disp_y = dist2, dx, dy
+            continue
+        closer = dist2 < best2
+        np.copyto(best2, dist2, where=closer)
+        np.copyto(disp_x, dx, where=closer)
+        np.copyto(disp_y, dy, where=closer)
+    dist = np.sqrt(best2)
 
     pl = np.empty_like(dist)
     pl[:n_sec] = path_loss_db(MACRO, dist[:n_sec], params)
@@ -133,10 +140,7 @@ def compute_gain_matrix(
     shadow = rng.standard_normal(dist.shape) * sigma[:, None]
 
     pattern = np.zeros_like(dist)
-    macro_pick = pick[:n_sec]
-    disp_x = np.take_along_axis(dx[:n_sec], macro_pick, axis=1)[:, 0, :]
-    disp_y = np.take_along_axis(dy[:n_sec], macro_pick, axis=1)[:, 0, :]
-    theta = np.rad2deg(np.arctan2(disp_y, disp_x))
+    theta = np.rad2deg(np.arctan2(disp_y[:n_sec], disp_x[:n_sec]))
     off = (theta - layout.sector_boresight_deg[:n_sec, None] + 180.0) % 360.0 - 180.0
     pattern[:n_sec] = antenna_pattern_db(off, params)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hetsim.cell_selection import (
     MOVE_REL_THRESHOLD,
     NetworkState,
+    OracleResult,
     StrategyConfig,
     adaptive_bias,
     brute_force_oracle,
@@ -13,6 +16,7 @@ from hetsim.cell_selection import (
     select_interference_based,
     select_pl,
     select_rsrp,
+    _assignment_metrics,
     _metric_rows,
 )
 from hetsim.metrics import NoiseModel
@@ -311,6 +315,93 @@ def test_oracle_containment_random_instances():
             continue
         oracle = brute_force_oracle(gains, power, NOISE_MW, total_rbs=4)
         assert tuple(result.c) in oracle.stable
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 4),
+    n_users=st.integers(1, 6),
+    alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
+    total_rbs=st.sampled_from([4, 8, 12]),
+    data=st.data(),
+)
+def test_oracle_containment_property(seed, n_cells, n_users, alpha, total_rbs, data):
+    # a converged search ends in an assignment the oracle finds stable,
+    # over any search space
+    gains = random_gm(np.random.default_rng(seed), n_cells, n_users)
+    space = data.draw(st.none() | st.permutations(range(n_cells)).flatmap(
+        lambda order: st.integers(1, n_cells).map(lambda size: tuple(order[:size]))))
+    power = PowerConfig(-90.0, alpha)
+    cfg = StrategyConfig(kind="interference", search_space=space)
+    result = select_interference_based(gains, power, NOISE_MW, cfg, total_rbs)
+    if result.converged:
+        oracle = brute_force_oracle(gains, power, NOISE_MW, total_rbs, space)
+        assert tuple(result.c) in oracle.stable
+
+
+def reference_brute_force_oracle(gains, power_cfg, noise_rb_mw, total_rbs=48, search_space=None):
+    """The oracle as first written: a NetworkState built from scratch for each
+    assignment, scored by the search's kernel. Also returns the (A, K, cells)
+    metric arrays of the assignments in enumeration order."""
+    cells = tuple(range(gains.n_cells)) if search_space is None else tuple(search_space)
+    stable = []
+    best_combo = None
+    best_total = np.inf
+    cell_arr = np.asarray(cells, dtype=int)
+    users = np.arange(gains.n_users)
+    arrays = []
+    for combo in itertools.product(cells, repeat=gains.n_users):
+        serving = np.array(combo, dtype=int)
+        state = NetworkState.build(gains, serving, power_cfg, noise_rb_mw, total_rbs)
+        arrays.append(_metric_rows(users, state))
+        metrics = arrays[-1][:, cell_arr]
+        own = metrics[users, [cells.index(c) for c in combo]]
+        total = own.sum()
+        if not (metrics.min(axis=1) < own * (1.0 - MOVE_REL_THRESHOLD)).any():
+            stable.append(combo)
+        if total < best_total:
+            best_total = total
+            best_combo = combo
+    return OracleResult(stable=stable, min_total=best_combo, min_total_value=float(best_total)), np.array(arrays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 4),
+    n_users=st.integers(1, 6),
+    alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
+    total_rbs=st.sampled_from([4, 8, 12]),
+    twin=st.sampled_from([None, 0.0, 1e-10]),
+    data=st.data(),
+)
+def test_oracle_equals_per_assignment_reference(seed, n_cells, n_users, alpha, total_rbs, twin, data):
+    # twin: the last cell repeats cell 0's gains exactly (mirror assignments
+    # tie on the total) or to within 1e-10 dB (deviations within the move
+    # margin). Search space: every cell, a proper subset, or an unsorted tuple
+    space = data.draw(st.sampled_from(["all", "subset", "unsorted"]))
+    if space == "all" or n_cells == 1:
+        space = None
+    elif space == "subset":
+        space = tuple(data.draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=n_cells - 1, unique=True).map(sorted)))
+    else:
+        space = tuple(data.draw(st.permutations(range(n_cells)).filter(lambda order: list(order) != sorted(order))))
+    rng = np.random.default_rng(seed)
+    gains = random_gm(rng, n_cells, n_users)
+    if twin is not None and n_cells > 1:
+        gains.g[-1] = gains.g[0] + twin * rng.uniform(-1.0, 1.0, n_users)
+    power = PowerConfig(-90.0, alpha)
+    expected, arrays = reference_brute_force_oracle(gains, power, NOISE_MW, total_rbs, space)
+    result = brute_force_oracle(gains, power, NOISE_MW, total_rbs, space)
+    assert result.stable == expected.stable
+    assert result.min_total == expected.min_total
+    assert np.float64(result.min_total_value).tobytes() == np.float64(expected.min_total_value).tobytes()
+    cells = tuple(range(n_cells)) if space is None else space
+    grid, metrics = _assignment_metrics(gains, power, NOISE_MW, total_rbs, cells)
+    assert [tuple(cells[i] for i in row) for row in grid.tolist()] == list(itertools.product(cells, repeat=n_users))
+    assert metrics.shape == arrays.shape
+    assert metrics.tobytes() == arrays.tobytes()
 
 
 def test_oracle_size_guard():

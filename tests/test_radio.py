@@ -197,8 +197,10 @@ def test_gain_matrix_validation():
 
 
 def _reference_gain_matrix(layout, nodes, rng, params=DEFAULT_RADIO):
-    """The gain matrix built from the (C, 7, K, 2) displacement array, as before
-    x and y were split; kept as the bitwise reference of compute_gain_matrix."""
+    """The gain matrix built from the (C, 7, K, 2) displacement array to every
+    wrap image and an argmin over the image axis (lowest image on ties);
+    kept as the bitwise reference of compute_gain_matrix, which splits x and
+    y and keeps a running minimum over the images instead."""
     n_sec = layout.n_sectors
     n_pico = nodes.n_picos
     n_cells = n_sec + n_pico
