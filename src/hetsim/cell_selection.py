@@ -15,10 +15,13 @@ keep every other power fixed. A user's RB slot (index mod slots) never
 changes, and only users of one slot share blocks, so the search is one
 independent game per slot. The allocation and NetworkState's received
 powers therefore keep their users in scheduler's per-slot layout, and
-one kernel, _metric_rows, scores any batch of users with one stacked
-product. The search walks each pass in steps of one user per slot,
-scores a step's users together and commits its moves in index order. A move re-ranks only the mover's slot inside its old and new cell
-and marks for re-evaluation only the users whose block it touched; a
+one kernel, _block_metric, scores any batch of users with one stacked
+product: _metric_rows feeds it users of a state, and the brute-force
+oracle every user of every assignment at once. The search walks each
+pass in steps of one user per slot, scores a step's users together and
+commits its moves in index order. A move re-ranks only the mover's slot
+inside its old and new cell and marks for re-evaluation only the users
+whose block it touched; a
 search that returns to an earlier pass-end assignment is fast-forwarded
 along its cycle.
 """

@@ -14,7 +14,6 @@ import configparser
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -454,6 +453,10 @@ def run_campaign(scenario: Scenario, workers: int | None = None) -> tuple[SinrRe
     results = []
     failures: list[str] = []
     if n_workers > 1:
+        # imported here: multiprocessing adds about 1 MB to every process
+        # that imports hetsim, and a single-worker run never needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [pool.submit(run_drop, scenario, i) for i in indices]
             for i, fut in zip(indices, futures):
