@@ -14,7 +14,9 @@ import configparser
 import io
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -29,10 +31,10 @@ from hetsim.cell_selection import (
     select_pl,
     select_rsrp,
 )
-from hetsim.metrics import NoiseModel, SinrReport, SinrSample
+from hetsim.metrics import NoiseModel, SampleView, SinrReport, SinrRun
 from hetsim.metrics import wideband_sinr  # noqa: F401 - kept bound here, hetbench traces harness.wideband_sinr
 from hetsim.radio import MACRO, PICO, GainMatrix, RadioParams, compute_gain_matrix
-from hetsim.topology import PlacementError, build_layout, place_picos, place_users
+from hetsim.topology import build_layout, place_picos, place_users
 from hetsim.uplink_power import PowerConfig
 
 
@@ -315,28 +317,40 @@ class StrategySummary:
 @dataclass
 class DropResult:
     drop_index: int
-    samples: list[SinrSample]
+    runs: list[SinrRun]
     summaries: list[StrategySummary]
+
+    @property
+    def samples(self) -> SampleView:
+        return SampleView(self.runs)
 
 
 def _all_user_sinr_db(state: NetworkState) -> np.ndarray:
-    """Wideband SINR (dB) of every user, one small product per scheduled block.
+    """Wideband SINR (dB) of every user, one stacked product per block size.
 
     Within one (subframe, block) group the mutual interference matrix is
     a single small product. Each user's per-RB SINR is flat across its
     RBs, and the MMSE combiner returns a constant row exactly, so the
-    wideband value is the per-RB one.
+    wideband value is the per-RB one. Blocks with the same number of
+    members are computed as one (B, n, n) stack. Each row is still summed
+    on its own, and numpy's pairwise sum groups a row's terms by its
+    length alone, so every value equals that of a loop over the blocks,
+    bit for bit; padding blocks to one width would regroup the sums.
     """
     g_lin = state.gains.g_linear
     serving = state.serving
     p = state.per_rb_power_mw
-    out = np.empty(len(serving))
-    for _, members in state.alloc.blocks():
-        rx = g_lin[np.ix_(serving[members], members)] * p[members][None, :]
-        signal = np.diagonal(rx)
-        gamma_rb = signal / (rx.sum(axis=1) - signal + state.noise_rb_mw)
-        out[members] = [10.0 * math.log10(x) for x in gamma_rb.tolist()]
-    return out
+    key = state.alloc.block_key
+    order = np.argsort(key, kind="stable")  # users by block, ascending inside a block
+    starts = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
+    sizes = np.diff(np.r_[starts, len(order)])
+    gamma = np.empty(len(serving))
+    for n in np.unique(sizes).tolist():
+        members = order[starts[sizes == n][:, None] + np.arange(n)]  # (B, n)
+        rx = g_lin[serving[members][:, :, None], members[:, None, :]] * p[members][:, None, :]
+        signal = np.diagonal(rx, axis1=1, axis2=2)
+        gamma[members] = signal / (rx.sum(axis=2) - signal + state.noise_rb_mw)
+    return np.array([10.0 * math.log10(x) for x in gamma.tolist()])
 
 
 def _baseline_assignment(strategy: StrategyConfig, gains: GainMatrix) -> Assignment:
@@ -350,19 +364,38 @@ def _baseline_assignment(strategy: StrategyConfig, gains: GainMatrix) -> Assignm
 
 
 class DropError(RuntimeError):
-    """A drop failed; carries the drop index for the campaign error log."""
+    """A drop failed; carries the drop index and the stage it failed in."""
 
-    def __init__(self, drop_index: int, cause: Exception):
-        super().__init__(f"drop {drop_index} failed: {cause}")
+    def __init__(self, drop_index: int, stage: str, cause: Exception):
+        super().__init__(f"drop {drop_index} failed in {stage}: {cause}")
         self.drop_index = drop_index
+        self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        # a worker's error is pickled back to the campaign by its arguments
+        return DropError, (self.drop_index, self.stage, self.cause)
+
+
+@contextmanager
+def _stage(drop_index: int, stage: str):
+    """Raise any failure inside the block as a DropError that names the stage."""
+    try:
+        yield
+    except Exception as exc:
+        raise DropError(drop_index, stage, exc) from exc
 
 
 def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
-    """Simulate one drop: topology, gains, then every (strategy, alpha)."""
+    """Simulate one drop: topology, gains, then every (strategy, alpha).
+
+    A failure is raised as a DropError whose stage is placement, gain
+    matrix, the selection of one strategy (and alpha, for the search), or
+    the SINR of one (strategy, alpha) run.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(scenario.master_seed, spawn_key=(drop_index,)))
-    layout = build_layout(scenario.isd_m)
-    try:
+    with _stage(drop_index, "placement"):
+        layout = build_layout(scenario.isd_m)
         picos, pico_sector = place_picos(
             layout,
             scenario.picos_per_sector,
@@ -378,49 +411,36 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
             rng,
             seed_radius_m=scenario.pico_coverage_radius_m,
         )
-    except (PlacementError, ValueError) as exc:
-        raise DropError(drop_index, exc) from exc
-    gains = compute_gain_matrix(layout, nodes, rng, scenario.radio_params())
+    with _stage(drop_index, "gain matrix"):
+        gains = compute_gain_matrix(layout, nodes, rng, scenario.radio_params())
     noise_mw = scenario.noise_model().per_rb_noise_mw
 
-    strategies = scenario.strategy_configs()
-    baselines = {
-        s.label: _baseline_assignment(s, gains) for s in strategies if s.kind != "interference"
-    }
-
-    # one int per user, one str per tier and label, shared by the drop's samples
-    users = list(range(gains.n_users))
-    cell_tier = gains.cell_tier.tolist()
-    samples: list[SinrSample] = []
+    runs: list[SinrRun] = []
     summaries: list[StrategySummary] = []
-    for strategy in strategies:
+    for strategy in scenario.strategy_configs():
         label = strategy.label
+        if strategy.kind != "interference":
+            with _stage(drop_index, f"selection {label}"):
+                baseline = _baseline_assignment(strategy, gains)
         for alpha in scenario.alphas:
             power_cfg = scenario.power_config(alpha)
+            run_name = f"{label} α={alpha:g}"
             if strategy.kind == "interference":
-                assignment = select_interference_based(
-                    gains, power_cfg, noise_mw, strategy, scenario.total_data_rbs
-                )
-            else:
-                assignment = baselines[label]
-            state = NetworkState.build(
-                gains, assignment.c, power_cfg, noise_mw, scenario.total_data_rbs
-            )
-            sinr_db = _all_user_sinr_db(state)
-            tiers = gains.cell_tier[assignment.c]
-            for u in users:
-                samples.append(
-                    SinrSample(
-                        drop=drop_index,
-                        user=u,
-                        strategy=label,
-                        alpha=alpha,
-                        p0_dbm=power_cfg.p0_dbm,
-                        serving_cell=int(assignment.c[u]),
-                        tier=cell_tier[assignment.c[u]],
-                        sinr_db=float(sinr_db[u]),
+                with _stage(drop_index, f"selection {run_name}"):
+                    assignment = select_interference_based(
+                        gains, power_cfg, noise_mw, strategy, scenario.total_data_rbs
                     )
+            else:
+                assignment = baseline
+            with _stage(drop_index, f"SINR {run_name}"):
+                state = NetworkState.build(
+                    gains, assignment.c, power_cfg, noise_mw, scenario.total_data_rbs
                 )
+                sinr_db = _all_user_sinr_db(state)
+            runs.append(
+                SinrRun(drop_index, label, alpha, power_cfg.p0_dbm, assignment.c, sinr_db, gains.cell_tier)
+            )
+            tiers = gains.cell_tier[assignment.c]
             summaries.append(
                 StrategySummary(
                     drop=drop_index,
@@ -435,7 +455,7 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
                     cycle_period=assignment.cycle_period,
                 )
             )
-    return DropResult(drop_index=drop_index, samples=samples, summaries=summaries)
+    return DropResult(drop_index=drop_index, runs=runs, summaries=summaries)
 
 
 # ---- campaign ---------------------------------------------------------------
@@ -463,27 +483,34 @@ def run_campaign(scenario: Scenario, workers: int | None = None) -> tuple[SinrRe
                 try:
                     results.append(fut.result())
                 except Exception as exc:  # noqa: BLE001 - collected into the error log
-                    failures.append(f"drop {i}: {exc}")
+                    failures.append(_failure_line(i, exc))
     else:
         for i in indices:
             try:
                 results.append(run_drop(scenario, i))
             except Exception as exc:  # noqa: BLE001
-                failures.append(f"drop {i}: {exc}")
+                failures.append(_failure_line(i, exc))
     if failures:
         raise RuntimeError("campaign aborted; failed drops:\n  " + "\n  ".join(failures))
     results.sort(key=lambda r: r.drop_index)
 
-    samples: list[SinrSample] = []
+    runs: list[SinrRun] = []
     summaries: list[StrategySummary] = []
     for res in results:
-        samples.extend(res.samples)
+        runs.extend(res.runs)
         summaries.extend(res.summaries)
-    report = SinrReport(samples=samples)
+    report = SinrReport(runs=runs)
 
     if scenario.output_dir is not None:
         write_outputs(scenario, report, summaries)
     return report, summaries
+
+
+def _failure_line(drop_index: int, exc: Exception) -> str:
+    """A failed drop's line in the campaign error log."""
+    if isinstance(exc, DropError):
+        return str(exc)
+    return f"drop {drop_index} failed: {exc}"
 
 
 def write_outputs(scenario: Scenario, report: SinrReport, summaries: list[StrategySummary]):
@@ -493,10 +520,7 @@ def write_outputs(scenario: Scenario, report: SinrReport, summaries: list[Strate
 
     with open(os.path.join(outdir, "samples.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("drop,user,strategy,alpha,serving_cell,tier,sinr_db\n")
-        for s in report.samples:
-            fh.write(
-                f"{s.drop},{s.user},{s.strategy},{s.alpha:g},{s.serving_cell},{s.tier},{s.sinr_db:.6f}\n"
-            )
+        fh.writelines(_samples_csv(report.runs))
 
     with open(os.path.join(outdir, "percentiles.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("strategy,alpha,p5_db,p50_db,p90_db,n\n")
@@ -508,14 +532,36 @@ def write_outputs(scenario: Scenario, report: SinrReport, summaries: list[Strate
 
     with open(os.path.join(outdir, "cdf.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("strategy,alpha,sinr_db,fraction\n")
-        for strategy, alpha, sinr_db, fraction in metrics_mod.export_cdf(report):
-            fh.write(f"{strategy},{alpha:g},{sinr_db:.6f},{fraction:.8f}\n")
+        fh.writelines(_cdf_csv(metrics_mod.export_cdf(report)))
 
     with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_summary_text(scenario, table, summaries))
 
     with open(os.path.join(outdir, "scenario.resolved.cfg"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(scenario_to_ini(scenario))
+
+
+def _samples_csv(runs: list[SinrRun]) -> Iterator[str]:
+    """samples.csv rows, one string per run, formatted column by column."""
+    user_ids: list[str] = []
+    for run in runs:
+        n = len(run.sinr_db)
+        user_ids.extend(str(u) for u in range(len(user_ids), n))
+        head, mid = f"{run.drop},", f",{run.strategy},{run.alpha:g},"
+        cells = [f"{c},{tier}," for c, tier in enumerate(run.cell_tier.tolist())]
+        rows = zip(user_ids, run.serving_cell.tolist(), run.sinr_db.tolist())
+        yield "".join([f"{head}{u}{mid}{cells[c]}{x:.6f}\n" for u, c, x in rows])
+
+
+def _cdf_csv(curves: list[tuple[str, float, np.ndarray, np.ndarray]]) -> Iterator[str]:
+    """cdf.csv rows, one string per (strategy, alpha) curve."""
+    fractions: dict[int, list[str]] = {}  # curves of one length share their fraction column
+    for strategy, alpha, sinr_db, fraction in curves:
+        n = len(sinr_db)
+        if n not in fractions:
+            fractions[n] = [f",{f:.8f}\n" for f in fraction.tolist()]
+        head = f"{strategy},{alpha:g},"
+        yield "".join([f"{head}{x:.6f}{f}" for x, f in zip(sinr_db.tolist(), fractions[n])])
 
 
 def _summary_text(scenario: Scenario, table: list[dict], summaries: list[StrategySummary]) -> str:

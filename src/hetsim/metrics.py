@@ -1,4 +1,8 @@
-"""SINR computation, percentile statistics and CDF export.
+"""Wideband SINR combining, the campaign's SINR report, percentiles and CDFs.
+
+A report holds each (drop, strategy, alpha) run as columns over its
+users; per-user SinrSample records are built only when its sample view
+is iterated.
 
 The wideband SINR of a user combines the per-subcarrier SINRs of its
 allocated blocks with the MMSE-combining effective value
@@ -15,12 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
-
-from hetsim.cell_selection import NetworkState
-from hetsim.scheduler import cochannel_interferers
 
 SUBCARRIERS_PER_RB = 12
 PERCENTILE_RANKS = (5, 50, 90)
@@ -54,18 +55,47 @@ class SinrSample(NamedTuple):
     sinr_db: float
 
 
-def per_rb_sinr(user: int, rb: int, state: NetworkState) -> float:
-    """Linear SINR of one user on one of its own resource blocks."""
-    alloc = state.alloc
-    start = int(alloc.user_rb_start[user])
-    if not start <= rb < start + alloc.rbs_per_user:
-        raise ValueError(f"user {user} is not scheduled on rb {rb}")
-    g_lin = state.gains.g_linear
-    cell = int(state.serving[user])
-    signal = state.per_rb_power_mw[user] * g_lin[cell, user]
-    others = cochannel_interferers(alloc, state.serving, user, rb)
-    interference = float(g_lin[cell, others] @ state.per_rb_power_mw[others]) if len(others) else 0.0
-    return float(signal / (interference + state.noise_rb_mw))
+class SinrRun(NamedTuple):
+    """One (drop, strategy, alpha) run as columns over its users 0..K-1."""
+
+    drop: int
+    strategy: str
+    alpha: float
+    p0_dbm: float
+    serving_cell: np.ndarray  # (K,) serving cell of each user
+    sinr_db: np.ndarray       # (K,) wideband SINR (dB) of each user
+    cell_tier: np.ndarray     # (C,) tier of every cell of the drop
+
+
+class SampleView:
+    """Read-only view of runs as one SinrSample per user and run.
+
+    Its length is counted from the columns; the samples are built only
+    while it is iterated.
+    """
+
+    __slots__ = ("_runs",)
+
+    def __init__(self, runs: list[SinrRun]):
+        self._runs = runs
+
+    def __len__(self) -> int:
+        return sum(len(run.sinr_db) for run in self._runs)
+
+    def __iter__(self) -> Iterator[SinrSample]:
+        for run in self._runs:
+            columns = zip(
+                run.serving_cell.tolist(),
+                run.cell_tier[run.serving_cell].tolist(),
+                run.sinr_db.tolist(),
+            )
+            for user, (cell, tier, sinr_db) in enumerate(columns):
+                yield SinrSample(run.drop, user, run.strategy, run.alpha, run.p0_dbm, cell, tier, sinr_db)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (SampleView, list)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def wideband_sinr(per_subcarrier: Iterable[float]) -> float | np.ndarray:
@@ -92,16 +122,11 @@ def wideband_sinr(per_subcarrier: Iterable[float]) -> float | np.ndarray:
     return min(max(value, gmin), gmax)
 
 
-def user_wideband_sinr_db(user: int, state: NetworkState) -> float:
-    """Wideband SINR (dB) over the user's blocks in its scheduled subframe."""
-    per_rb = [per_rb_sinr(user, rb, state) for rb in state.alloc.rb_range(user)]
-    per_sc = np.repeat(per_rb, SUBCARRIERS_PER_RB)
-    return 10.0 * math.log10(wideband_sinr(per_sc))
-
-
 def percentiles(samples_db: Iterable[float], ranks: Iterable[int] = PERCENTILE_RANKS) -> dict[int, float]:
     """Nearest-rank percentiles: element ceil(p*N/100) of the ascending sort."""
-    data = np.sort(np.asarray(list(samples_db), dtype=float))
+    if not isinstance(samples_db, np.ndarray):
+        samples_db = list(samples_db)
+    data = np.sort(np.asarray(samples_db, dtype=float))
     if data.size == 0:
         raise ValueError("percentiles of an empty sample set are undefined")
     out = {}
@@ -113,16 +138,21 @@ def percentiles(samples_db: Iterable[float], ranks: Iterable[int] = PERCENTILE_R
 
 @dataclass
 class SinrReport:
-    """All wideband SINR samples of a campaign plus derived statistics."""
+    """All wideband SINR results of a campaign, one column set per run."""
 
-    samples: list[SinrSample]
+    runs: list[SinrRun]
+
+    @property
+    def samples(self) -> SampleView:
+        return SampleView(self.runs)
 
     def grouped(self) -> dict[tuple[str, float], np.ndarray]:
-        """SINR values per (strategy, alpha), in first-appearance order, one pass."""
-        buckets: dict[tuple[str, float], list[float]] = {}
-        for s in self.samples:
-            buckets.setdefault((s.strategy, s.alpha), []).append(s.sinr_db)
-        return {key: np.array(values) for key, values in buckets.items()}
+        """SINR values per (strategy, alpha), runs in order, groups in first-appearance order."""
+        columns: dict[tuple[str, float], list[np.ndarray]] = {}
+        for run in self.runs:
+            if len(run.sinr_db):
+                columns.setdefault((run.strategy, run.alpha), []).append(run.sinr_db)
+        return {key: np.concatenate(values) for key, values in columns.items()}
 
     def percentile_table(self) -> list[dict]:
         rows = []
@@ -141,11 +171,10 @@ class SinrReport:
         return rows
 
 
-def export_cdf(report: SinrReport) -> list[tuple[str, float, float, float]]:
-    """(strategy, alpha, sinr_db, fraction) rows, fraction = rank/N ascending."""
-    rows: list[tuple[str, float, float, float]] = []
+def export_cdf(report: SinrReport) -> list[tuple[str, float, np.ndarray, np.ndarray]]:
+    """(strategy, alpha, ascending sinr_db, fraction) per group, fraction[i - 1] = i / N."""
+    curves = []
     for (strategy, alpha), values in report.grouped().items():
         n = values.size
-        for i, v in enumerate(np.sort(values).tolist(), start=1):
-            rows.append((strategy, alpha, v, i / n))
-    return rows
+        curves.append((strategy, alpha, np.sort(values), np.arange(1, n + 1) / n))
+    return curves

@@ -1,21 +1,33 @@
 import math
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hetsim import harness, metrics
+from hetsim.cell_selection import NetworkState, select_interference_based
 from hetsim.cli import main as cli_main
 from hetsim.harness import (
     ConfigError,
     DropError,
     Scenario,
+    _all_user_sinr_db,
+    _baseline_assignment,
+    _summary_text,
     load_scenario,
+    random_small_gains,
     run_campaign,
     run_drop,
     run_oracle_suite,
     scenario_to_ini,
 )
+from hetsim.metrics import NoiseModel, SinrReport, SinrRun, SinrSample, percentiles
+from hetsim.radio import compute_gain_matrix
+from hetsim.topology import build_layout, place_picos, place_users
+from hetsim.uplink_power import PowerConfig
 
 # small but complete scenario: 57 picos, 171 users, every strategy
 TINY = replace(
@@ -256,7 +268,8 @@ def test_fast_sinr_path_matches_reference():
     # rounding (that path sums the interferers, not row minus own term)
     from hetsim.cell_selection import NetworkState
     from hetsim.harness import _all_user_sinr_db, random_small_gains
-    from hetsim.metrics import NoiseModel, user_wideband_sinr_db
+    from hetsim.metrics import NoiseModel
+    from test_metrics import user_wideband_sinr_db
     from hetsim.uplink_power import PowerConfig
 
     rng = np.random.default_rng(13)
@@ -270,6 +283,180 @@ def test_fast_sinr_path_matches_reference():
             assert np.array_equal(fast, per_user_sinr_db(state))
             slow = [user_wideband_sinr_db(u, state) for u in range(n_users)]
             assert np.allclose(fast, slow, rtol=1e-12)
+
+
+def per_block_sinr_db(state):
+    """The drop runner's SINR as a loop over the scheduled blocks, one
+    small product per block."""
+    g_lin = state.gains.g_linear
+    serving = state.serving
+    p = state.per_rb_power_mw
+    out = np.empty(len(serving))
+    for _, members in state.alloc.blocks():
+        rx = g_lin[np.ix_(serving[members], members)] * p[members][None, :]
+        signal = np.diagonal(rx)
+        gamma_rb = signal / (rx.sum(axis=1) - signal + state.noise_rb_mw)
+        out[members] = [10.0 * math.log10(x) for x in gamma_rb.tolist()]
+    return out
+
+
+@st.composite
+def sinr_states(draw):
+    """A state whose first subframe has blocks of at least `width` members.
+
+    numpy's pairwise sum adds rows of 1-7, 8-15 and 16 or more terms in
+    different groupings, so the width is drawn from each of those ranges.
+    The first `width` users of each slot take cells 0..width-1, so they
+    share one block; the other users take any cell and also fill blocks
+    of smaller sizes in later subframes.
+    """
+    width = draw(st.one_of(st.integers(1, 7), st.integers(8, 15), st.integers(16, 24)))
+    n_cells = width + draw(st.integers(0, 3))
+    total_rbs = draw(st.sampled_from([4, 8, 48]))
+    slots = total_rbs // 4
+    extra = draw(st.integers(0, 2 * width * slots))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gains = random_small_gains(rng, n_cells, width * slots + extra)
+    serving = np.r_[np.repeat(np.arange(width), slots), rng.integers(0, n_cells, size=extra)]
+    alpha = draw(st.sampled_from([0.0, 0.4, 0.6, 0.8, 1.0]))
+    return width, NetworkState.build(
+        gains, serving, PowerConfig(-90.0, alpha), NoiseModel().per_rb_noise_mw, total_rbs
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(sinr_states())
+def test_batched_sinr_equals_per_block_loop(drawn):
+    width, state = drawn
+    sizes = np.bincount(state.alloc.block_key)
+    assert sizes.max() >= width
+    batched = _all_user_sinr_db(state)
+    assert np.array_equal(batched, per_block_sinr_db(state))
+    assert np.array_equal(batched, per_user_sinr_db(state))
+
+
+def former_drop_samples(scenario, drop_index):
+    """One drop's samples as the drop runner first built them: one
+    SinrSample per user and run, SINR from the per-block loop."""
+    rng = np.random.default_rng(np.random.SeedSequence(scenario.master_seed, spawn_key=(drop_index,)))
+    layout = build_layout(scenario.isd_m)
+    picos, pico_sector = place_picos(
+        layout, scenario.picos_per_sector, rng,
+        min_to_site_m=scenario.min_pico_to_macro_m, min_to_pico_m=scenario.min_pico_to_pico_m,
+    )
+    nodes = place_users(
+        layout, picos, pico_sector, scenario.users_per_sector, rng,
+        seed_radius_m=scenario.pico_coverage_radius_m,
+    )
+    gains = compute_gain_matrix(layout, nodes, rng, scenario.radio_params())
+    noise_mw = scenario.noise_model().per_rb_noise_mw
+    cell_tier = gains.cell_tier.tolist()
+    samples = []
+    for strategy in scenario.strategy_configs():
+        for alpha in scenario.alphas:
+            power_cfg = scenario.power_config(alpha)
+            if strategy.kind == "interference":
+                c = select_interference_based(
+                    gains, power_cfg, noise_mw, strategy, scenario.total_data_rbs
+                ).c
+            else:
+                c = _baseline_assignment(strategy, gains).c
+            state = NetworkState.build(gains, c, power_cfg, noise_mw, scenario.total_data_rbs)
+            sinr_db = per_block_sinr_db(state)
+            samples += [
+                SinrSample(
+                    drop=drop_index, user=u, strategy=strategy.label, alpha=alpha,
+                    p0_dbm=power_cfg.p0_dbm, serving_cell=int(c[u]), tier=cell_tier[c[u]],
+                    sinr_db=float(sinr_db[u]),
+                )
+                for u in range(gains.n_users)
+            ]
+    return samples
+
+
+def former_outputs(scenario, samples, summaries):
+    """Every output file as first written: row by row from a SinrSample
+    list, the CDF from one (strategy, alpha, sinr_db, fraction) tuple per row."""
+    groups = {}
+    for s in samples:
+        groups.setdefault((s.strategy, s.alpha), []).append(s.sinr_db)
+    table = []
+    cdf = []
+    for (strategy, alpha), values in groups.items():
+        pct = percentiles(values)
+        table.append({"strategy": strategy, "alpha": alpha, "p5_db": pct[5],
+                      "p50_db": pct[50], "p90_db": pct[90], "n": len(values)})
+        for i, v in enumerate(np.sort(np.array(values)).tolist(), start=1):
+            cdf.append((strategy, alpha, v, i / len(values)))
+    return {
+        "samples.csv": "drop,user,strategy,alpha,serving_cell,tier,sinr_db\n" + "".join(
+            f"{s.drop},{s.user},{s.strategy},{s.alpha:g},{s.serving_cell},{s.tier},{s.sinr_db:.6f}\n"
+            for s in samples
+        ),
+        "percentiles.csv": "strategy,alpha,p5_db,p50_db,p90_db,n\n" + "".join(
+            f"{row['strategy']},{row['alpha']:g},{row['p5_db']:.6f},"
+            f"{row['p50_db']:.6f},{row['p90_db']:.6f},{row['n']}\n"
+            for row in table
+        ),
+        "cdf.csv": "strategy,alpha,sinr_db,fraction\n" + "".join(
+            f"{strategy},{alpha:g},{sinr_db:.6f},{fraction:.8f}\n"
+            for strategy, alpha, sinr_db, fraction in cdf
+        ),
+        "summary.txt": _summary_text(scenario, table, summaries),
+        "scenario.resolved.cfg": scenario_to_ini(scenario),
+    }
+
+
+def test_outputs_equal_row_by_row_writers(tmp_path):
+    scenario = replace(
+        TINY, strategies=("rsrp", "pl", "cre:0", "interference"), alphas=(0.6, 1.0),
+        p0_dbm=(-47.25, -90.0), drops=2, output_dir=str(tmp_path / "out"),
+    )
+    report, summaries = run_campaign(scenario)
+    samples = former_drop_samples(scenario, 0) + former_drop_samples(scenario, 1)
+    assert list(report.samples) == samples
+    assert report.samples == samples
+    assert {(s.alpha, s.p0_dbm) for s in report.samples} == {(0.6, -47.25), (1.0, -90.0)}
+    for name, text in former_outputs(scenario, samples, summaries).items():
+        assert (tmp_path / "out" / name).read_bytes() == text.encode("utf-8"), name
+
+
+def test_cdf_rows_of_curves_of_different_lengths():
+    rng = np.random.default_rng(6)
+    runs = [
+        SinrRun(0, strategy, 0.8, -90.0, np.zeros(n, dtype=int), rng.normal(size=n), np.array(["macro"]))
+        for strategy, n in (("rsrp", 3), ("pl", 7), ("cre6", 3), ("interference", 1))
+    ]
+    curves = metrics.export_cdf(SinrReport(runs=runs))
+    expected = "".join(
+        f"{strategy},{alpha:g},{v:.6f},{i / len(values):.8f}\n"
+        for strategy, alpha, values, _ in curves
+        for i, v in enumerate(values.tolist(), start=1)
+    )
+    assert "".join(harness._cdf_csv(curves)) == expected
+
+
+def test_campaign_without_users_writes_empty_tables(tmp_path):
+    scenario = replace(
+        TINY, picos_per_sector=0, users_per_sector=0, drops=1, output_dir=str(tmp_path / "out")
+    )
+    report, _ = run_campaign(scenario)
+    assert len(report.samples) == 0
+    assert report.percentile_table() == []
+    assert (tmp_path / "out" / "cdf.csv").read_text(encoding="utf-8") == "strategy,alpha,sinr_db,fraction\n"
+
+
+def test_campaign_builds_no_samples(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SinrSample was built")
+
+    monkeypatch.setattr(metrics, "SinrSample", refuse)
+    scenario = replace(TINY, output_dir=str(tmp_path / "out"))
+    report, _ = run_campaign(scenario)
+    assert len(report.samples) == 2 * len(TINY.strategies) * 57 * TINY.users_per_sector
+    assert len(SinrReport(runs=[]).samples) == 0
+    with pytest.raises(AssertionError, match="SinrSample was built"):
+        next(iter(report.samples))
 
 
 def test_oracle_suite_smoke():
@@ -286,6 +473,36 @@ def test_infeasible_placement_carries_drop_context():
         run_drop(scenario, 0)
     with pytest.raises(RuntimeError, match="failed drops"):
         run_campaign(scenario)
+
+
+def test_search_failure_names_strategy_and_alpha(monkeypatch):
+    def broken(*args, **kwargs):
+        raise FloatingPointError("metric overflow")
+
+    monkeypatch.setattr(harness, "select_interference_based", broken)
+    scenario = replace(TINY, alphas=(0.4, 0.8), drops=1)
+    with pytest.raises(DropError) as info:
+        run_drop(scenario, 0)
+    assert str(info.value) == "drop 0 failed in selection interference α=0.4: metric overflow"
+    assert info.value.stage == "selection interference α=0.4"
+    assert isinstance(info.value.cause, FloatingPointError)
+    with pytest.raises(RuntimeError, match="drop 0 failed in selection interference α=0.4"):
+        run_campaign(scenario)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_drops_name_their_stage(workers):
+    # no pico fits 10 km from every site: both drops fail while placing
+    scenario = replace(TINY, min_pico_to_macro_m=1e4)
+    with pytest.raises(RuntimeError) as info:
+        run_campaign(scenario, workers=workers)
+    lines = str(info.value).splitlines()[1:]
+    assert [line.strip().split(":")[0] for line in lines] == [
+        "drop 0 failed in placement", "drop 1 failed in placement",
+    ]
+    error = DropError(1, "placement", ValueError("no room"))
+    again = pickle.loads(pickle.dumps(error))
+    assert (str(again), again.drop_index, again.stage) == (str(error), 1, "placement")
 
 
 # ---- CLI --------------------------------------------------------------------

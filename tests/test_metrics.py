@@ -5,19 +5,44 @@ import pytest
 
 from hetsim.cell_selection import NetworkState
 from hetsim.metrics import (
+    SUBCARRIERS_PER_RB,
     NoiseModel,
     SinrReport,
+    SinrRun,
     SinrSample,
     export_cdf,
-    per_rb_sinr,
     percentiles,
-    user_wideband_sinr_db,
     wideband_sinr,
 )
 from hetsim.radio import GainMatrix
+from hetsim.scheduler import cochannel_interferers
 from hetsim.uplink_power import PowerConfig
 
 NOISE = NoiseModel()
+
+
+# ---- scalar SINR reference forms ----------------------------------------------
+
+
+def per_rb_sinr(user: int, rb: int, state: NetworkState) -> float:
+    """Linear SINR of one user on one of its own resource blocks."""
+    alloc = state.alloc
+    start = int(alloc.user_rb_start[user])
+    if not start <= rb < start + alloc.rbs_per_user:
+        raise ValueError(f"user {user} is not scheduled on rb {rb}")
+    g_lin = state.gains.g_linear
+    cell = int(state.serving[user])
+    signal = state.per_rb_power_mw[user] * g_lin[cell, user]
+    others = cochannel_interferers(alloc, state.serving, user, rb)
+    interference = float(g_lin[cell, others] @ state.per_rb_power_mw[others]) if len(others) else 0.0
+    return float(signal / (interference + state.noise_rb_mw))
+
+
+def user_wideband_sinr_db(user: int, state: NetworkState) -> float:
+    """Wideband SINR (dB) over the user's blocks in its scheduled subframe."""
+    per_rb = [per_rb_sinr(user, rb, state) for rb in state.alloc.rb_range(user)]
+    per_sc = np.repeat(per_rb, SUBCARRIERS_PER_RB)
+    return 10.0 * math.log10(wideband_sinr(per_sc))
 
 
 def literal_combiner(values):
@@ -203,27 +228,58 @@ def sample(strategy, alpha, sinr, drop=0, user=0):
     )
 
 
+def report_of(samples):
+    """A report holding each sample as a one-user run (the user id is not kept)."""
+    runs = [
+        SinrRun(
+            s.drop, s.strategy, s.alpha, s.p0_dbm, np.array([s.serving_cell]),
+            np.array([s.sinr_db]), np.full(s.serving_cell + 1, s.tier),
+        )
+        for s in samples
+    ]
+    return SinrReport(runs=runs)
+
+
+def cdf_rows(report):
+    """export_cdf's curves as (strategy, alpha, sinr_db, fraction) rows."""
+    return [
+        (strategy, alpha, v, f)
+        for strategy, alpha, values, fractions in export_cdf(report)
+        for v, f in zip(values.tolist(), fractions.tolist())
+    ]
+
+
 def test_export_cdf_rank_rule():
-    report = SinrReport(samples=[sample("rsrp", 0.8, 1.0), sample("rsrp", 0.8, -1.0, user=1)])
-    rows = export_cdf(report)
+    report = report_of([sample("rsrp", 0.8, 1.0), sample("rsrp", 0.8, -1.0, user=1)])
+    rows = cdf_rows(report)
     assert rows == [("rsrp", 0.8, -1.0, 0.5), ("rsrp", 0.8, 1.0, 1.0)]
 
 
 def test_export_cdf_empty():
-    assert export_cdf(SinrReport(samples=[])) == []
+    assert cdf_rows(report_of([])) == []
 
 
 def test_export_cdf_ties():
-    report = SinrReport(samples=[sample("pl", 1.0, 2.5), sample("pl", 1.0, 2.5, user=1)])
-    rows = export_cdf(report)
+    report = report_of([sample("pl", 1.0, 2.5), sample("pl", 1.0, 2.5, user=1)])
+    rows = cdf_rows(report)
     assert [r[3] for r in rows] == [0.5, 1.0]
     assert rows[0][2] == rows[1][2] == 2.5
+
+
+def test_export_cdf_fractions_are_rank_over_n():
+    rng = np.random.default_rng(4)
+    for n in (1, 3, 7, 49, 1000, 13680):
+        run = SinrRun(0, "rsrp", 0.8, -90.0, np.zeros(n, dtype=int), rng.normal(size=n), np.array(["macro"]))
+        [(strategy, alpha, values, fractions)] = export_cdf(SinrReport(runs=[run]))
+        assert (strategy, alpha) == ("rsrp", 0.8)
+        assert values.tolist() == sorted(run.sinr_db.tolist())
+        assert fractions.tolist() == [i / n for i in range(1, n + 1)]
 
 
 def test_percentile_table_groups_in_order():
     samples = [sample("rsrp", 0.8, float(i)) for i in range(10)]
     samples += [sample("pl", 0.8, float(-i)) for i in range(10)]
-    report = SinrReport(samples=samples)
+    report = report_of(samples)
     table = report.percentile_table()
     assert [row["strategy"] for row in table] == ["rsrp", "pl"]
     assert table[0]["n"] == 10
@@ -240,7 +296,7 @@ def test_grouping_interleaved_samples_matches_per_group_scan():
         sample(*keys[k], float(v), user=i)
         for i, (k, v) in enumerate(zip(rng.integers(0, 4, size=200), rng.normal(size=200)))
     ]
-    report = SinrReport(samples=samples)
+    report = report_of(samples)
     order = list(dict.fromkeys((s.strategy, s.alpha) for s in samples))
     grouped = report.grouped()
     assert list(grouped) == order
@@ -248,6 +304,6 @@ def test_grouping_interleaved_samples_matches_per_group_scan():
         scan = [s.sinr_db for s in samples if s.strategy == strategy and s.alpha == alpha]
         assert grouped[(strategy, alpha)].tolist() == scan
     assert [(r["strategy"], r["alpha"]) for r in report.percentile_table()] == order
-    assert [r[:2] for r in export_cdf(report)] == [
+    assert [r[:2] for r in cdf_rows(report)] == [
         key for key in order for _ in grouped[key]
     ]
