@@ -479,17 +479,17 @@ def run_campaign(scenario: Scenario, workers: int | None = None) -> tuple[SinrRe
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [pool.submit(run_drop, scenario, i) for i in indices]
-            for i, fut in zip(indices, futures):
+            for fut in futures:
                 try:
                     results.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - collected into the error log
-                    failures.append(_failure_line(i, exc))
+                except DropError as exc:
+                    failures.append(str(exc))
     else:
         for i in indices:
             try:
                 results.append(run_drop(scenario, i))
-            except Exception as exc:  # noqa: BLE001
-                failures.append(_failure_line(i, exc))
+            except DropError as exc:
+                failures.append(str(exc))
     if failures:
         raise RuntimeError("campaign aborted; failed drops:\n  " + "\n  ".join(failures))
     results.sort(key=lambda r: r.drop_index)
@@ -504,13 +504,6 @@ def run_campaign(scenario: Scenario, workers: int | None = None) -> tuple[SinrRe
     if scenario.output_dir is not None:
         write_outputs(scenario, report, summaries)
     return report, summaries
-
-
-def _failure_line(drop_index: int, exc: Exception) -> str:
-    """A failed drop's line in the campaign error log."""
-    if isinstance(exc, DropError):
-        return str(exc)
-    return f"drop {drop_index} failed: {exc}"
 
 
 def write_outputs(scenario: Scenario, report: SinrReport, summaries: list[StrategySummary]):
