@@ -453,7 +453,7 @@ def test_campaign_builds_no_samples(tmp_path, monkeypatch):
     monkeypatch.setattr(metrics, "SinrSample", refuse)
     scenario = replace(TINY, output_dir=str(tmp_path / "out"))
     report, _ = run_campaign(scenario)
-    assert len(report.samples) == 2 * len(TINY.strategies) * 57 * TINY.users_per_sector
+    assert len(report.samples) == 2 * len(TINY.strategies) * len(TINY.alphas) * 57 * TINY.users_per_sector
     assert len(SinrReport(runs=[]).samples) == 0
     with pytest.raises(AssertionError, match="SinrSample was built"):
         next(iter(report.samples))
