@@ -8,15 +8,14 @@ seeded Monte Carlo drops.
 """
 
 from hetsim.topology import Layout, NodeSet, build_layout, place_picos, place_users, wrap_distance
-from hetsim.radio import GainMatrix, RadioParams, compute_gain_matrix, path_loss_db, rsrp_dbm
+from hetsim.radio import GainMatrix, RadioParams, compute_gain_matrix, path_loss_db
 from hetsim.uplink_power import PowerConfig, UserPower, open_loop_power
-from hetsim.scheduler import Allocation, allocate, cochannel_interferers
+from hetsim.scheduler import Allocation, allocate
 from hetsim.cell_selection import (
     Assignment,
     NetworkState,
     StrategyConfig,
     brute_force_oracle,
-    interference_metric,
     select_cre,
     select_interference_based,
     select_pl,

@@ -36,7 +36,7 @@ import numpy as np
 
 from hetsim import uplink_power
 from hetsim.radio import GainMatrix, PICO
-from hetsim.scheduler import Allocation, allocate, cochannel_interferers, per_slot
+from hetsim.scheduler import Allocation, allocate, per_slot
 from hetsim.uplink_power import PowerConfig
 
 VALID_KINDS = ("rsrp", "pl", "cre", "interference")
@@ -222,35 +222,6 @@ def _metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
         mask, rows, items = mask.astype(float), state.rows[slot], slice(None)
     gain = state.gains.g_linear[:, users].T
     return _block_metric(mask, rows, gain, state.power_cfg.rbs_per_user, state.noise_rb_mw, items)
-
-
-def interference_metric(user: int, cell: int, state: NetworkState) -> float:
-    """Uplink interference-plus-noise per gain, summed over the user's RBs.
-
-    Excludes the user's own transmission; all quantities linear (mW).
-    """
-    alloc = state.alloc
-    g_lin = state.gains.g_linear
-    total = 0.0
-    for rb in alloc.rb_range(user):
-        others = cochannel_interferers(alloc, state.serving, user, rb)
-        i_mw = float(g_lin[cell, others] @ state.per_rb_power_mw[others]) if len(others) else 0.0
-        total += (i_mw + state.noise_rb_mw) / g_lin[cell, user]
-    return total
-
-
-def adaptive_bias(user: int, serving: int, candidate: int, state: NetworkState) -> float:
-    """Equivalent range-expansion offset of the interference comparison.
-
-    Linear ratio (p_cand/p_serv) * (I_cand - own contribution) / I_serv;
-    values below 1 favor the candidate. Diagnostic companion of the
-    argmin rule: candidate wins iff RSRP_cand > RSRP_serv * bias.
-    """
-    g_lin = state.gains.g_linear
-    num = interference_metric(user, candidate, state) * g_lin[candidate, user]
-    den = interference_metric(user, serving, state) * g_lin[serving, user]
-    p_ratio = 10.0 ** ((state.gains.rs_power_dbm[candidate] - state.gains.rs_power_dbm[serving]) / 10.0)
-    return float(p_ratio * num / den)
 
 
 def select_interference_based(

@@ -5,15 +5,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from hetsim.harness import (
-    ConfigError,
+    CampaignError,
     Scenario,
+    float_list,
     load_scenario,
     run_campaign,
     run_oracle_suite,
     scenario_to_ini,
+    str_list,
 )
 
 
@@ -24,10 +25,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a Monte Carlo campaign")
     run_p.add_argument("--config", help="scenario file (INI); defaults apply if omitted")
     run_p.add_argument("--drops", type=int, help="override drop count")
-    run_p.add_argument("--seed", type=int, help="override master seed")
-    run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--strategies", help="comma list, e.g. rsrp,pl,cre:6,interference")
-    run_p.add_argument("--alphas", help="comma list of compensation factors")
+    run_p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED", help="override master seed")
+    run_p.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
+    run_p.add_argument("--strategies", type=str_list, help="comma list, e.g. rsrp,pl,cre:6,interference")
+    run_p.add_argument("--alphas", type=float_list, help="comma list of compensation factors")
     run_p.add_argument("--picos-per-sector", type=int, dest="picos_per_sector")
     run_p.add_argument("--workers", type=int, help="parallel drop workers")
 
@@ -42,24 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_from_args(args) -> Scenario:
-    overrides = {}
-    if args.drops is not None:
-        overrides["drops"] = args.drops
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.strategies is not None:
-        overrides["strategies"] = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-    if args.alphas is not None:
-        overrides["alphas"] = tuple(float(a) for a in args.alphas.split(","))
-    if args.picos_per_sector is not None:
-        overrides["picos_per_sector"] = args.picos_per_sector
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+    # every run option but --config overrides the Scenario field named by its dest
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}
     if args.config:
         return load_scenario(args.config, overrides)
-    return replace(Scenario(), **overrides).validate()
+    return Scenario(**overrides).validate()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -90,10 +78,10 @@ def main(argv: list[str] | None = None) -> int:
             if result.non_converged_instances:
                 print(f"non-converged instance ids: {result.non_converged_instances}")
             return 1 if result.containment_failures else 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except CampaignError as exc:
+        print(f"error: campaign aborted: {'; '.join(exc.failures)}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

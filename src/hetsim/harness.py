@@ -15,8 +15,8 @@ import io
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Iterator
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from hetsim.cell_selection import (
     Assignment,
     NetworkState,
     StrategyConfig,
+    VALID_KINDS,
     brute_force_oracle,
     select_cre,
     select_interference_based,
@@ -42,48 +43,44 @@ class ConfigError(ValueError):
     """Bad scenario configuration (unknown key, missing file, bad value)."""
 
 
+def _option(section: str, default):
+    """A Scenario field kept in [section] of the scenario file."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass(frozen=True)
-class Scenario:
-    # layout
-    isd_m: float = 500.0
-    sites: int = 19
-    picos_per_sector: int = 2
-    users_per_sector: int = 12
-    # radio (Table-style constants)
-    macro_pl_const_db: float = 128.1
-    macro_pl_slope: float = 37.6
-    pico_pl_const_db: float = 140.7
-    pico_pl_slope: float = 36.7
-    macro_shadow_sigma_db: float = 8.0
-    pico_shadow_sigma_db: float = 10.0
-    antenna_max_atten_db: float = 20.0
-    antenna_theta3db_deg: float = 70.0
-    macro_rx_gain_db: float = 15.0
-    pico_rx_gain_db: float = 5.0
-    penetration_loss_db: float = 20.0
-    macro_rs_power_dbm: float = 46.0
-    pico_rs_power_dbm: float = 30.0
+class Scenario(RadioParams):
+    """Every knob of a campaign; the layout is fixed at 19 sites.
+
+    Each field is one key of the scenario file, in the section its
+    metadata names, else in [radio] (the inherited RadioParams first)."""
+
+    # [layout]
+    isd_m: float = _option("layout", 500.0)
+    picos_per_sector: int = _option("layout", 2)
+    users_per_sector: int = _option("layout", 12)
+    # [radio]
     min_pico_to_macro_m: float = 75.0
     min_pico_to_pico_m: float = 35.0
     pico_coverage_radius_m: float = 50.0
-    noise_psd_dbm_hz: float = -174.0
-    noise_figure_db: float = 5.0
+    noise_psd_dbm_hz: float = NoiseModel.psd_dbm_hz
+    noise_figure_db: float = NoiseModel.noise_figure_db
     total_bandwidth_mhz: float = 10.0
-    # power control: one P0 for every alpha, or one P0 per entry of alphas
-    p0_dbm: float | tuple[float, ...] = -90.0
-    max_ue_power_dbm: float = 23.0
-    rbs_per_user: int = 4
-    total_data_rbs: int = 48
-    alphas: tuple[float, ...] = (0.4, 0.6, 0.8, 1.0)
-    # selection
-    strategies: tuple[str, ...] = ("rsrp", "pl", "cre", "interference")
-    cre_bias_db: float = 6.0
-    max_passes: int = 20
-    # campaign
-    drops: int = 20
-    master_seed: int = 1
-    output_dir: str | None = None
-    workers: int = 1
+    # [power]: one P0 for every alpha, or one P0 per entry of alphas
+    p0_dbm: float | tuple[float, ...] = _option("power", -90.0)
+    max_ue_power_dbm: float = _option("power", PowerConfig.pmax_dbm)
+    rbs_per_user: int = _option("power", PowerConfig.rbs_per_user)
+    total_data_rbs: int = _option("power", 48)
+    alphas: tuple[float, ...] = _option("power", (0.4, 0.6, 0.8, 1.0))
+    # [selection]
+    strategies: tuple[str, ...] = _option("selection", ("rsrp", "pl", "cre", "interference"))
+    cre_bias_db: float = _option("selection", 6.0)
+    max_passes: int = _option("selection", StrategyConfig.max_passes)
+    # [run]
+    drops: int = _option("run", 20)
+    master_seed: int = _option("run", 1)
+    output_dir: str | None = _option("run", None)
+    workers: int = _option("run", 1)
 
     def __post_init__(self):
         # a one-element P0 list is one value; a longer list is held as a tuple
@@ -92,8 +89,6 @@ class Scenario:
             object.__setattr__(self, "p0_dbm", p0[0] if len(p0) == 1 else p0)
 
     def validate(self) -> "Scenario":
-        if self.sites != 19:
-            raise ConfigError("layout is fixed at 19 sites")
         if self.isd_m <= 0:
             raise ConfigError("isd_m must be positive")
         if self.picos_per_sector < 0:
@@ -104,7 +99,7 @@ class Scenario:
             raise ConfigError("drops must be >= 1")
         if self.rbs_per_user < 1 or self.total_data_rbs % self.rbs_per_user != 0:
             raise ConfigError("total_data_rbs must be a positive multiple of rbs_per_user")
-        if self.total_data_rbs * 0.18 > self.total_bandwidth_mhz + 1e-9:
+        if self.total_data_rbs * (NoiseModel.rb_bandwidth_hz / 1e6) > self.total_bandwidth_mhz + 1e-9:
             raise ConfigError("data RBs exceed the total bandwidth")
         if not self.alphas:
             raise ConfigError("alphas must be non-empty")
@@ -125,23 +120,6 @@ class Scenario:
         return self
 
     # ---- derived objects -------------------------------------------------
-
-    def radio_params(self) -> RadioParams:
-        return RadioParams(
-            macro_pl_const_db=self.macro_pl_const_db,
-            macro_pl_slope=self.macro_pl_slope,
-            pico_pl_const_db=self.pico_pl_const_db,
-            pico_pl_slope=self.pico_pl_slope,
-            macro_shadow_sigma_db=self.macro_shadow_sigma_db,
-            pico_shadow_sigma_db=self.pico_shadow_sigma_db,
-            antenna_max_atten_db=self.antenna_max_atten_db,
-            antenna_theta3db_deg=self.antenna_theta3db_deg,
-            macro_rx_gain_db=self.macro_rx_gain_db,
-            pico_rx_gain_db=self.pico_rx_gain_db,
-            penetration_loss_db=self.penetration_loss_db,
-            macro_rs_power_dbm=self.macro_rs_power_dbm,
-            pico_rs_power_dbm=self.pico_rs_power_dbm,
-        )
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel(
@@ -169,7 +147,7 @@ def _parse_strategy_token(token: str, scenario: Scenario) -> StrategyConfig:
     token = token.strip()
     kind, _, arg = token.partition(":")
     kind = kind.strip()
-    if kind not in ("rsrp", "pl", "cre", "interference"):
+    if kind not in VALID_KINDS:
         raise ConfigError(f"unknown strategy {token!r}")
     bias = scenario.cre_bias_db if kind == "cre" else 0.0
     if arg:
@@ -184,68 +162,40 @@ def _parse_strategy_token(token: str, scenario: Scenario) -> StrategyConfig:
 
 # ---- config file (INI) ----------------------------------------------------
 
-_SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
-    "layout": {
-        "isd_m": ("isd_m", float),
-        "sites": ("sites", int),
-        "picos_per_sector": ("picos_per_sector", int),
-        "users_per_sector": ("users_per_sector", int),
-    },
-    "radio": {
-        "macro_pl_const_db": ("macro_pl_const_db", float),
-        "macro_pl_slope": ("macro_pl_slope", float),
-        "pico_pl_const_db": ("pico_pl_const_db", float),
-        "pico_pl_slope": ("pico_pl_slope", float),
-        "macro_shadow_sigma_db": ("macro_shadow_sigma_db", float),
-        "pico_shadow_sigma_db": ("pico_shadow_sigma_db", float),
-        "antenna_max_atten_db": ("antenna_max_atten_db", float),
-        "antenna_theta3db_deg": ("antenna_theta3db_deg", float),
-        "macro_rx_gain_db": ("macro_rx_gain_db", float),
-        "pico_rx_gain_db": ("pico_rx_gain_db", float),
-        "penetration_loss_db": ("penetration_loss_db", float),
-        "macro_rs_power_dbm": ("macro_rs_power_dbm", float),
-        "pico_rs_power_dbm": ("pico_rs_power_dbm", float),
-        "min_pico_to_macro_m": ("min_pico_to_macro_m", float),
-        "min_pico_to_pico_m": ("min_pico_to_pico_m", float),
-        "pico_coverage_radius_m": ("pico_coverage_radius_m", float),
-        "noise_psd_dbm_hz": ("noise_psd_dbm_hz", float),
-        "noise_figure_db": ("noise_figure_db", float),
-        "total_bandwidth_mhz": ("total_bandwidth_mhz", float),
-    },
-    "power": {
-        "p0_dbm": ("p0_dbm", "float_list"),
-        "max_ue_power_dbm": ("max_ue_power_dbm", float),
-        "rbs_per_user": ("rbs_per_user", int),
-        "total_data_rbs": ("total_data_rbs", int),
-        "alphas": ("alphas", "float_list"),
-    },
-    "selection": {
-        "strategies": ("strategies", "str_list"),
-        "cre_bias_db": ("cre_bias_db", float),
-        "max_passes": ("max_passes", int),
-    },
-    "run": {
-        "drops": ("drops", int),
-        "master_seed": ("master_seed", int),
-        "output_dir": ("output_dir", str),
-        "workers": ("workers", int),
-    },
+
+def float_list(raw: str) -> tuple[float, ...]:
+    """A comma list of floats, from a scenario file or the command line."""
+    return tuple(float(x) for x in raw.split(","))
+
+
+def str_list(raw: str) -> tuple[str, ...]:
+    """A comma list of words; empty entries are dropped."""
+    return tuple(x.strip() for x in raw.split(",") if x.strip())
+
+
+# the reader of a key, by the annotation of its Scenario field
+_READERS: dict[str, Callable[[str], object]] = {
+    "int": int,
+    "float": float,
+    "str | None": str,
+    "float | tuple[float, ...]": float_list,
+    "tuple[float, ...]": float_list,
+    "tuple[str, ...]": str_list,
 }
 
-
-def _convert(raw: str, kind):
-    if kind == "float_list":
-        return tuple(float(x) for x in raw.split(","))
-    if kind == "str_list":
-        return tuple(x.strip() for x in raw.split(",") if x.strip())
-    return kind(raw)
+# section -> key -> reader of every Scenario field, sections and keys in file order
+_SECTIONS: dict[str, dict[str, Callable[[str], object]]] = {
+    name: {} for name in ("layout", "radio", "power", "selection", "run")
+}
+for _field in fields(Scenario):
+    _SECTIONS[_field.metadata.get("section", "radio")][_field.name] = _READERS[_field.type]
 
 
 def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
     """Parse an INI scenario file; unknown sections or keys are errors."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
@@ -253,21 +203,18 @@ def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
 
     values: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}] in {path}")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            read = _SECTIONS[section].get(key)
+            if read is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
-            attr, kind = _SCHEMA[section][key]
             try:
-                values[attr] = _convert(raw, kind)
+                values[key] = read(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
 
-    scenario = replace(Scenario(), **values)
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    return scenario.validate()
+    return Scenario(**{**values, **(overrides or {})}).validate()
 
 
 def _format_value(value) -> str:
@@ -280,18 +227,14 @@ def _format_value(value) -> str:
 
 def scenario_to_ini(scenario: Scenario) -> str:
     """Render the fully resolved scenario back to INI text."""
-    parser = configparser.ConfigParser()
-    for section, keys in _SCHEMA.items():
+    parser = configparser.ConfigParser(interpolation=None)
+    for section, keys in _SECTIONS.items():
         parser.add_section(section)
-        for key, (attr, kind) in keys.items():
-            value = getattr(scenario, attr)
-            if value is None:
-                continue
-            if isinstance(value, (list, tuple)):
-                value = ", ".join(_format_value(v) for v in value)
-            else:
-                value = _format_value(value)
-            parser.set(section, key, str(value))
+        for key in keys:
+            value = getattr(scenario, key)
+            if value is not None:
+                items = value if isinstance(value, tuple) else (value,)
+                parser.set(section, key, ", ".join(_format_value(v) for v in items))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -377,6 +320,14 @@ class DropError(RuntimeError):
         return DropError, (self.drop_index, self.stage, self.cause)
 
 
+class CampaignError(RuntimeError):
+    """Drops of a campaign failed; carries each failed drop's error line."""
+
+    def __init__(self, failures: list[str]):
+        super().__init__("campaign aborted; failed drops:\n  " + "\n  ".join(failures))
+        self.failures = failures
+
+
 @contextmanager
 def _stage(drop_index: int, stage: str):
     """Raise any failure inside the block as a DropError that names the stage."""
@@ -412,7 +363,7 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
             seed_radius_m=scenario.pico_coverage_radius_m,
         )
     with _stage(drop_index, "gain matrix"):
-        gains = compute_gain_matrix(layout, nodes, rng, scenario.radio_params())
+        gains = compute_gain_matrix(layout, nodes, rng, scenario)
     noise_mw = scenario.noise_model().per_rb_noise_mw
 
     runs: list[SinrRun] = []
@@ -491,7 +442,7 @@ def run_campaign(scenario: Scenario, workers: int | None = None) -> tuple[SinrRe
             except DropError as exc:
                 failures.append(str(exc))
     if failures:
-        raise RuntimeError("campaign aborted; failed drops:\n  " + "\n  ".join(failures))
+        raise CampaignError(failures)
     results.sort(key=lambda r: r.drop_index)
 
     runs: list[SinrRun] = []
@@ -601,7 +552,7 @@ def random_small_gains(rng: np.random.Generator, n_cells: int, n_users: int) -> 
     """Synthetic gain matrix for oracle-sized instances (cell 0 is macro)."""
     g = rng.uniform(-130.0, -80.0, size=(n_cells, n_users))
     tier = np.array([MACRO] + [MACRO if rng.uniform() < 0.5 else PICO for _ in range(n_cells - 1)])
-    rs = np.where(tier == MACRO, 46.0, 30.0)
+    rs = np.where(tier == MACRO, RadioParams.macro_rs_power_dbm, RadioParams.pico_rs_power_dbm)
     return GainMatrix(g=g, cell_tier=tier, rs_power_dbm=rs)
 
 

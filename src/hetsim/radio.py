@@ -149,8 +149,3 @@ def compute_gain_matrix(
 
     rs_power = np.where(tier == MACRO, params.macro_rs_power_dbm, params.pico_rs_power_dbm)
     return GainMatrix(g=g, cell_tier=tier, rs_power_dbm=rs_power)
-
-
-def rsrp_dbm(gains: GainMatrix, cell: int, user: int) -> float:
-    """Downlink reference-signal received power of one link."""
-    return float(gains.rs_power_dbm[cell] + gains.g[cell, user])

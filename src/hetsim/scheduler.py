@@ -1,4 +1,4 @@
-"""Localized resource-block allocation and co-channel interferer lookup.
+"""Localized resource-block allocation.
 
 Every user gets one contiguous, aligned block of rbs_per_user RBs. The
 block column is keyed to the user index (slot = index mod slots), so a
@@ -62,30 +62,9 @@ class Allocation:
         return np.arange(self.n_users) % self.slots * self.rbs_per_user
 
     @cached_property
-    def subframes_per_epoch(self) -> int:
-        return int(self.subframe.max(initial=0)) + 1
-
-    def rb_range(self, user: int) -> range:
-        start = int(self.user_rb_start[user])
-        return range(start, start + self.rbs_per_user)
-
-    @cached_property
     def block_key(self) -> np.ndarray:
         """(K,) block id subframe * total_rbs + rb_start of every user."""
         return self.user_subframe * self.total_rbs + self.user_rb_start
-
-    def block_members(self, subframe: int, rb_start: int) -> np.ndarray:
-        """Users whose block is exactly (subframe, rb_start), ascending."""
-        return np.flatnonzero(self.block_key == subframe * self.total_rbs + rb_start)
-
-    def blocks(self):
-        """Iterate ((subframe, rb_start), member users) over occupied blocks.
-
-        Blocks come in ascending id order; members in ascending user order.
-        """
-        key = self.block_key
-        for block in np.unique(key):
-            yield divmod(int(block), self.total_rbs), np.flatnonzero(key == block)
 
     def move(self, serving: np.ndarray, user: int, old_cell: int) -> tuple["Allocation", np.ndarray]:
         """Allocation after `user` moved from old_cell to serving[user], and the users it touched.
@@ -112,9 +91,6 @@ class Allocation:
         subframe[slot] = row
         moved = Allocation(subframe, self.n_users, self.rbs_per_user, self.total_rbs)
         return moved, slot + slots * np.flatnonzero(hit[row])
-
-
-_EMPTY = np.array([], dtype=int)
 
 
 def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = 48, rbs_per_user: int = 4) -> Allocation:
@@ -149,25 +125,3 @@ def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = 48, rbs_per_use
         rbs_per_user=rbs_per_user,
         total_rbs=total_rbs,
     )
-
-
-def cochannel_interferers(alloc: Allocation, serving: np.ndarray, user: int, rb: int) -> np.ndarray:
-    """Users of other cells transmitting on rb in the user's subframe.
-
-    Blocks are aligned multiples of rbs_per_user, so a block covers rb
-    iff it starts at the containing aligned boundary. Same-cell users
-    never appear (intra-cell allocations are disjoint by construction,
-    and they are filtered regardless).
-    """
-    serving = np.asarray(serving, dtype=int)
-    if user < 0 or user >= len(serving):
-        raise IndexError(f"user {user} out of range")
-    if not 0 <= rb < alloc.total_rbs:
-        raise ValueError(f"rb {rb} outside [0, {alloc.total_rbs})")
-    sf = int(alloc.user_subframe[user])
-    block_start = (rb // alloc.rbs_per_user) * alloc.rbs_per_user
-    members = alloc.block_members(sf, block_start)
-    if len(members) == 0:
-        return _EMPTY
-    keep = (members != user) & (serving[members] != serving[user])
-    return members[keep]

@@ -24,8 +24,8 @@ from hetsim.cell_selection import (
 from hetsim.harness import Scenario, run_campaign, run_drop, run_oracle_suite
 from hetsim.metrics import NoiseModel, percentiles, wideband_sinr
 from hetsim.radio import PICO, compute_gain_matrix, path_loss_db
-from hetsim.scheduler import cochannel_interferers
 from hetsim.topology import build_layout, place_picos, place_users
+from reference import cochannel_interferers, rb_range
 
 NOISE = NoiseModel()
 ALPHAS = (0.4, 0.6, 0.8, 1.0)
@@ -252,7 +252,7 @@ def test_criterion_07_orthogonality(drop_states):
             alloc, serving = state.alloc, state.serving
             seen = {}
             for u in range(len(serving)):
-                for rb in alloc.rb_range(u):
+                for rb in rb_range(alloc, u):
                     key = (int(serving[u]), int(alloc.user_subframe[u]), rb)
                     ok &= key not in seen
                     seen[key] = u

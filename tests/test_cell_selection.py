@@ -9,9 +9,7 @@ from hetsim.cell_selection import (
     NetworkState,
     OracleResult,
     StrategyConfig,
-    adaptive_bias,
     brute_force_oracle,
-    interference_metric,
     select_cre,
     select_interference_based,
     select_pl,
@@ -22,6 +20,7 @@ from hetsim.cell_selection import (
 from hetsim.metrics import NoiseModel
 from hetsim.radio import GainMatrix
 from hetsim.uplink_power import PowerConfig
+from reference import adaptive_bias, blocks, interference_metric, subframes_per_epoch
 
 NOISE_MW = NoiseModel().per_rb_noise_mw
 
@@ -525,7 +524,7 @@ def test_cycling_drop_matches_reference(max_passes):
     layout = build_layout(scenario.isd_m)
     picos, pico_sector = place_picos(layout, 2, rng)
     nodes = place_users(layout, picos, pico_sector, 6, rng)
-    gains = compute_gain_matrix(layout, nodes, rng, scenario.radio_params())
+    gains = compute_gain_matrix(layout, nodes, rng, scenario)
     result = assert_matches_reference(gains, scenario.power_config(1.0), 48, max_passes)
     assert (result.cycle_period, result.cycle_detected_at) == (2, 4)
 
@@ -556,9 +555,9 @@ def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_m
         fresh = NetworkState.build(gains, state.serving.copy(), power, NOISE_MW, total_rbs)
         for name in ("subframe", "user_subframe", "user_rb_start", "block_key"):
             assert np.array_equal(getattr(state.alloc, name), getattr(fresh.alloc, name))
-        assert state.alloc.subframes_per_epoch == fresh.alloc.subframes_per_epoch
-        blocks = [(b, list(m)) for b, m in state.alloc.blocks()]
-        assert blocks == [(b, list(m)) for b, m in fresh.alloc.blocks()]
+        assert subframes_per_epoch(state.alloc) == subframes_per_epoch(fresh.alloc)
+        occupied = [(b, list(m)) for b, m in blocks(state.alloc)]
+        assert occupied == [(b, list(m)) for b, m in blocks(fresh.alloc)]
         for name in ("total_power_dbm", "per_rb_power_dbm", "per_rb_power_mw", "capped"):
             assert np.array_equal(getattr(state, name), getattr(fresh, name))
         # the per-RB received power rows in the per-slot layout
@@ -615,7 +614,7 @@ def acceptance_drop_gains(drop, picos_per_sector=2, users_per_sector=12, master_
     layout = build_layout(500.0)
     picos, pico_sector = place_picos(layout, picos_per_sector, rng)
     nodes = place_users(layout, picos, pico_sector, users_per_sector, rng)
-    return compute_gain_matrix(layout, nodes, rng, Scenario().radio_params())
+    return compute_gain_matrix(layout, nodes, rng, Scenario())
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.6, 0.8, 1.0])

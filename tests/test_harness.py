@@ -1,14 +1,14 @@
 import math
 import os
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetsim import harness, metrics
-from hetsim.cell_selection import NetworkState, select_interference_based
+from hetsim.cell_selection import VALID_KINDS, NetworkState, select_interference_based
 from hetsim.cli import main as cli_main
 from hetsim.harness import (
     ConfigError,
@@ -28,6 +28,7 @@ from hetsim.metrics import NoiseModel, SinrReport, SinrRun, SinrSample, percenti
 from hetsim.radio import compute_gain_matrix
 from hetsim.topology import build_layout, place_picos, place_users
 from hetsim.uplink_power import PowerConfig
+from reference import block_members, blocks, user_wideband_sinr_db
 
 # small but complete scenario: 57 picos, 171 users, every strategy
 TINY = replace(
@@ -117,13 +118,16 @@ def test_drop_streams_are_distinct():
     assert [s.sinr_db for s in a.samples] != [s.sinr_db for s in b.samples]
 
 
-def test_scenario_validation_errors():
+def test_scenario_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         replace(Scenario(), drops=0).validate()
     with pytest.raises(ConfigError):
         replace(Scenario(), users_per_sector=1, picos_per_sector=2).validate()
-    with pytest.raises(ConfigError):
-        replace(Scenario(), sites=7).validate()
+    # the layout is fixed at 19 sites: no key sets another count
+    path = tmp_path / "sites.cfg"
+    path.write_text("[layout]\nsites = 7\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="sites"):
+        load_scenario(str(path))
     with pytest.raises(ConfigError):
         replace(Scenario(), alphas=(1.2,)).validate()
     with pytest.raises(ConfigError):
@@ -201,6 +205,121 @@ def test_config_per_alpha_p0_round_trip(tmp_path):
     assert replace(Scenario(), p0_dbm=[-80.0]) == replace(Scenario(), p0_dbm=-80.0)
 
 
+DEFAULT_INI = """\
+[layout]
+isd_m = 500
+picos_per_sector = 2
+users_per_sector = 12
+
+[radio]
+macro_pl_const_db = 128.1
+macro_pl_slope = 37.6
+pico_pl_const_db = 140.7
+pico_pl_slope = 36.7
+macro_shadow_sigma_db = 8
+pico_shadow_sigma_db = 10
+antenna_max_atten_db = 20
+antenna_theta3db_deg = 70
+macro_rx_gain_db = 15
+pico_rx_gain_db = 5
+penetration_loss_db = 20
+macro_rs_power_dbm = 46
+pico_rs_power_dbm = 30
+min_pico_to_macro_m = 75
+min_pico_to_pico_m = 35
+pico_coverage_radius_m = 50
+noise_psd_dbm_hz = -174
+noise_figure_db = 5
+total_bandwidth_mhz = 10
+
+[power]
+p0_dbm = -90
+max_ue_power_dbm = 23
+rbs_per_user = 4
+total_data_rbs = 48
+alphas = 0.4, 0.6, 0.8, 1
+
+[selection]
+strategies = rsrp, pl, cre, interference
+cre_bias_db = 6
+max_passes = 20
+
+[run]
+drops = 20
+master_seed = 1
+workers = 1
+
+"""
+
+
+def test_default_scenario_ini_text():
+    # sections and keys in file order, derived from the Scenario fields
+    assert scenario_to_ini(Scenario()) == DEFAULT_INI
+
+
+# any finite float: many, such as 0.1 + 0.2 and 1 / 3, do not read back equal from '%g'
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Any Scenario that validates: every field drawn, bounded ones inside their bounds."""
+    by_type = {"float": FLOATS, "int": st.integers()}
+    values = {f.name: draw(by_type[f.type]) for f in fields(Scenario) if f.type in by_type}
+    picos = draw(st.integers(0, 50))
+    rbs = draw(st.integers(1, 12))
+    data_rbs = rbs * draw(st.integers(0, 12))
+    alphas = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True)))
+    p0 = draw(st.one_of(FLOATS, st.lists(FLOATS, min_size=len(alphas), max_size=len(alphas))))
+    # strategy tokens with distinct labels: plain kinds, and cre with its own bias
+    kinds = draw(st.lists(st.sampled_from(VALID_KINDS), unique=True))
+    biases = draw(st.lists(FLOATS, max_size=3, unique_by=lambda b: f"{b:g}"))
+    cre_bias = values["cre_bias_db"]
+    if "cre" in kinds and f"{cre_bias:g}" in {f"{b:g}" for b in biases}:
+        kinds.remove("cre")
+    strategies = draw(st.permutations(kinds + [f"cre:{b!r}" for b in biases]))
+    path = st.text(alphabet="abcXYZ019_-./%()", max_size=8)
+    output_dir = draw(st.one_of(st.none(), st.tuples(path, path).map("%".join)))
+    values.update(
+        isd_m=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        picos_per_sector=picos,
+        users_per_sector=picos + draw(st.integers(0, 50)),
+        rbs_per_user=rbs,
+        total_data_rbs=data_rbs,
+        total_bandwidth_mhz=draw(
+            st.floats(min_value=data_rbs * (NoiseModel.rb_bandwidth_hz / 1e6), allow_infinity=False)
+        ),
+        drops=draw(st.integers(min_value=1)),
+        workers=draw(st.integers(1, 64)),
+        alphas=alphas,
+        p0_dbm=p0,
+        strategies=tuple(strategies),
+        output_dir=output_dir,
+    )
+    assert values.keys() == {f.name for f in fields(Scenario)}
+    return Scenario(**values).validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=valid_scenarios())
+def test_ini_round_trip_of_any_scenario(tmp_path_factory, scenario):
+    path = tmp_path_factory.mktemp("ini") / "scenario.cfg"
+    path.write_text(scenario_to_ini(scenario), encoding="utf-8")
+    assert load_scenario(str(path)) == scenario
+
+
+def test_percent_in_a_value_is_read_literally(tmp_path, capsys):
+    path = tmp_path / "s.cfg"
+    path.write_text("[run]\noutput_dir = res%1\n", encoding="utf-8")
+    assert load_scenario(str(path)).output_dir == "res%1"
+    assert cli_main(["validate", "--config", str(path)]) == 0
+    assert "output_dir = res%1\n" in capsys.readouterr().out
+    # a campaign writes a resolved file that loads back equal
+    scenario = replace(TINY, drops=1, output_dir=str(tmp_path / "res%1"))
+    run_campaign(scenario)
+    assert load_scenario(str(tmp_path / "res%1" / "scenario.resolved.cfg")) == scenario
+
+
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[layout]\nisd_m = 500\nfrobnicate = 3\n", encoding="utf-8")
@@ -253,7 +372,7 @@ def per_user_sinr_db(state):
     g_lin, serving, alloc, p = state.gains.g_linear, state.serving, state.alloc, state.per_rb_power_mw
     out = np.empty(len(serving))
     for u in range(len(serving)):
-        members = alloc.block_members(int(alloc.user_subframe[u]), int(alloc.user_rb_start[u]))
+        members = block_members(alloc, int(alloc.user_subframe[u]), int(alloc.user_rb_start[u]))
         rx = g_lin[np.ix_(serving[members], members)] * p[members][None, :]
         i = int(np.flatnonzero(members == u)[0])
         gamma_rb = rx[i, i] / (rx.sum(axis=1)[i] - rx[i, i] + state.noise_rb_mw)
@@ -269,7 +388,6 @@ def test_fast_sinr_path_matches_reference():
     from hetsim.cell_selection import NetworkState
     from hetsim.harness import _all_user_sinr_db, random_small_gains
     from hetsim.metrics import NoiseModel
-    from test_metrics import user_wideband_sinr_db
     from hetsim.uplink_power import PowerConfig
 
     rng = np.random.default_rng(13)
@@ -292,7 +410,7 @@ def per_block_sinr_db(state):
     serving = state.serving
     p = state.per_rb_power_mw
     out = np.empty(len(serving))
-    for _, members in state.alloc.blocks():
+    for _, members in blocks(state.alloc):
         rx = g_lin[np.ix_(serving[members], members)] * p[members][None, :]
         signal = np.diagonal(rx)
         gamma_rb = signal / (rx.sum(axis=1) - signal + state.noise_rb_mw)
@@ -348,7 +466,7 @@ def former_drop_samples(scenario, drop_index):
         layout, picos, pico_sector, scenario.users_per_sector, rng,
         seed_radius_m=scenario.pico_coverage_radius_m,
     )
-    gains = compute_gain_matrix(layout, nodes, rng, scenario.radio_params())
+    gains = compute_gain_matrix(layout, nodes, rng, scenario)
     noise_mw = scenario.noise_model().per_rb_noise_mw
     cell_tier = gains.cell_tier.tolist()
     samples = []
@@ -553,6 +671,29 @@ def test_cli_alphas_override_must_match_p0_list(tmp_path, capsys):
     code = cli_main(["run", "--config", str(path), "--alphas", "0.8", "--drops", "1"])
     assert code == 2
     assert "p0_dbm" in capsys.readouterr().err
+
+
+def test_cli_run_options_override_their_fields():
+    from hetsim.cli import _build_parser, _scenario_from_args
+
+    args = _build_parser().parse_args([
+        "run", "--drops", "3", "--seed", "7", "--out", "o%1", "--strategies", "rsrp, cre:3",
+        "--alphas", "0.4,1", "--picos-per-sector", "1", "--workers", "2",
+    ])
+    assert _scenario_from_args(args) == replace(
+        Scenario(), drops=3, master_seed=7, output_dir="o%1", strategies=("rsrp", "cre:3"),
+        alphas=(0.4, 1.0), picos_per_sector=1, workers=2,
+    )
+
+
+def test_cli_failed_campaign_prints_an_error_line(tmp_path, capsys):
+    # no pico fits 10 km from every site: the drop fails while placing
+    path = tmp_path / "s.cfg"
+    path.write_text("[radio]\nmin_pico_to_macro_m = 10000\n", encoding="utf-8")
+    assert cli_main(["run", "--config", str(path), "--drops", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: campaign aborted: drop 0 failed in placement: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_oracle(capsys):

@@ -15,34 +15,10 @@ from hetsim.metrics import (
     wideband_sinr,
 )
 from hetsim.radio import GainMatrix
-from hetsim.scheduler import cochannel_interferers
 from hetsim.uplink_power import PowerConfig
+from reference import per_rb_sinr, user_wideband_sinr_db
 
 NOISE = NoiseModel()
-
-
-# ---- scalar SINR reference forms ----------------------------------------------
-
-
-def per_rb_sinr(user: int, rb: int, state: NetworkState) -> float:
-    """Linear SINR of one user on one of its own resource blocks."""
-    alloc = state.alloc
-    start = int(alloc.user_rb_start[user])
-    if not start <= rb < start + alloc.rbs_per_user:
-        raise ValueError(f"user {user} is not scheduled on rb {rb}")
-    g_lin = state.gains.g_linear
-    cell = int(state.serving[user])
-    signal = state.per_rb_power_mw[user] * g_lin[cell, user]
-    others = cochannel_interferers(alloc, state.serving, user, rb)
-    interference = float(g_lin[cell, others] @ state.per_rb_power_mw[others]) if len(others) else 0.0
-    return float(signal / (interference + state.noise_rb_mw))
-
-
-def user_wideband_sinr_db(user: int, state: NetworkState) -> float:
-    """Wideband SINR (dB) over the user's blocks in its scheduled subframe."""
-    per_rb = [per_rb_sinr(user, rb, state) for rb in state.alloc.rb_range(user)]
-    per_sc = np.repeat(per_rb, SUBCARRIERS_PER_RB)
-    return 10.0 * math.log10(wideband_sinr(per_sc))
 
 
 def literal_combiner(values):

@@ -11,9 +11,9 @@ from hetsim.radio import (
     antenna_pattern_db,
     compute_gain_matrix,
     path_loss_db,
-    rsrp_dbm,
 )
 from hetsim.topology import NodeSet, build_layout
+from reference import rsrp_dbm
 
 NO_SHADOW = RadioParams(macro_shadow_sigma_db=0.0, pico_shadow_sigma_db=0.0)
 

