@@ -16,14 +16,14 @@ changes, and only users of one slot share blocks, so the search is one
 independent game per slot. The allocation and NetworkState's received
 powers therefore keep their users in scheduler's per-slot layout, and
 one kernel, _block_metric, scores any batch of users with one stacked
-product: _metric_rows feeds it users of a state, and the brute-force
-oracle every user of every assignment at once. The search walks each
-pass in steps of one user per slot, scores a step's users together and
-commits its moves in index order. A move re-ranks only the mover's slot
-inside its old and new cell and marks for re-evaluation only the users
-whose block it touched; a
-search that returns to an earlier pass-end assignment is fast-forwarded
-along its cycle.
+product: the search feeds it the users at one position of every slot,
+and the brute-force oracle every user of every assignment at once. The
+search walks each pass position by position, scores a position's users
+together and commits its moves in index order. A move re-ranks only the
+mover's slot inside its old and new cell, reads the mover's power from
+a per-(cell, user) open-loop table, and marks for re-evaluation only
+the users whose block it touched; a search that returns to an earlier
+pass-end assignment is fast-forwarded along its cycle.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class NetworkState:
     The allocation keeps its users in the per-slot layout of
     scheduler.per_slot, and rows[s, j] is the per-RB received power at
     every cell of the user at alloc.subframe[s, j] (zero rows pad short
-    slots). The rows are built on first use: a state built only for SINR
-    never needs them.
+    slots). The rows are built on first use, and power_table on the first
+    move: a state built only for SINR never needs them.
     """
 
     gains: GainMatrix
@@ -109,11 +109,9 @@ class NetworkState:
         noise_rb_mw: float,
         total_rbs: int = 48,
     ) -> "NetworkState":
-        """State of an assignment. Coupling loss to the serving cell (the
-        negative composite gain, shadowing included) is what the open-loop
-        law compensates."""
+        """State of an assignment; each user's power follows its link to its serving cell."""
         serving = np.asarray(serving, dtype=int)
-        power = uplink_power.open_loop_power(power_cfg, -gains.g[serving, np.arange(len(serving))])
+        power, mw = _power_table(power_cfg, gains.g[serving, np.arange(len(serving))])
         return cls(
             gains=gains,
             serving=serving,
@@ -123,7 +121,7 @@ class NetworkState:
             total_rbs=total_rbs,
             total_power_dbm=power.total_dbm,
             per_rb_power_dbm=power.per_rb_dbm,
-            per_rb_power_mw=10.0 ** (power.per_rb_dbm / 10.0),
+            per_rb_power_mw=mw,
             capped=power.capped,
         )
 
@@ -132,28 +130,55 @@ class NetworkState:
         """(slots, users_per_slot, cells) per-RB received power of every user at every cell."""
         return per_slot(self.gains.g_linear.T * self.per_rb_power_mw[:, None], self.alloc.slots)
 
+    @cached_property
+    def power_table(self) -> tuple[uplink_power.UserPower, np.ndarray]:
+        """Open-loop power of every user at every cell, (cells, K) arrays, and its per-RB mW."""
+        return _power_table(self.power_cfg, self.gains.g)
+
     def move_user(self, user: int, cell: int) -> np.ndarray:
         """Commit a serving-cell change; return the users whose metric it can change.
 
-        A user's metric reads only who shares its block and their powers,
-        and only the mover's power changes, so the users the allocation's
-        move touches are all that can change. The mover's power and row
-        are refreshed.
+        Only the mover's slot is re-ranked, inside its old and new cell, in a
+        copy of the subframes, so an Allocation taken before the move keeps
+        its values. The mover's power comes from power_table, and only it
+        changes, so the users that can change are those now in the mover's
+        block or in a block that a user whose subframe changed left or entered.
         """
+        alloc = self.alloc
+        slots = alloc.slots
+        pos, slot = divmod(user, slots)
         old_cell = int(self.serving[user])
         self.serving[user] = cell
-        self.alloc, touched = self.alloc.move(self.serving, user, old_cell)
+        cells = self.serving[slot::slots]
+        subframe = alloc.subframe.copy()
+        before, row = alloc.subframe[slot], subframe[slot]
+        for group_cell in (old_cell, cell):
+            group = (cells == group_cell).nonzero()[0]
+            row[group] = np.arange(len(group))
+        self.alloc = Allocation(subframe, alloc.n_users, alloc.rbs_per_user, alloc.total_rbs)
+        changed = row != before
+        hit = np.zeros(len(row) + 1, dtype=bool)  # hit[-1] stays False for the padding
+        hit[before[changed]] = True
+        hit[row[changed]] = True
+        hit[row[pos]] = True
 
-        one = slice(user, user + 1)
-        power = uplink_power.open_loop_power(self.power_cfg, -self.gains.g[cell, one])
-        mw = 10.0 ** (power.per_rb_dbm / 10.0)
-        self.total_power_dbm[one] = power.total_dbm
-        self.per_rb_power_dbm[one] = power.per_rb_dbm
-        self.capped[one] = power.capped
-        self.per_rb_power_mw[one] = mw
-        pos, slot = divmod(user, self.alloc.slots)
-        self.rows[slot, pos] = self.gains.g_linear[:, user] * mw
-        return touched
+        power, mw = self.power_table
+        self.total_power_dbm[user] = power.total_dbm[cell, user]
+        self.per_rb_power_dbm[user] = power.per_rb_dbm[cell, user]
+        self.capped[user] = power.capped[cell, user]
+        self.per_rb_power_mw[user] = mw[cell, user]
+        self.rows[slot, pos] = self.gains.g_linear[:, user] * mw[cell, user]
+        return slot + slots * hit[row].nonzero()[0]
+
+
+def _power_table(power_cfg: PowerConfig, g: np.ndarray) -> tuple[uplink_power.UserPower, np.ndarray]:
+    """Open-loop power of links with composite gains g (any shape), and its per-RB mW.
+
+    The law compensates the coupling loss -g; each entry has the bits of a
+    call on that link alone.
+    """
+    power = uplink_power.open_loop_power(power_cfg, -g)
+    return power, 10.0 ** (power.per_rb_dbm / 10.0)
 
 
 def _argbest(values: np.ndarray, space: tuple[int, ...] | None, maximize: bool) -> np.ndarray:
@@ -195,33 +220,22 @@ def _block_metric(mask, rows, gain, rbs_per_user, noise_rb_mw, items=slice(None)
     return rbs_per_user * (interference + noise_rb_mw) / gain
 
 
-def _metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
-    """(len(users), cells) interference metric of each user against every cell.
+def _position_metrics(state: NetworkState, g_slot: np.ndarray, j: int, live: np.ndarray) -> np.ndarray:
+    """(len(live), cells) metric of the user at position j of each slot in live.
 
-    Blocks are aligned, so the co-scheduled set is identical on each of
-    a user's RBs and the per-block sum is rbs_per_user times the
-    single-RB term. Same-cell co-channel users cannot exist (orthogonal
-    intra-cell allocation), so user k's co-set is every other user of
-    its slot in its subframe: a 0/1 mask over the slot that is zero at
-    k, and its interference is a sum of nonnegative terms.
+    live holds ascending slots with a user at j, and the product runs over
+    the slot range they span, as views. Blocks are aligned and same-cell
+    users never share one, so the co-set of the user at [s, j] on each of
+    its RBs is every other user of slot s in its subframe: row s of the
+    mask, zero at column j. g_slot is per_slot(g_linear.T).
     """
-    users = np.asarray(users)
-    pos, slot = np.divmod(users, state.alloc.slots)
-    subframe = state.alloc.subframe[slot]
-    batch = np.arange(len(users))
-    mask = subframe == subframe[batch, pos][:, None]
-    mask[batch, pos] = False
-    if len(users) > 1 and (slot[1:] > slot[:-1]).all():
-        # ascending slots (a search step): multiply the slot range in place
-        # instead of copying each user's slot, zero masks on the gaps
-        offset = slot - slot[0]
-        stacked = np.zeros((offset[-1] + 1, mask.shape[1]))
-        stacked[offset] = mask
-        mask, rows, items = stacked, state.rows[slot[0]:slot[-1] + 1], offset
-    else:
-        mask, rows, items = mask.astype(float), state.rows[slot], slice(None)
-    gain = state.gains.g_linear[:, users].T
-    return _block_metric(mask, rows, gain, state.power_cfg.rbs_per_user, state.noise_rb_mw, items)
+    lo, hi = live[0], live[-1] + 1
+    subframe = state.alloc.subframe[lo:hi]
+    mask = (subframe == subframe[:, j:j + 1]).astype(float)
+    mask[:, j] = 0.0
+    return _block_metric(
+        mask, state.rows[lo:hi], g_slot[live, j], state.power_cfg.rbs_per_user, state.noise_rb_mw, live - lo
+    )
 
 
 def select_interference_based(
@@ -241,10 +255,10 @@ def select_interference_based(
     without moves means convergence; ties prefer the incumbent cell.
 
     Users in different RB slots never affect each other, so a pass walks
-    in steps of one user per slot (users slots*j .. slots*j + slots - 1),
-    scores the step's users in one batched call and commits its movers in
-    index order: the same moves, in the same per-slot order, as a visit
-    of one user at a time.
+    the positions j of the per-slot layout, one user per slot (users
+    slots*j .. slots*j + slots - 1), scores a position's users in one
+    batched call and commits its movers in index order: the same moves,
+    in the same per-slot order, as a visit of one user at a time.
 
     A user whose block no move has touched since it last stayed put is
     skipped: its metric vector, and so its choice, would be the same. The
@@ -261,12 +275,15 @@ def select_interference_based(
         serving = np.asarray(initial, dtype=int).copy()
     state = NetworkState.build(gains, serving, power_cfg, noise_rb_mw, total_rbs)
 
-    space = np.arange(gains.n_cells) if cfg.search_space is None else np.asarray(cfg.search_space, dtype=int)
-    position = np.full(gains.n_cells, -1)   # cell -> its column in space
+    n_cells = gains.n_cells
+    space = np.arange(n_cells) if cfg.search_space is None else np.asarray(cfg.search_space, dtype=int)
+    position = np.full(n_cells, -1)   # cell -> its column in space
     position[space] = np.arange(len(space))
     if (position[state.serving] < 0).any():
         raise ValueError("initial assignment uses cells outside the search space")
+    columns = slice(None) if np.array_equal(space, np.arange(n_cells)) else space
     slots = state.alloc.slots
+    g_slot = per_slot(gains.g_linear.T, slots, fill=1.0)  # finite padding, never read as live
     dirty = np.ones(gains.n_users, dtype=bool)
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
     seen = {state.serving.tobytes(): 0}
@@ -275,12 +292,13 @@ def select_interference_based(
     cycle_start = period = None
     while len(moves_per_pass) < cfg.max_passes:
         moves = 0
-        for start in range(0, gains.n_users, slots):
-            step = start + np.flatnonzero(dirty[start:start + slots])
-            if not len(step):
+        for j, start in enumerate(range(0, gains.n_users, slots)):
+            live = dirty[start:start + slots].nonzero()[0]
+            if not len(live):
                 continue
+            step = start + live
             dirty[step] = False
-            metrics = _metric_rows(step, state)[:, space]
+            metrics = _position_metrics(state, g_slot, j, live)[:, columns]
             batch = np.arange(len(step))
             best = metrics.argmin(axis=1)
             current = state.serving[step]
@@ -355,8 +373,7 @@ def _assignment_metrics(
     mask = padded[:, members] == subframe[:, :, None]                          # (A, K, U)
     mask[:, users, users // slots] = False
     # per-RB received power of user j at every cell when served by cells[i]
-    power = uplink_power.open_loop_power(power_cfg, -gains.g[cell_arr])
-    mw = 10.0 ** (power.per_rb_dbm / 10.0)                                     # (len(cells), K)
+    _, mw = _power_table(power_cfg, gains.g[cell_arr])                         # (len(cells), K)
     g_lin_t = gains.g_linear.T
     received = np.zeros((n_users + 1, len(cells), gains.n_cells))
     received[:n_users] = g_lin_t[:, None, :] * mw.T[:, :, None]

@@ -14,6 +14,7 @@ import configparser
 import io
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
@@ -114,6 +115,13 @@ class Scenario(RadioParams):
             )
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        texts = [("strategies", token) for token in self.strategies] + [("output_dir", self.output_dir or "")]
+        for name, text in texts:
+            if text != text.strip() or re.search(r"(?:^|\s)[;#]", text):
+                raise ConfigError(
+                    f"{name} value {text!r} would not read back from a scenario file: it starts or ends "
+                    "with whitespace, or a ';' or '#' comes first in it or after whitespace"
+                )
         labels = [_parse_strategy_token(token, self).label for token in self.strategies]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"strategies repeat a label: {', '.join(labels)}")

@@ -10,8 +10,8 @@ cell's transmissions are always orthogonal and co-channel interference
 comes only from other cells' users on the same subframe and RBs.
 
 Only users of one slot ever share a block, so an Allocation keeps its
-subframes in a per-slot layout (see per_slot) and a move re-ranks the
-mover's slot alone.
+subframes in a per-slot layout (see per_slot), and a change of one
+user's cell re-ranks that user's slot alone.
 
 For the canonical case of one cell holding users 0..L-1 this reproduces
 plain left-to-right packing: blocks [0-3], [4-7], ... in subframe 0,
@@ -65,32 +65,6 @@ class Allocation:
     def block_key(self) -> np.ndarray:
         """(K,) block id subframe * total_rbs + rb_start of every user."""
         return self.user_subframe * self.total_rbs + self.user_rb_start
-
-    def move(self, serving: np.ndarray, user: int, old_cell: int) -> tuple["Allocation", np.ndarray]:
-        """Allocation after `user` moved from old_cell to serving[user], and the users it touched.
-
-        Equal to allocate(serving, ...): only the ranks of the user's slot
-        inside its old and new cell can change, so only that slot is
-        re-ranked. The touched users are those now in the mover's block
-        or in a block that a user whose subframe changed left or entered.
-        """
-        slots = self.slots
-        slot, pos = user % slots, user // slots
-        cells = serving[slot::slots]
-        before = self.subframe[slot]
-        row = before.copy()
-        for cell in (old_cell, cells[pos]):
-            group = np.flatnonzero(cells == cell)
-            row[group] = np.arange(len(group))
-        changed = row != before
-        hit = np.zeros(len(row) + 1, dtype=bool)  # hit[-1] stays False for the padding
-        hit[before[changed]] = True
-        hit[row[changed]] = True
-        hit[row[pos]] = True
-        subframe = self.subframe.copy()
-        subframe[slot] = row
-        moved = Allocation(subframe, self.n_users, self.rbs_per_user, self.total_rbs)
-        return moved, slot + slots * np.flatnonzero(hit[row])
 
 
 def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = 48, rbs_per_user: int = 4) -> Allocation:

@@ -43,9 +43,6 @@ class Layout:
     def n_sectors(self) -> int:
         return len(self.sector_site)
 
-    def sector_position(self, sector: int) -> np.ndarray:
-        return self.sites[self.sector_site[sector]]
-
 
 @dataclass(frozen=True)
 class NodeSet:

@@ -1,17 +1,22 @@
 """Scalar reference forms of the interference metric, the SINR and the
-block lookups, one user and one RB at a time.
+block lookups, one user and one RB at a time, and the former forms of
+the search path.
 
 No simulator path calls these. The search, the brute-force oracle and
 the drop runner use the batched kernels; the tests check those kernels
 against these forms, and the acceptance suite builds its independent
-checks on them.
+checks on them. The search as it was before it scored by pass position
+(metric_rows, allocation_move, former_search) is kept for the tests
+that compare the search and its in-place moves against it.
 """
 
 import math
 
 import numpy as np
 
+from hetsim.cell_selection import MOVE_REL_THRESHOLD, Assignment, NetworkState, _block_metric, select_rsrp
 from hetsim.metrics import SUBCARRIERS_PER_RB, wideband_sinr
+from hetsim.scheduler import Allocation
 
 _EMPTY = np.array([], dtype=int)
 
@@ -124,3 +129,132 @@ def user_wideband_sinr_db(user: int, state) -> float:
     per_rb = [per_rb_sinr(user, rb, state) for rb in rb_range(state.alloc, user)]
     per_sc = np.repeat(per_rb, SUBCARRIERS_PER_RB)
     return 10.0 * math.log10(wideband_sinr(per_sc))
+
+
+# ---- the search path before it scored by pass position -----------------------------
+
+
+def metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
+    """(len(users), cells) interference metric of each user against every cell.
+
+    Blocks are aligned, so the co-scheduled set is identical on each of
+    a user's RBs and the per-block sum is rbs_per_user times the
+    single-RB term. Same-cell co-channel users cannot exist (orthogonal
+    intra-cell allocation), so user k's co-set is every other user of
+    its slot in its subframe: a 0/1 mask over the slot that is zero at
+    k, and its interference is a sum of nonnegative terms.
+    """
+    users = np.asarray(users)
+    pos, slot = np.divmod(users, state.alloc.slots)
+    subframe = state.alloc.subframe[slot]
+    batch = np.arange(len(users))
+    mask = subframe == subframe[batch, pos][:, None]
+    mask[batch, pos] = False
+    if len(users) > 1 and (slot[1:] > slot[:-1]).all():
+        # ascending slots (a search step): multiply the slot range in place
+        # instead of copying each user's slot, zero masks on the gaps
+        offset = slot - slot[0]
+        stacked = np.zeros((offset[-1] + 1, mask.shape[1]))
+        stacked[offset] = mask
+        mask, rows, items = stacked, state.rows[slot[0]:slot[-1] + 1], offset
+    else:
+        mask, rows, items = mask.astype(float), state.rows[slot], slice(None)
+    gain = state.gains.g_linear[:, users].T
+    return _block_metric(mask, rows, gain, state.power_cfg.rbs_per_user, state.noise_rb_mw, items)
+
+
+def allocation_move(alloc, serving: np.ndarray, user: int, old_cell: int) -> tuple[Allocation, np.ndarray]:
+    """Allocation after `user` moved from old_cell to serving[user], and the users it touched.
+
+    Equal to allocate(serving, ...): only the ranks of the user's slot
+    inside its old and new cell can change, so only that slot is
+    re-ranked. The touched users are those now in the mover's block
+    or in a block that a user whose subframe changed left or entered.
+    """
+    slots = alloc.slots
+    slot, pos = user % slots, user // slots
+    cells = serving[slot::slots]
+    before = alloc.subframe[slot]
+    row = before.copy()
+    for cell in (old_cell, cells[pos]):
+        group = np.flatnonzero(cells == cell)
+        row[group] = np.arange(len(group))
+    changed = row != before
+    hit = np.zeros(len(row) + 1, dtype=bool)  # hit[-1] stays False for the padding
+    hit[before[changed]] = True
+    hit[row[changed]] = True
+    hit[row[pos]] = True
+    subframe = alloc.subframe.copy()
+    subframe[slot] = row
+    moved = Allocation(subframe, alloc.n_users, alloc.rbs_per_user, alloc.total_rbs)
+    return moved, slot + slots * np.flatnonzero(hit[row])
+
+
+def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48, initial=None) -> Assignment:
+    """select_interference_based as it was before it scored by pass position.
+
+    A pass walks in steps of one user per slot and scores each step's
+    dirty users through metric_rows; the moves, the dirty marking, the
+    cycle fast-forward and the bookkeeping are those of the search.
+    """
+    if initial is None:
+        serving = select_rsrp(gains, cfg.search_space).c.copy()
+    else:
+        serving = np.asarray(initial, dtype=int).copy()
+    state = NetworkState.build(gains, serving, power_cfg, noise_rb_mw, total_rbs)
+
+    space = np.arange(gains.n_cells) if cfg.search_space is None else np.asarray(cfg.search_space, dtype=int)
+    position = np.full(gains.n_cells, -1)   # cell -> its column in space
+    position[space] = np.arange(len(space))
+    if (position[state.serving] < 0).any():
+        raise ValueError("initial assignment uses cells outside the search space")
+    slots = state.alloc.slots
+    dirty = np.ones(gains.n_users, dtype=bool)
+    pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
+    seen = {state.serving.tobytes(): 0}
+    moves_per_pass: list[int] = []
+    converged = False
+    cycle_start = period = None
+    while len(moves_per_pass) < cfg.max_passes:
+        moves = 0
+        for start in range(0, gains.n_users, slots):
+            step = start + np.flatnonzero(dirty[start:start + slots])
+            if not len(step):
+                continue
+            dirty[step] = False
+            metrics = metric_rows(step, state)[:, space]
+            batch = np.arange(len(step))
+            best = metrics.argmin(axis=1)
+            current = state.serving[step]
+            own = metrics[batch, position[current]]
+            moving = (space[best] != current) & (metrics[batch, best] < own * (1.0 - MOVE_REL_THRESHOLD))
+            for k, cell in zip(step[moving].tolist(), space[best[moving]].tolist()):
+                dirty[state.move_user(k, cell)] = True
+                moves += 1
+        moves_per_pass.append(moves)
+        if moves == 0:
+            converged = True
+            break
+        end = state.serving.tobytes()
+        if end in seen:
+            cycle_start = seen[end]
+            period = len(moves_per_pass) - cycle_start
+            break
+        seen[end] = len(moves_per_pass)
+        pass_ends.append(state.serving.copy())
+
+    c = state.serving.copy()
+    detected = None
+    if period:
+        detected = len(moves_per_pass)
+        c = pass_ends[cycle_start + (cfg.max_passes - cycle_start) % period]
+        while len(moves_per_pass) < cfg.max_passes:
+            moves_per_pass.append(moves_per_pass[-period])
+    return Assignment(
+        c=c,
+        converged=converged,
+        passes_used=len(moves_per_pass),
+        moves_per_pass=moves_per_pass,
+        cycle_period=period,
+        cycle_detected_at=detected,
+    )

@@ -15,12 +15,22 @@ from hetsim.cell_selection import (
     select_pl,
     select_rsrp,
     _assignment_metrics,
-    _metric_rows,
+    _position_metrics,
+    _power_table,
 )
 from hetsim.metrics import NoiseModel
 from hetsim.radio import GainMatrix
-from hetsim.uplink_power import PowerConfig
-from reference import adaptive_bias, blocks, interference_metric, subframes_per_epoch
+from hetsim.scheduler import per_slot
+from hetsim.uplink_power import PowerConfig, open_loop_power
+from reference import (
+    adaptive_bias,
+    allocation_move,
+    blocks,
+    former_search,
+    interference_metric,
+    metric_rows,
+    subframes_per_epoch,
+)
 
 NOISE_MW = NoiseModel().per_rb_noise_mw
 
@@ -138,7 +148,7 @@ def test_metric_matches_literal_formula():
         state = NetworkState.build(gains, serving, PowerConfig(-90.0, 0.8), NOISE_MW, total_rbs=4)
         g_lin = 10 ** (gains.g / 10.0)
         p_mw = 10 ** (state.per_rb_power_dbm / 10.0)
-        kernel = _metric_rows(np.arange(n_users), state)
+        kernel = metric_rows(np.arange(n_users), state)
         for k in range(n_users):
             sf = state.alloc.user_subframe[k]
             co = [
@@ -232,7 +242,7 @@ def test_two_user_pile_splits_and_is_stable():
     assert result.passes_used == 2
     # verify stability by each user's unilateral metrics
     state = NetworkState.build(gains, result.c, power, NOISE_MW, total_rbs=4)
-    for k, metrics in enumerate(_metric_rows(np.arange(2), state)):
+    for k, metrics in enumerate(metric_rows(np.arange(2), state)):
         assert metrics[result.c[k]] == pytest.approx(metrics.min(), rel=1e-12)
 
 
@@ -249,7 +259,7 @@ def test_converged_run_has_no_improving_deviation():
             continue
         checked += 1
         state = NetworkState.build(gains, result.c, power, NOISE_MW, total_rbs=4)
-        for k, metrics in enumerate(_metric_rows(np.arange(5), state)):
+        for k, metrics in enumerate(metric_rows(np.arange(5), state)):
             own = metrics[result.c[k]]
             assert metrics.min() >= own * (1.0 - MOVE_REL_THRESHOLD)
     assert checked >= 15  # the dynamics should converge on most small instances
@@ -353,7 +363,7 @@ def reference_brute_force_oracle(gains, power_cfg, noise_rb_mw, total_rbs=48, se
     for combo in itertools.product(cells, repeat=gains.n_users):
         serving = np.array(combo, dtype=int)
         state = NetworkState.build(gains, serving, power_cfg, noise_rb_mw, total_rbs)
-        arrays.append(_metric_rows(users, state))
+        arrays.append(metric_rows(users, state))
         metrics = arrays[-1][:, cell_arr]
         own = metrics[users, [cells.index(c) for c in combo]]
         total = own.sum()
@@ -424,7 +434,7 @@ def test_descent_moves_strictly_improve():
     for _ in range(20):
         moved = False
         for k in range(5):
-            metrics = _metric_rows([k], state)[0]
+            metrics = metric_rows([k], state)[0]
             current = int(state.serving[k])
             best = int(np.argmin(metrics))
             if best != current and metrics[best] < metrics[current] * (1 - MOVE_REL_THRESHOLD):
@@ -452,7 +462,7 @@ def reference_best_response(gains, power, cfg, total_rbs):
     for _ in range(cfg.max_passes):
         moves = 0
         for k in range(gains.n_users):
-            metrics = _metric_rows([k], state)[0]
+            metrics = metric_rows([k], state)[0]
             current = int(serving[k])
             best = int(np.argmin(metrics))
             if best != current and metrics[best] < metrics[current] * (1.0 - MOVE_REL_THRESHOLD):
@@ -548,7 +558,7 @@ def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_m
     unscored = NetworkState.build(gains, initial.copy(), power, NOISE_MW, total_rbs)
     users = np.arange(n_users)
     for _ in range(n_moves):
-        before = _metric_rows(users, state)
+        before = metric_rows(users, state)
         user, cell = int(rng.integers(0, n_users)), int(rng.integers(0, n_cells))
         touched = state.move_user(user, cell)
         unscored.move_user(user, cell)
@@ -564,7 +574,7 @@ def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_m
         assert np.array_equal(state.rows, fresh.rows)
         # skipping an untouched user is exact: its metric vector is unchanged
         untouched = np.setdiff1d(users, touched)
-        assert np.array_equal(_metric_rows(untouched, state), before[untouched])
+        assert np.array_equal(metric_rows(untouched, state), before[untouched])
     assert np.array_equal(unscored.rows, fresh.rows)
 
 
@@ -598,8 +608,8 @@ def test_metric_rows_batch_equals_single_calls(seed, n_cells, slots, n_users, da
         users = data.draw(
             st.lists(st.integers(0, n_users - 1), min_size=1, max_size=min(12, n_users), unique=True)
         )
-    batch = _metric_rows(np.array(users), state)
-    single = np.vstack([_metric_rows(np.array([u]), state) for u in users])
+    batch = metric_rows(np.array(users), state)
+    single = np.vstack([metric_rows(np.array([u]), state) for u in users])
     assert batch.shape == (len(users), n_cells)
     assert np.array_equal(batch, single)
 
@@ -633,7 +643,7 @@ def test_metric_rows_match_scalar_metric_at_acceptance_points(alpha):
     for serving in (select_rsrp(gains).c, result.c):
         state = NetworkState.build(gains, serving.copy(), power, NOISE_MW)
         users = np.arange(gains.n_users)
-        kernel = _metric_rows(users, state)
+        kernel = metric_rows(users, state)
         # the users whose own received power most dominates their block's
         # interference plus noise, kernel / (rbs_per_user / gain)
         slots = state.alloc.slots
@@ -693,3 +703,139 @@ def test_acceptance_drop_equals_composed_slot_searches():
     assert (result.cycle_period, result.cycle_detected_at) == (2, 5)
     assert np.array_equal(result.c, c)
     assert (result.converged, result.passes_used, result.moves_per_pass) == (converged, passes, moves)
+
+
+# ---- the search by pass position against the former search --------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 5),
+    slots=st.integers(1, 12),
+    depth=st.integers(0, 4),
+    alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
+    max_passes=st.integers(1, 25),
+    twin=st.booleans(),
+    data=st.data(),
+)
+def test_search_equals_former_search(seed, n_cells, slots, depth, alpha, max_passes, twin, data):
+    # users fill depth positions and part of one more, so with two or more
+    # slots some slots are short. Search space: every cell, a proper subset
+    # or an unsorted permutation; twin: the last cell repeats cell 0's gains
+    # exactly, so their metrics tie
+    n_users = slots * depth + data.draw(st.integers(1, max(1, slots - 1)))
+    rng = np.random.default_rng(seed)
+    gains = random_gm(rng, n_cells, n_users)
+    if twin and n_cells > 1:
+        gains.g[-1] = gains.g[0]
+    space = data.draw(st.sampled_from(["all", "subset", "unsorted"]))
+    if space == "all" or n_cells == 1:
+        space = None
+    elif space == "subset":
+        space = tuple(data.draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=n_cells - 1, unique=True)))
+    else:
+        space = tuple(data.draw(st.permutations(range(n_cells)).filter(lambda order: list(order) != sorted(order))))
+    cells = range(n_cells) if space is None else space
+    initial = data.draw(st.none() | st.lists(st.sampled_from(cells), min_size=n_users, max_size=n_users).map(np.array))
+    power = PowerConfig(-90.0, alpha)
+    cfg = StrategyConfig(kind="interference", max_passes=max_passes, search_space=space)
+    result = select_interference_based(gains, power, NOISE_MW, cfg, 4 * slots, initial)
+    former = former_search(gains, power, NOISE_MW, cfg, 4 * slots, initial)
+    assert result.c.tobytes() == former.c.tobytes()
+    for name in ("converged", "passes_used", "moves_per_pass", "cycle_period", "cycle_detected_at"):
+        assert getattr(result, name) == getattr(former, name)
+
+
+def test_acceptance_drop_equals_former_search():
+    # drop 3 of the 2-pico acceptance campaign at alpha = 1 and its
+    # acceptance P0: 684 users in 12 slots, ending in a 2-cycle found at pass 6
+    gains = acceptance_drop_gains(3)
+    power = PowerConfig(-90.0, 1.0)
+    cfg = StrategyConfig(kind="interference")
+    result = select_interference_based(gains, power, NOISE_MW, cfg)
+    former = former_search(gains, power, NOISE_MW, cfg)
+    assert not result.converged and (result.cycle_period, result.cycle_detected_at) == (2, 6)
+    assert result.c.tobytes() == former.c.tobytes()
+    for name in ("converged", "passes_used", "moves_per_pass", "cycle_period", "cycle_detected_at"):
+        assert getattr(result, name) == getattr(former, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 5),
+    slots=st.integers(1, 12),
+    n_users=st.integers(1, 60),
+    n_moves=st.integers(0, 12),
+)
+def test_position_metrics_equal_metric_rows(seed, n_cells, slots, n_users, n_moves):
+    # every position of the per-slot layout, short slots included, scored
+    # for a random set of its slots: bit for bit the former per-user rows
+    rng = np.random.default_rng(seed)
+    gains = random_gm(rng, n_cells, n_users)
+    power = PowerConfig(-90.0, float(rng.choice([0.4, 0.6, 0.8, 1.0])))
+    state = NetworkState.build(gains, rng.integers(0, n_cells, n_users), power, NOISE_MW, 4 * slots)
+    for _ in range(n_moves):
+        state.move_user(int(rng.integers(0, n_users)), int(rng.integers(0, n_cells)))
+    g_slot = per_slot(gains.g_linear.T, slots, fill=1.0)
+    for j, start in enumerate(range(0, n_users, slots)):
+        present = np.arange(min(slots, n_users - start))
+        live = np.sort(rng.choice(present, size=int(rng.integers(1, len(present) + 1)), replace=False))
+        metrics = _position_metrics(state, g_slot, j, live)
+        assert metrics.tobytes() == metric_rows(start + live, state).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 5),
+    slots=st.integers(1, 12),
+    n_users=st.integers(1, 40),
+    n_moves=st.integers(1, 12),
+)
+def test_in_place_move_equals_copying_move(seed, n_cells, slots, n_users, n_moves):
+    # the in-place re-rank gives the subframes and the touched users of the
+    # former move, which copied the allocation, and leaves the allocation
+    # the state held before the move as it was
+    rng = np.random.default_rng(seed)
+    gains = random_gm(rng, n_cells, n_users)
+    state = NetworkState.build(gains, rng.integers(0, n_cells, n_users), PowerConfig(-90.0, 0.8), NOISE_MW, 4 * slots)
+    for _ in range(n_moves):
+        user, cell = int(rng.integers(0, n_users)), int(rng.integers(0, n_cells))
+        held, old_cell = state.alloc, int(state.serving[user])
+        held_subframe, held_blocks = held.subframe.copy(), held.block_key.copy()
+        serving = state.serving.copy()
+        serving[user] = cell
+        expected, expected_touched = allocation_move(held, serving, user, old_cell)
+        touched = state.move_user(user, cell)
+        assert np.array_equal(state.alloc.subframe, expected.subframe)
+        assert np.array_equal(touched, expected_touched)
+        assert np.array_equal(state.alloc.block_key, expected.block_key)
+        assert np.array_equal(held.subframe, held_subframe) and np.array_equal(held.block_key, held_blocks)
+
+
+# ---- the open-loop power table -------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.6, 0.8, 1.0])
+def test_power_table_equals_per_user_calls(alpha):
+    # 10 ** x on an array and Python's float power differ in the last bit
+    # for a few percent of exponents, so each entry's mW is computed on a
+    # one-entry array, the form a state's powers take. P0 by the
+    # common-Pmax-crossing rule caps the users beyond about 107 dB
+    rng = np.random.default_rng(11)
+    g = rng.uniform(-160.0, -60.0, size=(7, 40))
+    cfg = PowerConfig(alpha * -90.0 + (1.0 - alpha) * (23.0 - 10.0 * np.log10(4)), alpha)
+    power, mw = _power_table(cfg, g)
+    assert power.capped.any() and not power.capped.all()
+    for cell, user in itertools.product(range(7), range(40)):
+        one = open_loop_power(cfg, -g[cell, user])
+        assert np.float64(power.total_dbm[cell, user]).tobytes() == np.float64(one.total_dbm).tobytes()
+        assert np.float64(power.per_rb_dbm[cell, user]).tobytes() == np.float64(one.per_rb_dbm).tobytes()
+        assert power.capped[cell, user] == one.capped
+        assert mw[cell, user].tobytes() == (10.0 ** (np.array([one.per_rb_dbm]) / 10.0)).tobytes()
+        sliced, sliced_mw = _power_table(cfg, g[cell, user:user + 1])
+        assert sliced.per_rb_dbm.tobytes() == power.per_rb_dbm[cell, user:user + 1].tobytes()
+        assert sliced.total_dbm.tobytes() == power.total_dbm[cell, user:user + 1].tobytes()
+        assert sliced_mw.tobytes() == mw[cell, user:user + 1].tobytes()

@@ -308,6 +308,36 @@ def test_ini_round_trip_of_any_scenario(tmp_path_factory, scenario):
     assert load_scenario(str(path)) == scenario
 
 
+# a core with what the scenario reader would cut from it: leading or
+# trailing whitespace, or a ';' or '#' at the front or after whitespace
+WHITESPACE = st.text(alphabet=" \t\n\xa0", min_size=1, max_size=2)
+
+
+@st.composite
+def unreadable_text(draw, core):
+    kind = draw(st.sampled_from(["leading", "trailing", "comment", "comment first"]))
+    if kind == "leading":
+        return draw(WHITESPACE) + core
+    if kind == "trailing":
+        return core + draw(WHITESPACE)
+    comment = draw(st.sampled_from(";#")) + draw(st.text(alphabet="abc019 ;#", max_size=4))
+    if kind == "comment first":
+        return comment + core
+    return core + draw(WHITESPACE) + comment
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["output_dir", "strategies"]))
+def test_validate_rejects_text_that_would_not_read_back(data, name):
+    if name == "output_dir":
+        value = data.draw(unreadable_text(data.draw(st.text(alphabet="abcXYZ019_-./%()", max_size=8))))
+        scenario = replace(Scenario(), output_dir=value)
+    else:
+        scenario = replace(Scenario(), strategies=("pl", data.draw(unreadable_text("rsrp"))))
+    with pytest.raises(ConfigError, match=name):
+        scenario.validate()
+
+
 def test_percent_in_a_value_is_read_literally(tmp_path, capsys):
     path = tmp_path / "s.cfg"
     path.write_text("[run]\noutput_dir = res%1\n", encoding="utf-8")

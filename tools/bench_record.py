@@ -8,10 +8,11 @@ into a temporary directory, so only committed files are measured, and
 (BENCHMARK.json gives the workloads and the run length, the same for both
 sides). Per workload, PAIRS untraced pairs run, one run per side with the
 same seed (FIRST_SEED, FIRST_SEED + 1, ...), and the side that runs first
-alternates from pair to pair; then each side runs once traced at the
-workload's recorded seed. The file keeps every run's metrics; per (side,
-workload), the min, quartiles and median of each untraced metric and the
-traced per-layer metrics; per workload and end-to-end metric, the number
+alternates from pair to pair; then each side runs TRACED times traced at
+the workload's recorded seed, again alternating which side runs first.
+The file keeps every run's metrics; per (side, workload), the min,
+quartiles and median of each untraced metric and the median of each
+traced per-layer metric; per workload and end-to-end metric, the number
 of pairs the change won; and the full git revisions and the CPU count.
 """
 
@@ -31,6 +32,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PAIRS = 10       # untraced pairs per workload, enough to test a gain claim
 FIRST_SEED = 2   # away from the recorded seeds (1 and 0), whose outputs are gated
+TRACED = 3       # traced runs per side: one traced run's layer times drift with the host
 
 
 def _git(*args: str) -> bytes:
@@ -70,6 +72,11 @@ def stats(runs: list[dict]) -> dict:
     return out
 
 
+def medians(runs: list[dict]) -> dict:
+    """Median of every metric over runs."""
+    return {name: statistics.median(r["metrics"][name] for r in runs) for name in runs[0]["metrics"]}
+
+
 def wins(runs: list[dict], better: dict[str, str]) -> dict:
     """Per end-to-end metric, the pairs in which the change beat the parent."""
     untraced = {(r["side"], r["seed"]): r["metrics"] for r in runs if r["trace"] == 0}
@@ -103,16 +110,16 @@ def main(argv=None) -> int:
                     runs.append({"side": side, "workload": workload, "trace": 0, "seed": seed,
                                  **bench(dirs[side], workload, seconds, 0, seed)})
                     print(f"{workload} seed {seed} {side}: {runs[-1]['metrics']}", file=sys.stderr)
-            for side in ("parent", "change"):
-                runs.append({"side": side, "workload": workload, "trace": 1, "seed": None,
-                             **bench(dirs[side], workload, seconds, 1, None)})
+            for i in range(TRACED):
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    runs.append({"side": side, "workload": workload, "trace": 1, "seed": None,
+                                 **bench(dirs[side], workload, seconds, 1, None)})
 
     summary = {
         side: {
             workload: {
                 "untraced": stats([r for r in runs if (r["side"], r["workload"], r["trace"]) == (side, workload, 0)]),
-                "traced": next(r["metrics"] for r in runs
-                               if (r["side"], r["workload"], r["trace"]) == (side, workload, 1)),
+                "traced": medians([r for r in runs if (r["side"], r["workload"], r["trace"]) == (side, workload, 1)]),
             }
             for workload in workloads
         }
@@ -131,6 +138,7 @@ def main(argv=None) -> int:
             for workload in workloads
         },
         "pairs": PAIRS,
+        "traced_runs": TRACED,
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
