@@ -53,7 +53,6 @@ class StrategyConfig:
     kind: str
     cre_bias_db: float = 0.0       # applied to pico cells only
     max_passes: int = 20
-    search_space: tuple[int, ...] | None = None  # None = every cell
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
@@ -94,7 +93,6 @@ class NetworkState:
     alloc: Allocation
     power_cfg: PowerConfig
     noise_rb_mw: float
-    total_rbs: int
     total_power_dbm: np.ndarray
     per_rb_power_dbm: np.ndarray
     per_rb_power_mw: np.ndarray
@@ -118,7 +116,6 @@ class NetworkState:
             alloc=allocate(serving, gains.n_cells, total_rbs, power_cfg.rbs_per_user),
             power_cfg=power_cfg,
             noise_rb_mw=noise_rb_mw,
-            total_rbs=total_rbs,
             total_power_dbm=power.total_dbm,
             per_rb_power_dbm=power.per_rb_dbm,
             per_rb_power_mw=mw,
@@ -181,30 +178,21 @@ def _power_table(power_cfg: PowerConfig, g: np.ndarray) -> tuple[uplink_power.Us
     return power, 10.0 ** (power.per_rb_dbm / 10.0)
 
 
-def _argbest(values: np.ndarray, space: tuple[int, ...] | None, maximize: bool) -> np.ndarray:
-    """Per-user argmax/argmin over the search space, lowest index on ties."""
-    cells = np.arange(values.shape[0]) if space is None else np.asarray(space, dtype=int)
-    sub = values[cells]
-    pick = np.argmax(sub, axis=0) if maximize else np.argmin(sub, axis=0)
-    return cells[pick]
+def select_rsrp(gains: GainMatrix) -> Assignment:
+    """Attach every user to the strongest downlink reference signal, lowest cell on ties."""
+    return Assignment(c=np.argmax(gains.rs_power_dbm[:, None] + gains.g, axis=0))
 
 
-def select_rsrp(gains: GainMatrix, search_space: tuple[int, ...] | None = None) -> Assignment:
-    """Attach every user to the strongest downlink reference signal."""
-    rsrp = gains.rs_power_dbm[:, None] + gains.g
-    return Assignment(c=_argbest(rsrp, search_space, maximize=True))
-
-
-def select_pl(gains: GainMatrix, search_space: tuple[int, ...] | None = None) -> Assignment:
-    """Attach every user to the cell with the largest channel gain."""
-    return Assignment(c=_argbest(gains.g, search_space, maximize=True))
+def select_pl(gains: GainMatrix) -> Assignment:
+    """Attach every user to the cell with the largest channel gain, lowest cell on ties."""
+    return Assignment(c=np.argmax(gains.g, axis=0))
 
 
 def select_cre(gains: GainMatrix, cfg: StrategyConfig) -> Assignment:
     """RSRP selection with a constant range-expansion offset on picos."""
     bias = np.where(gains.cell_tier == PICO, cfg.cre_bias_db, 0.0)
     biased = gains.rs_power_dbm[:, None] + gains.g + bias[:, None]
-    return Assignment(c=_argbest(biased, cfg.search_space, maximize=True))
+    return Assignment(c=np.argmax(biased, axis=0))
 
 
 def _block_metric(mask, rows, gain, rbs_per_user, noise_rb_mw, items=slice(None)):
@@ -244,7 +232,6 @@ def select_interference_based(
     noise_rb_mw: float,
     cfg: StrategyConfig,
     total_rbs: int = 48,
-    initial: np.ndarray | None = None,
 ) -> Assignment:
     """Asynchronous best-response search for the interference-based rule.
 
@@ -269,19 +256,7 @@ def select_interference_based(
     j + (max_passes - j) % p, not converged, all passes used, and the
     moves of each pass extended periodically.
     """
-    if initial is None:
-        serving = select_rsrp(gains, cfg.search_space).c.copy()
-    else:
-        serving = np.asarray(initial, dtype=int).copy()
-    state = NetworkState.build(gains, serving, power_cfg, noise_rb_mw, total_rbs)
-
-    n_cells = gains.n_cells
-    space = np.arange(n_cells) if cfg.search_space is None else np.asarray(cfg.search_space, dtype=int)
-    position = np.full(n_cells, -1)   # cell -> its column in space
-    position[space] = np.arange(len(space))
-    if (position[state.serving] < 0).any():
-        raise ValueError("initial assignment uses cells outside the search space")
-    columns = slice(None) if np.array_equal(space, np.arange(n_cells)) else space
+    state = NetworkState.build(gains, select_rsrp(gains).c, power_cfg, noise_rb_mw, total_rbs)
     slots = state.alloc.slots
     g_slot = per_slot(gains.g_linear.T, slots, fill=1.0)  # finite padding, never read as live
     dirty = np.ones(gains.n_users, dtype=bool)
@@ -298,13 +273,13 @@ def select_interference_based(
                 continue
             step = start + live
             dirty[step] = False
-            metrics = _position_metrics(state, g_slot, j, live)[:, columns]
+            metrics = _position_metrics(state, g_slot, j, live)
             batch = np.arange(len(step))
             best = metrics.argmin(axis=1)
             current = state.serving[step]
-            own = metrics[batch, position[current]]
-            moving = (space[best] != current) & (metrics[batch, best] < own * (1.0 - MOVE_REL_THRESHOLD))
-            for k, cell in zip(step[moving].tolist(), space[best[moving]].tolist()):
+            own = metrics[batch, current]
+            moving = (best != current) & (metrics[batch, best] < own * (1.0 - MOVE_REL_THRESHOLD))
+            for k, cell in zip(step[moving].tolist(), best[moving].tolist()):
                 dirty[state.move_user(k, cell)] = True
                 moves += 1
         moves_per_pass.append(moves)
@@ -348,34 +323,31 @@ def _assignment_metrics(
     power_cfg: PowerConfig,
     noise_rb_mw: float,
     total_rbs: int,
-    cells: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every assignment of the users to cells and its metric array.
 
-    Returns grid, (A, K) positions in cells of each assignment in
+    Returns grid, (A, K) the serving cells of each assignment in
     itertools.product order, and metrics, (A, K, n_cells) the metric of
     every user of every assignment against every cell.
     """
-    n_users = gains.n_users
+    n_users, n_cells = gains.n_users, gains.n_cells
     slots = total_rbs // power_cfg.rbs_per_user
-    grid = np.array(list(itertools.product(range(len(cells)), repeat=n_users)), dtype=int).reshape(-1, n_users)
-    cell_arr = np.asarray(cells, dtype=int)
-    serving = cell_arr[grid]
+    grid = np.array(list(itertools.product(range(n_cells), repeat=n_users)), dtype=int).reshape(-1, n_users)
     users = np.arange(n_users)
     slot = users % slots
     # subframe: the number of lower-index users of the same slot and cell
     earlier = np.tril(slot[:, None] == slot[None, :], -1)
-    subframe = ((serving[:, :, None] == serving[:, None, :]) & earlier).sum(axis=2)
+    subframe = ((grid[:, :, None] == grid[:, None, :]) & earlier).sum(axis=2)
     # each user's slot in the per-slot layout; a user n_users in subframe -1
     # with zero received power pads short slots
     members = per_slot(users, slots, fill=n_users)[slot]                      # (K, U)
     padded = np.pad(subframe, ((0, 0), (0, 1)), constant_values=-1)
     mask = padded[:, members] == subframe[:, :, None]                          # (A, K, U)
     mask[:, users, users // slots] = False
-    # per-RB received power of user j at every cell when served by cells[i]
-    _, mw = _power_table(power_cfg, gains.g[cell_arr])                         # (len(cells), K)
+    # per-RB received power of user j at every cell when served by cell i
+    _, mw = _power_table(power_cfg, gains.g)                                   # (C, K)
     g_lin_t = gains.g_linear.T
-    received = np.zeros((n_users + 1, len(cells), gains.n_cells))
+    received = np.zeros((n_users + 1, n_cells, n_cells))
     received[:n_users] = g_lin_t[:, None, :] * mw.T[:, :, None]
     rows = received[members, np.pad(grid, ((0, 0), (0, 1)))[:, members]]     # (A, K, U, C)
     metrics = _block_metric(mask.astype(float), rows, g_lin_t, power_cfg.rbs_per_user, noise_rb_mw)
@@ -387,11 +359,10 @@ def brute_force_oracle(
     power_cfg: PowerConfig,
     noise_rb_mw: float,
     total_rbs: int = 48,
-    search_space: tuple[int, ...] | None = None,
 ) -> OracleResult:
     """Exhaustive stability check over every possible assignment.
 
-    All |cells|^K assignments are scored at once, and each is derived
+    All n_cells^K assignments are scored at once, and each is derived
     from the model's rules, not from the search's allocation path
     (allocate, Allocation.move, NetworkState): a user's power follows
     from its own coupling loss to its cell alone, and its subframe is the
@@ -400,22 +371,19 @@ def brute_force_oracle(
     the bits of the search's on a state of that assignment. Stability
     uses the same strict-improvement margin as the iterative search.
     """
-    cells = tuple(range(gains.n_cells)) if search_space is None else tuple(search_space)
-    n_users = gains.n_users
-    if len(cells) > ORACLE_MAX_CELLS or n_users > ORACLE_MAX_USERS:
+    if gains.n_cells > ORACLE_MAX_CELLS or gains.n_users > ORACLE_MAX_USERS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_CELLS} cells x {ORACLE_MAX_USERS} users, "
-            f"got {len(cells)} x {n_users}"
+            f"got {gains.n_cells} x {gains.n_users}"
         )
 
-    grid, metrics = _assignment_metrics(gains, power_cfg, noise_rb_mw, total_rbs, cells)
-    metrics = metrics[:, :, list(cells)]
+    grid, metrics = _assignment_metrics(gains, power_cfg, noise_rb_mw, total_rbs)
     own = np.take_along_axis(metrics, grid[:, :, None], axis=2)[:, :, 0]
     totals = own.sum(axis=1)
     unstable = (metrics.min(axis=2) < own * (1.0 - MOVE_REL_THRESHOLD)).any(axis=1)
     best = int(np.argmin(totals))
     return OracleResult(
-        stable=[tuple(cells[i] for i in row) for row in grid[~unstable].tolist()],
-        min_total=tuple(cells[i] for i in grid[best]),
+        stable=[tuple(row) for row in grid[~unstable].tolist()],
+        min_total=tuple(grid[best].tolist()),
         min_total_value=float(totals[best]),
     )

@@ -69,8 +69,10 @@ def main(argv: list[str] | None = None) -> int:
             print(scenario_to_ini(scenario), end="")
             return 0
         if args.command == "oracle":
+            if args.instances < 1:
+                raise ValueError(f"--instances must be >= 1, got {args.instances}")
             result = run_oracle_suite(instances=args.instances, seed=args.seed)
-            rate = result.converged / result.instances if result.instances else 0.0
+            rate = result.converged / result.instances
             print(
                 f"instances={result.instances} converged={result.converged} "
                 f"({rate:.1%}) containment_failures={result.containment_failures}"

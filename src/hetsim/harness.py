@@ -90,6 +90,11 @@ class Scenario(RadioParams):
             object.__setattr__(self, "p0_dbm", p0[0] if len(p0) == 1 else p0)
 
     def validate(self) -> "Scenario":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v!r}")
         if self.isd_m <= 0:
             raise ConfigError("isd_m must be positive")
         if self.picos_per_sector < 0:
@@ -98,7 +103,9 @@ class Scenario(RadioParams):
             raise ConfigError("users_per_sector must be >= picos_per_sector (seed users)")
         if self.drops < 1:
             raise ConfigError("drops must be >= 1")
-        if self.rbs_per_user < 1 or self.total_data_rbs % self.rbs_per_user != 0:
+        if self.rbs_per_user < 1:
+            raise ConfigError("rbs_per_user must be >= 1")
+        if self.total_data_rbs < 1 or self.total_data_rbs % self.rbs_per_user != 0:
             raise ConfigError("total_data_rbs must be a positive multiple of rbs_per_user")
         if self.total_data_rbs * (NoiseModel.rb_bandwidth_hz / 1e6) > self.total_bandwidth_mhz + 1e-9:
             raise ConfigError("data RBs exceed the total bandwidth")
@@ -113,6 +120,8 @@ class Scenario(RadioParams):
                 f"p0_dbm lists {len(self.p0_dbm)} values for {len(self.alphas)} alphas; "
                 "give one value, or one per alpha"
             )
+        if self.max_passes < 1:
+            raise ConfigError("max_passes must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         texts = [("strategies", token) for token in self.strategies] + [("output_dir", self.output_dir or "")]
@@ -165,6 +174,8 @@ def _parse_strategy_token(token: str, scenario: Scenario) -> StrategyConfig:
             bias = float(arg)
         except ValueError as exc:
             raise ConfigError(f"bad cre bias in {token!r}") from exc
+        if not math.isfinite(bias):
+            raise ConfigError(f"cre bias in {token!r} must be finite")
     return StrategyConfig(kind=kind, cre_bias_db=bias, max_passes=scenario.max_passes)
 
 
@@ -306,9 +317,9 @@ def _all_user_sinr_db(state: NetworkState) -> np.ndarray:
 
 def _baseline_assignment(strategy: StrategyConfig, gains: GainMatrix) -> Assignment:
     if strategy.kind == "rsrp":
-        return select_rsrp(gains, strategy.search_space)
+        return select_rsrp(gains)
     if strategy.kind == "pl":
-        return select_pl(gains, strategy.search_space)
+        return select_pl(gains)
     if strategy.kind == "cre":
         return select_cre(gains, strategy)
     raise ValueError(f"not a baseline strategy: {strategy.kind}")
@@ -564,12 +575,15 @@ def random_small_gains(rng: np.random.Generator, n_cells: int, n_users: int) -> 
     return GainMatrix(g=g, cell_tier=tier, rs_power_dbm=rs)
 
 
-def oracle_instances(count: int, seed: int = 0, max_cells: int = 3, max_users: int = 5):
-    """The oracle suite's seeded random instances, in order: (gains, power_cfg)."""
+def oracle_instances(count: int, seed: int = 0):
+    """The oracle suite's seeded random instances, in order: (gains, power_cfg).
+
+    Each has 2 or 3 cells, 3 to 5 users and a standard alpha.
+    """
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        n_cells = int(rng.integers(2, max_cells + 1))
-        n_users = int(rng.integers(3, max_users + 1))
+        n_cells = int(rng.integers(2, 4))
+        n_users = int(rng.integers(3, 6))
         gains = random_small_gains(rng, n_cells, n_users)
         alpha = float(rng.choice([0.4, 0.6, 0.8, 1.0]))
         yield gains, PowerConfig(p0_dbm=-90.0, alpha=alpha)
@@ -583,26 +597,20 @@ class OracleSuiteResult:
     non_converged_instances: list[int]
 
 
-def run_oracle_suite(
-    instances: int = 200,
-    seed: int = 0,
-    max_cells: int = 3,
-    max_users: int = 5,
-    total_rbs: int = 4,
-    max_passes: int = 20,
-) -> OracleSuiteResult:
-    """Best-response search vs. exhaustive stability on random instances.
+def run_oracle_suite(instances: int = 200, seed: int = 0) -> OracleSuiteResult:
+    """Best-response search vs. exhaustive stability on oracle_instances.
 
-    Single-block scheduling (total_rbs = one block) maximizes coupling.
-    Containment: every converged run must end in the brute-force stable
-    set. Non-convergence is counted, not failed here.
+    Single-block scheduling (the data band is one user's block) maximizes
+    coupling. Containment: every converged run must end in the
+    brute-force stable set. Non-convergence is counted, not failed here.
     """
     noise_mw = NoiseModel().per_rb_noise_mw
-    strategy = StrategyConfig(kind="interference", max_passes=max_passes)
+    strategy = StrategyConfig(kind="interference")
     converged = 0
     failures = 0
     non_converged: list[int] = []
-    for i, (gains, power_cfg) in enumerate(oracle_instances(instances, seed, max_cells, max_users)):
+    for i, (gains, power_cfg) in enumerate(oracle_instances(instances, seed)):
+        total_rbs = power_cfg.rbs_per_user
         result = select_interference_based(gains, power_cfg, noise_mw, strategy, total_rbs)
         if not result.converged:
             non_converged.append(i)

@@ -98,22 +98,18 @@ class SampleView:
         return NotImplemented
 
 
-def wideband_sinr(per_subcarrier: Iterable[float]) -> float | np.ndarray:
-    """MMSE-combined effective SINR of per-subcarrier linear SINRs.
+def wideband_sinr(per_subcarrier: Iterable[float]) -> float:
+    """MMSE-combined effective SINR of one vector of per-subcarrier linear SINRs.
 
-    A 2-D array is combined row by row into one value per row; a constant
-    row returns its value exactly.
+    A constant vector returns its value exactly.
     """
     g = np.asarray(list(per_subcarrier) if not isinstance(per_subcarrier, np.ndarray) else per_subcarrier, dtype=float)
+    if g.ndim != 1:
+        raise ValueError(f"per-subcarrier SINRs must form one vector, got shape {g.shape}")
     if g.size == 0:
         raise ValueError("wideband SINR of an empty vector is undefined")
     if not np.all(np.isfinite(g)) or np.any(g <= 0):
         raise ValueError("per-subcarrier SINRs must be finite and positive")
-    if g.ndim == 2:
-        gmin = g.min(axis=1)
-        w = 1.0 / (1.0 + g)
-        value = gmin + np.sum((g - gmin[:, None]) * w, axis=1) / np.sum(w, axis=1)
-        return np.minimum(np.maximum(value, gmin), g.max(axis=1))
     gmin = float(g.min())
     gmax = float(g.max())
     w = 1.0 / (1.0 + g)

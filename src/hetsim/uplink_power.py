@@ -47,20 +47,16 @@ class UserPower:
     capped: bool | np.ndarray
 
 
-def open_loop_power(cfg: PowerConfig, pl_db, n_rb: int | None = None) -> UserPower:
-    """Transmit power of users with coupling loss pl_db on n_rb blocks.
+def open_loop_power(cfg: PowerConfig, pl_db) -> UserPower:
+    """Transmit power of users with coupling loss pl_db on cfg.rbs_per_user blocks.
 
     pl_db is one loss (floats come back) or an array of losses (arrays
     come back, each entry equal to the scalar call on that loss).
     """
-    if n_rb is None:
-        n_rb = cfg.rbs_per_user
-    if n_rb < 1:
-        raise ValueError(f"n_rb must be >= 1, got {n_rb}")
     pl = np.asarray(pl_db, dtype=float)
     if not np.isfinite(pl).all():
         raise ValueError("pl_db must be finite")
-    bw_term = 10.0 * np.log10(n_rb)
+    bw_term = 10.0 * np.log10(cfg.rbs_per_user)
     uncapped = cfg.p0_dbm + bw_term + cfg.alpha * pl
     total = np.minimum(cfg.pmax_dbm, uncapped)
     capped = uncapped > cfg.pmax_dbm

@@ -190,24 +190,14 @@ def allocation_move(alloc, serving: np.ndarray, user: int, old_cell: int) -> tup
     return moved, slot + slots * np.flatnonzero(hit[row])
 
 
-def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48, initial=None) -> Assignment:
+def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48) -> Assignment:
     """select_interference_based as it was before it scored by pass position.
 
     A pass walks in steps of one user per slot and scores each step's
     dirty users through metric_rows; the moves, the dirty marking, the
     cycle fast-forward and the bookkeeping are those of the search.
     """
-    if initial is None:
-        serving = select_rsrp(gains, cfg.search_space).c.copy()
-    else:
-        serving = np.asarray(initial, dtype=int).copy()
-    state = NetworkState.build(gains, serving, power_cfg, noise_rb_mw, total_rbs)
-
-    space = np.arange(gains.n_cells) if cfg.search_space is None else np.asarray(cfg.search_space, dtype=int)
-    position = np.full(gains.n_cells, -1)   # cell -> its column in space
-    position[space] = np.arange(len(space))
-    if (position[state.serving] < 0).any():
-        raise ValueError("initial assignment uses cells outside the search space")
+    state = NetworkState.build(gains, select_rsrp(gains).c, power_cfg, noise_rb_mw, total_rbs)
     slots = state.alloc.slots
     dirty = np.ones(gains.n_users, dtype=bool)
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
@@ -222,13 +212,13 @@ def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48, initial=None
             if not len(step):
                 continue
             dirty[step] = False
-            metrics = metric_rows(step, state)[:, space]
+            metrics = metric_rows(step, state)
             batch = np.arange(len(step))
             best = metrics.argmin(axis=1)
             current = state.serving[step]
-            own = metrics[batch, position[current]]
-            moving = (space[best] != current) & (metrics[batch, best] < own * (1.0 - MOVE_REL_THRESHOLD))
-            for k, cell in zip(step[moving].tolist(), space[best[moving]].tolist()):
+            own = metrics[batch, current]
+            moving = (best != current) & (metrics[batch, best] < own * (1.0 - MOVE_REL_THRESHOLD))
+            for k, cell in zip(step[moving].tolist(), best[moving].tolist()):
                 dirty[state.move_user(k, cell)] = True
                 moves += 1
         moves_per_pass.append(moves)

@@ -235,7 +235,7 @@ def test_criterion_05_power_cap(drop_states):
 
 
 def test_criterion_06_stability_oracle():
-    result = run_oracle_suite(instances=200, seed=0, max_cells=3, max_users=5, total_rbs=4)
+    result = run_oracle_suite(instances=200, seed=0)
     rate = result.converged / result.instances
     ok = result.containment_failures == 0 and rate >= 0.95
     assert report(

@@ -1,0 +1,38 @@
+import importlib.util
+import json
+import os
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "bench_record.py")
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def stub_checkout(root, summary):
+    """A checkout whose hetbench/run.py prints one summary line as the benchmark does."""
+    (root / "hetbench").mkdir()
+    line = json.dumps(summary)
+    (root / "hetbench" / "run.py").write_text(f"print('gate golden')\nprint({line!r})\n", encoding="utf-8")
+    return str(root)
+
+
+METRICS = {"items_per_s": {"value": 8.4, "unit": "1/s"}}
+
+
+def test_bench_reads_a_correct_run(tmp_path):
+    checkout = stub_checkout(tmp_path, {"correct": True, "attempted": 3, "failed": 0, "metrics": METRICS})
+    summary = load_tool().bench(checkout, "change", "acc2", 1, 0, 2)
+    assert summary["metrics"] == {"items_per_s": 8.4}
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
+def test_bench_refuses_a_wrong_or_failed_run(tmp_path, correct, failed):
+    checkout = stub_checkout(tmp_path, {"correct": correct, "attempted": 3, "failed": failed, "metrics": METRICS})
+    with pytest.raises(RuntimeError, match=f"oracle parent seed 5: correct={correct} failed={failed}"):
+        load_tool().bench(checkout, "parent", "oracle", 1, 0, 5)

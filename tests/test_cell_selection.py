@@ -62,12 +62,6 @@ def test_rsrp_power_gap_outweighs_10db_gain_edge():
     assert select_pl(gains).c[0] == 1  # but PL selection takes the gain
 
 
-def test_selection_restricted_to_search_space():
-    gains = gm([[-100.0], [-90.0], [-80.0]], ["macro", "pico", "pico"])
-    assert select_rsrp(gains, search_space=(1,)).c[0] == 1
-    assert select_pl(gains, search_space=(0, 1)).c[0] == 1
-
-
 def test_pl_equals_rsrp_in_single_tier_network():
     rng = np.random.default_rng(0)
     gains = gm(rng.uniform(-130, -80, size=(4, 9)), ["macro"] * 4)
@@ -265,30 +259,16 @@ def test_converged_run_has_no_improving_deviation():
     assert checked >= 15  # the dynamics should converge on most small instances
 
 
-def test_interference_respects_search_space():
-    gains = gm([[-100.0], [-80.0], [-90.0]], ["macro", "pico", "pico"])
-    cfg = StrategyConfig(kind="interference", search_space=(0, 2))
-    result = select_interference_based(gains, PowerConfig(-90.0, 0.8), NOISE_MW, cfg)
-    assert result.c[0] == 2  # cell 1 is better but out of bounds
-
-
 def test_custom_initial_assignment():
+    # the search starts from the rsrp assignment, the macro, and its first
+    # pass moves the user to the pico's better gain
     gains = gm([[-100.0], [-90.0]], ["macro", "pico"])
+    assert select_rsrp(gains).c[0] == 0
     result = select_interference_based(
-        gains,
-        PowerConfig(-90.0, 0.8),
-        NOISE_MW,
-        StrategyConfig(kind="interference"),
-        initial=np.array([0]),
+        gains, PowerConfig(-90.0, 0.8), NOISE_MW, StrategyConfig(kind="interference")
     )
     assert result.c[0] == 1
-
-
-def test_initial_outside_search_space_is_rejected():
-    gains = gm([[-100.0, -95.0], [-90.0, -92.0], [-95.0, -90.0]], ["macro", "pico", "pico"])
-    cfg = StrategyConfig(kind="interference", search_space=(0, 2))
-    with pytest.raises(ValueError, match="outside the search space"):
-        select_interference_based(gains, PowerConfig(-90.0, 0.8), NOISE_MW, cfg, initial=np.array([0, 1]))
+    assert result.moves_per_pass == [1, 0]
 
 
 # ---- brute-force oracle -----------------------------------------------------
@@ -333,39 +313,32 @@ def test_oracle_containment_random_instances():
     n_users=st.integers(1, 6),
     alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
     total_rbs=st.sampled_from([4, 8, 12]),
-    data=st.data(),
 )
-def test_oracle_containment_property(seed, n_cells, n_users, alpha, total_rbs, data):
-    # a converged search ends in an assignment the oracle finds stable,
-    # over any search space
+def test_oracle_containment_property(seed, n_cells, n_users, alpha, total_rbs):
+    # a converged search ends in an assignment the oracle finds stable
     gains = random_gm(np.random.default_rng(seed), n_cells, n_users)
-    space = data.draw(st.none() | st.permutations(range(n_cells)).flatmap(
-        lambda order: st.integers(1, n_cells).map(lambda size: tuple(order[:size]))))
     power = PowerConfig(-90.0, alpha)
-    cfg = StrategyConfig(kind="interference", search_space=space)
-    result = select_interference_based(gains, power, NOISE_MW, cfg, total_rbs)
+    result = select_interference_based(gains, power, NOISE_MW, StrategyConfig(kind="interference"), total_rbs)
     if result.converged:
-        oracle = brute_force_oracle(gains, power, NOISE_MW, total_rbs, space)
+        oracle = brute_force_oracle(gains, power, NOISE_MW, total_rbs)
         assert tuple(result.c) in oracle.stable
 
 
-def reference_brute_force_oracle(gains, power_cfg, noise_rb_mw, total_rbs=48, search_space=None):
+def reference_brute_force_oracle(gains, power_cfg, noise_rb_mw, total_rbs=48):
     """The oracle as first written: a NetworkState built from scratch for each
     assignment, scored by the search's kernel. Also returns the (A, K, cells)
     metric arrays of the assignments in enumeration order."""
-    cells = tuple(range(gains.n_cells)) if search_space is None else tuple(search_space)
     stable = []
     best_combo = None
     best_total = np.inf
-    cell_arr = np.asarray(cells, dtype=int)
     users = np.arange(gains.n_users)
     arrays = []
-    for combo in itertools.product(cells, repeat=gains.n_users):
+    for combo in itertools.product(range(gains.n_cells), repeat=gains.n_users):
         serving = np.array(combo, dtype=int)
         state = NetworkState.build(gains, serving, power_cfg, noise_rb_mw, total_rbs)
         arrays.append(metric_rows(users, state))
-        metrics = arrays[-1][:, cell_arr]
-        own = metrics[users, [cells.index(c) for c in combo]]
+        metrics = arrays[-1]
+        own = metrics[users, serving]
         total = own.sum()
         if not (metrics.min(axis=1) < own * (1.0 - MOVE_REL_THRESHOLD)).any():
             stable.append(combo)
@@ -383,32 +356,23 @@ def reference_brute_force_oracle(gains, power_cfg, noise_rb_mw, total_rbs=48, se
     alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
     total_rbs=st.sampled_from([4, 8, 12]),
     twin=st.sampled_from([None, 0.0, 1e-10]),
-    data=st.data(),
 )
-def test_oracle_equals_per_assignment_reference(seed, n_cells, n_users, alpha, total_rbs, twin, data):
+def test_oracle_equals_per_assignment_reference(seed, n_cells, n_users, alpha, total_rbs, twin):
     # twin: the last cell repeats cell 0's gains exactly (mirror assignments
     # tie on the total) or to within 1e-10 dB (deviations within the move
-    # margin). Search space: every cell, a proper subset, or an unsorted tuple
-    space = data.draw(st.sampled_from(["all", "subset", "unsorted"]))
-    if space == "all" or n_cells == 1:
-        space = None
-    elif space == "subset":
-        space = tuple(data.draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=n_cells - 1, unique=True).map(sorted)))
-    else:
-        space = tuple(data.draw(st.permutations(range(n_cells)).filter(lambda order: list(order) != sorted(order))))
+    # margin)
     rng = np.random.default_rng(seed)
     gains = random_gm(rng, n_cells, n_users)
     if twin is not None and n_cells > 1:
         gains.g[-1] = gains.g[0] + twin * rng.uniform(-1.0, 1.0, n_users)
     power = PowerConfig(-90.0, alpha)
-    expected, arrays = reference_brute_force_oracle(gains, power, NOISE_MW, total_rbs, space)
-    result = brute_force_oracle(gains, power, NOISE_MW, total_rbs, space)
+    expected, arrays = reference_brute_force_oracle(gains, power, NOISE_MW, total_rbs)
+    result = brute_force_oracle(gains, power, NOISE_MW, total_rbs)
     assert result.stable == expected.stable
     assert result.min_total == expected.min_total
     assert np.float64(result.min_total_value).tobytes() == np.float64(expected.min_total_value).tobytes()
-    cells = tuple(range(n_cells)) if space is None else space
-    grid, metrics = _assignment_metrics(gains, power, NOISE_MW, total_rbs, cells)
-    assert [tuple(cells[i] for i in row) for row in grid.tolist()] == list(itertools.product(cells, repeat=n_users))
+    grid, metrics = _assignment_metrics(gains, power, NOISE_MW, total_rbs)
+    assert [tuple(row) for row in grid.tolist()] == list(itertools.product(range(n_cells), repeat=n_users))
     assert metrics.shape == arrays.shape
     assert metrics.tobytes() == arrays.tobytes()
 
@@ -635,7 +599,8 @@ def test_metric_rows_match_scalar_metric_at_acceptance_points(alpha):
     # where a user's own power dominates its block. A block total minus the
     # user's own term loses precision there: at alpha = 0.4 its relative
     # error in the rsrp state reaches 8.7e-12 for user 172 and 3.5e-12 for
-    # user 441.
+    # user 441. Both the reference rows and the search's position kernel,
+    # every slot of every position live, are held to the scalar metric.
     p0 = alpha * -90.0 + (1.0 - alpha) * (23.0 - 10.0 * np.log10(4))
     power = PowerConfig(p0, alpha)
     gains = acceptance_drop_gains(2)
@@ -644,15 +609,21 @@ def test_metric_rows_match_scalar_metric_at_acceptance_points(alpha):
         state = NetworkState.build(gains, serving.copy(), power, NOISE_MW)
         users = np.arange(gains.n_users)
         kernel = metric_rows(users, state)
+        slots = state.alloc.slots
+        g_slot = per_slot(gains.g_linear.T, slots, fill=1.0)
+        program = np.vstack([
+            _position_metrics(state, g_slot, j, np.arange(min(slots, gains.n_users - start)))
+            for j, start in enumerate(range(0, gains.n_users, slots))
+        ])
         # the users whose own received power most dominates their block's
         # interference plus noise, kernel / (rbs_per_user / gain)
-        slots = state.alloc.slots
         own = state.rows[users % slots, users // slots]
         dominance = (own / (kernel / 4 * gains.g_linear.T)).max(axis=1)
         picked = sorted(set(np.argsort(dominance)[-6:].tolist()) | {172, 441})
         for k in picked:
             scalar = [interference_metric(k, cell, state) for cell in range(gains.n_cells)]
             np.testing.assert_allclose(kernel[k], scalar, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(program[k], scalar, rtol=1e-12, atol=0)
 
 
 def compose_slot_searches(gains, power, cfg, slots):
@@ -721,27 +692,17 @@ def test_acceptance_drop_equals_composed_slot_searches():
 )
 def test_search_equals_former_search(seed, n_cells, slots, depth, alpha, max_passes, twin, data):
     # users fill depth positions and part of one more, so with two or more
-    # slots some slots are short. Search space: every cell, a proper subset
-    # or an unsorted permutation; twin: the last cell repeats cell 0's gains
+    # slots some slots are short. twin: the last cell repeats cell 0's gains
     # exactly, so their metrics tie
     n_users = slots * depth + data.draw(st.integers(1, max(1, slots - 1)))
     rng = np.random.default_rng(seed)
     gains = random_gm(rng, n_cells, n_users)
     if twin and n_cells > 1:
         gains.g[-1] = gains.g[0]
-    space = data.draw(st.sampled_from(["all", "subset", "unsorted"]))
-    if space == "all" or n_cells == 1:
-        space = None
-    elif space == "subset":
-        space = tuple(data.draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=n_cells - 1, unique=True)))
-    else:
-        space = tuple(data.draw(st.permutations(range(n_cells)).filter(lambda order: list(order) != sorted(order))))
-    cells = range(n_cells) if space is None else space
-    initial = data.draw(st.none() | st.lists(st.sampled_from(cells), min_size=n_users, max_size=n_users).map(np.array))
     power = PowerConfig(-90.0, alpha)
-    cfg = StrategyConfig(kind="interference", max_passes=max_passes, search_space=space)
-    result = select_interference_based(gains, power, NOISE_MW, cfg, 4 * slots, initial)
-    former = former_search(gains, power, NOISE_MW, cfg, 4 * slots, initial)
+    cfg = StrategyConfig(kind="interference", max_passes=max_passes)
+    result = select_interference_based(gains, power, NOISE_MW, cfg, 4 * slots)
+    former = former_search(gains, power, NOISE_MW, cfg, 4 * slots)
     assert result.c.tobytes() == former.c.tobytes()
     for name in ("converged", "passes_used", "moves_per_pass", "cycle_period", "cycle_detected_at"):
         assert getattr(result, name) == getattr(former, name)

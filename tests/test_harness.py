@@ -138,6 +138,45 @@ def test_scenario_validation_errors(tmp_path):
         replace(Scenario(), p0_dbm=(-50.0, -90.0)).validate()
 
 
+@pytest.mark.parametrize("total_data_rbs", [0, -4])
+def test_total_data_rbs_must_be_positive(total_data_rbs):
+    # a multiple of rbs_per_user, but no block to schedule: every drop
+    # would fail in its first SINR stage
+    with pytest.raises(ConfigError, match="total_data_rbs"):
+        replace(Scenario(), total_data_rbs=total_data_rbs).validate()
+
+
+@pytest.mark.parametrize("max_passes", [0, -3])
+def test_max_passes_must_be_positive(max_passes):
+    # no pass would run: every search would return the rsrp start, not converged
+    with pytest.raises(ConfigError, match="max_passes"):
+        replace(Scenario(), max_passes=max_passes).validate()
+
+
+FLOAT_FIELDS = [f.name for f in fields(Scenario) if "float" in f.type]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_is_rejected(name, value):
+    with pytest.raises(ConfigError, match=name):
+        replace(Scenario(), **{name: value}).validate()
+
+
+def test_non_finite_list_entry_and_cre_bias_are_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="p0_dbm"):
+        replace(Scenario(), p0_dbm=(-25.8, math.nan, -68.6, -90.0)).validate()
+    with pytest.raises(ConfigError, match="alphas"):
+        replace(Scenario(), alphas=(0.4, math.nan)).validate()
+    for token in ("cre:nan", "cre:inf", "cre:-inf"):
+        with pytest.raises(ConfigError, match=f"cre bias in '{token}'"):
+            replace(Scenario(), strategies=("rsrp", token)).validate()
+    path = tmp_path / "s.cfg"
+    path.write_text("[power]\np0_dbm = nan\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="p0_dbm"):
+        load_scenario(str(path))
+
+
 def test_duplicate_sweep_entries_rejected(tmp_path, capsys):
     # a repeated alpha would take the first alpha's P0; a repeated label
     # would merge two runs into one percentile row
@@ -268,7 +307,7 @@ def valid_scenarios(draw):
     values = {f.name: draw(by_type[f.type]) for f in fields(Scenario) if f.type in by_type}
     picos = draw(st.integers(0, 50))
     rbs = draw(st.integers(1, 12))
-    data_rbs = rbs * draw(st.integers(0, 12))
+    data_rbs = rbs * draw(st.integers(1, 12))
     alphas = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True)))
     p0 = draw(st.one_of(FLOATS, st.lists(FLOATS, min_size=len(alphas), max_size=len(alphas))))
     # strategy tokens with distinct labels: plain kinds, and cre with its own bias
@@ -290,6 +329,7 @@ def valid_scenarios(draw):
             st.floats(min_value=data_rbs * (NoiseModel.rb_bandwidth_hz / 1e6), allow_infinity=False)
         ),
         drops=draw(st.integers(min_value=1)),
+        max_passes=draw(st.integers(min_value=1)),
         workers=draw(st.integers(1, 64)),
         alphas=alphas,
         p0_dbm=p0,
@@ -729,3 +769,11 @@ def test_cli_failed_campaign_prints_an_error_line(tmp_path, capsys):
 def test_cli_oracle(capsys):
     assert cli_main(["oracle", "--instances", "5", "--seed", "1"]) == 0
     assert "instances=5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_cli_oracle_rejects_no_instances(capsys, instances):
+    assert cli_main(["oracle", "--instances", instances]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --instances must be >= 1, got {instances}\n"

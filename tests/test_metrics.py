@@ -47,10 +47,6 @@ def test_wideband_constant_fixed_point_exact():
     for gamma in (0.3, 1.0, 2.0, 7.7, 123.456):
         for n in (1, 3, 12, 48):
             assert wideband_sinr([gamma] * n) == gamma
-    # row-wise: every constant row returns its own value, bit for bit
-    gammas = 10 ** np.random.default_rng(3).uniform(-4.0, 4.0, size=50)
-    for n in (1, 4, 48):
-        assert np.array_equal(wideband_sinr(np.repeat(gammas[:, None], n, axis=1)), gammas)
 
 
 def test_wideband_huge_entry_limit():
@@ -64,9 +60,6 @@ def test_wideband_matches_literal_formula():
         n = int(rng.integers(1, 96))
         g = 10 ** rng.uniform(-3.0, 3.0, size=n)
         assert wideband_sinr(g) == pytest.approx(literal_combiner(g), rel=1e-12)
-    rows = 10 ** rng.uniform(-3.0, 3.0, size=(40, 12))
-    expected = [literal_combiner(row) for row in rows]
-    assert wideband_sinr(rows) == pytest.approx(expected, rel=1e-12)
 
 
 def test_wideband_bounded_by_inputs():
@@ -96,10 +89,8 @@ def test_wideband_domain_errors():
         wideband_sinr([1.0, -2.0])
     with pytest.raises(ValueError):
         wideband_sinr([1.0, float("inf")])
-    with pytest.raises(ValueError):
-        wideband_sinr(np.array([[1.0, 2.0], [3.0, 0.0]]))
-    with pytest.raises(ValueError):
-        wideband_sinr(np.empty((0, 4)))
+    with pytest.raises(ValueError, match="one vector"):
+        wideband_sinr(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 # ---- per-RB SINR ------------------------------------------------------------

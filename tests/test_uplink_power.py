@@ -12,7 +12,7 @@ def cfg(alpha, p0=-90.0):
 
 
 def test_uncapped_example():
-    up = open_loop_power(cfg(0.8), pl_db=100.0, n_rb=4)
+    up = open_loop_power(cfg(0.8), pl_db=100.0)
     assert up.total_dbm == pytest.approx(-90.0 + 10 * math.log10(4) + 80.0, abs=1e-12)
     assert up.total_dbm == pytest.approx(-3.98, abs=0.005)
     assert not up.capped
@@ -21,7 +21,7 @@ def test_uncapped_example():
 
 
 def test_capped_example():
-    up = open_loop_power(cfg(1.0), pl_db=140.0, n_rb=4)
+    up = open_loop_power(cfg(1.0), pl_db=140.0)
     assert up.total_dbm == 23.0
     assert up.capped
     assert up.per_rb_dbm == pytest.approx(23.0 - 10 * math.log10(4), abs=1e-12)
@@ -32,20 +32,20 @@ def test_zero_alpha_removes_pl_dependence():
     with pytest.warns(UserWarning):
         # alpha=0 is signalled, so exercise it via a non-standard value too
         PowerConfig(p0_dbm=-90.0, alpha=0.55)
-    a = open_loop_power(cfg(0.0), pl_db=60.0, n_rb=4)
-    b = open_loop_power(cfg(0.0), pl_db=160.0, n_rb=4)
+    a = open_loop_power(cfg(0.0), pl_db=60.0)
+    b = open_loop_power(cfg(0.0), pl_db=160.0)
     assert a.total_dbm == b.total_dbm == pytest.approx(-83.98, abs=0.005)
 
 
 def test_single_block_per_rb_equals_total():
-    up = open_loop_power(cfg(0.8), pl_db=90.0, n_rb=1)
+    up = open_loop_power(PowerConfig(p0_dbm=-90.0, alpha=0.8, rbs_per_user=1), pl_db=90.0)
     assert up.per_rb_dbm == up.total_dbm
 
 
 def test_power_split_identity():
     for pl in (60.0, 100.0, 150.0):
         for alpha in (0.4, 0.8, 1.0):
-            up = open_loop_power(cfg(alpha), pl_db=pl, n_rb=4)
+            up = open_loop_power(cfg(alpha), pl_db=pl)
             assert up.per_rb_dbm + 10 * math.log10(4) == pytest.approx(up.total_dbm, abs=1e-12)
             assert up.total_dbm <= 23.0
 
@@ -56,18 +56,18 @@ def test_monotonicity():
     p0s = (-100.0, -90.0, -80.0)
     for p0 in p0s:
         for alpha in alphas:
-            totals = [open_loop_power(cfg(alpha, p0), pl, 4).total_dbm for pl in pls]
+            totals = [open_loop_power(cfg(alpha, p0), pl).total_dbm for pl in pls]
             assert np.all(np.diff(totals) >= -1e-12)
     for pl in pls:
-        totals = [open_loop_power(cfg(a), pl, 4).total_dbm for a in alphas]
+        totals = [open_loop_power(cfg(a), pl).total_dbm for a in alphas]
         assert np.all(np.diff(totals) >= -1e-12)
 
 
 def test_bad_inputs():
     with pytest.raises(ValueError):
-        open_loop_power(cfg(0.8), pl_db=100.0, n_rb=0)
+        PowerConfig(p0_dbm=-90.0, alpha=0.8, rbs_per_user=0)
     with pytest.raises(ValueError):
-        open_loop_power(cfg(0.8), pl_db=float("nan"), n_rb=4)
+        open_loop_power(cfg(0.8), pl_db=float("nan"))
     with pytest.raises(ValueError):
         PowerConfig(p0_dbm=-90.0, alpha=1.5)
     with pytest.raises(ValueError):
@@ -75,8 +75,11 @@ def test_bad_inputs():
 
 
 def test_default_nrb_from_config():
+    # the bandwidth term is 10 log10(rbs_per_user): twice the blocks, +3.01 dB
     up = open_loop_power(cfg(0.8), pl_db=100.0)
-    assert up.total_dbm == open_loop_power(cfg(0.8), pl_db=100.0, n_rb=4).total_dbm
+    doubled = open_loop_power(PowerConfig(p0_dbm=-90.0, alpha=0.8, rbs_per_user=8), pl_db=100.0)
+    assert doubled.total_dbm - up.total_dbm == pytest.approx(10 * math.log10(2), abs=1e-12)
+    assert doubled.per_rb_dbm == pytest.approx(up.per_rb_dbm, abs=1e-12)
 
 
 def test_userpower_is_plain_record():

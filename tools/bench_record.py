@@ -14,6 +14,8 @@ The file keeps every run's metrics; per (side, workload), the min,
 quartiles and median of each untraced metric and the median of each
 traced per-layer metric; per workload and end-to-end metric, the number
 of pairs the change won; and the full git revisions and the CPU count.
+A run whose summary says `correct: false` or `failed > 0` stops the
+recording with an error that names its workload, side and seed.
 """
 
 from __future__ import annotations
@@ -47,8 +49,12 @@ def export(rev: str, into: str) -> str:
     return sha
 
 
-def bench(checkout: str, workload: str, seconds: float, trace: int, seed: int | None) -> dict:
-    """One hetbench run; its summary line (correct, attempted, failed, metrics)."""
+def bench(checkout: str, side: str, workload: str, seconds: float, trace: int, seed: int | None) -> dict:
+    """One hetbench run of the side's checkout; its summary line (correct, attempted, failed, metrics).
+
+    A run whose outputs were wrong or whose operations failed measured
+    nothing worth recording, so it raises.
+    """
     cmd = [sys.executable, "hetbench/run.py", "--workload", workload,
            "--seconds", str(seconds), "--trace", str(trace)]
     if seed is not None:
@@ -58,6 +64,10 @@ def bench(checkout: str, workload: str, seconds: float, trace: int, seed: int | 
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     summary = json.loads(lines[-1])
+    if summary["correct"] is not True or summary["failed"] > 0:
+        raise RuntimeError(
+            f"{workload} {side} seed {seed}: correct={summary['correct']} failed={summary['failed']}, not recorded"
+        )
     summary["metrics"] = {name: m["value"] for name, m in summary["metrics"].items()}
     return summary
 
@@ -108,12 +118,12 @@ def main(argv=None) -> int:
                 seed = FIRST_SEED + i
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     runs.append({"side": side, "workload": workload, "trace": 0, "seed": seed,
-                                 **bench(dirs[side], workload, seconds, 0, seed)})
+                                 **bench(dirs[side], side, workload, seconds, 0, seed)})
                     print(f"{workload} seed {seed} {side}: {runs[-1]['metrics']}", file=sys.stderr)
             for i in range(TRACED):
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     runs.append({"side": side, "workload": workload, "trace": 1, "seed": None,
-                                 **bench(dirs[side], workload, seconds, 1, None)})
+                                 **bench(dirs[side], side, workload, seconds, 1, None)})
 
     summary = {
         side: {
