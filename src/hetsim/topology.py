@@ -10,6 +10,7 @@ Geometry conventions used throughout:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,13 +116,18 @@ def build_layout(isd: float) -> Layout:
 def wrap_distance(a: np.ndarray, b: np.ndarray, layout: Layout) -> float | np.ndarray:
     """Minimum distance between a and b over the 7 mirror images.
 
-    b may be one point (2,), giving a float, or N points (N, 2), giving
-    the (N,) distances of N single-point calls bit for bit.
+    a and b are each one point (2,) or many points (N, 2) and (M, 2).
+    Two single points give a float; otherwise the result has the shape
+    (N,), (M,) or (N, M), each entry bit for bit the single-point call.
     """
-    b = np.asarray(b)
-    diffs = (b[..., None, :] + layout.wrap_vectors) - np.asarray(a)
-    d = np.sqrt(np.min(np.einsum("...ij,...ij->...i", diffs, diffs), axis=-1))
-    return d if b.ndim > 1 else float(d)
+    a, b = np.asarray(a), np.asarray(b)
+    # axes: the images, a's points, b's points; x and y apart
+    a_axes = a.shape[:-1] + (1,) * (b.ndim - 1)
+    image_axes = (7,) + (1,) * (a.ndim + b.ndim - 2)
+    dx = (b[..., 0] + layout.wrap_vectors[:, 0].reshape(image_axes)) - a[..., 0].reshape(a_axes)
+    dy = (b[..., 1] + layout.wrap_vectors[:, 1].reshape(image_axes)) - a[..., 1].reshape(a_axes)
+    d = np.sqrt(np.min(dx * dx + dy * dy, axis=0))
+    return d if d.ndim else float(d)
 
 
 def _wrap180(angle_deg):
@@ -129,56 +135,203 @@ def _wrap180(angle_deg):
     return (angle_deg + 180.0) % 360.0 - 180.0
 
 
+_BORESIGHTS = np.array(SECTOR_BORESIGHTS_DEG)
+
 # outward normals of the six hexagon edges, at azimuths 0, 60, ..., 300 degrees
 _HEX_ANGLES = np.deg2rad(np.arange(0.0, 360.0, 60.0))
 _HEX_NORMALS = np.stack([np.cos(_HEX_ANGLES), np.sin(_HEX_ANGLES)], axis=1)
 
 
-def _in_hexagon(point: np.ndarray, center: np.ndarray, isd: float) -> bool:
-    """True if point lies in the hexagonal cell (Voronoi region) of center.
-
-    The cell has flat edges facing the six lattice neighbors at azimuths
-    0, 60, ..., 300 degrees, each at perpendicular distance isd/2.
-    """
-    return bool((_HEX_NORMALS @ (point - center) <= isd / 2.0 + 1e-9).all())
-
-
-def sector_of(point: np.ndarray, layout: Layout) -> int:
+def sector_of(point: np.ndarray, layout: Layout) -> int | np.ndarray:
     """Sector whose region contains the point (no wraparound mirroring).
 
     The containing site is the nearest one (its hexagon is its Voronoi
     cell); the sector within the site is the 120-degree wedge whose
-    boresight is nearest in angle.
+    boresight is nearest in angle. Ties go to the lower index. point may
+    be one point (2,), giving an int, or N points (N, 2), giving the (N,)
+    sectors of N single calls.
     """
-    d2 = np.sum((layout.sites - point) ** 2, axis=1)
-    site = int(np.argmin(d2))
-    rel = point - layout.sites[site]
-    theta = np.rad2deg(np.arctan2(rel[1], rel[0]))
-    offsets = np.abs(_wrap180(theta - np.array(SECTOR_BORESIGHTS_DEG)))
-    return site * SECTORS_PER_SITE + int(np.argmin(offsets))
+    point = np.asarray(point)
+    x, y = point[..., 0], point[..., 1]
+    # the candidates (sites, then boresights) on the first axis, the points after
+    candidates = (1,) * x.ndim
+    dx = layout.sites[:, 0].reshape((N_SITES,) + candidates) - x
+    dy = layout.sites[:, 1].reshape((N_SITES,) + candidates) - y
+    site = (dx * dx + dy * dy).argmin(axis=0)
+    theta = np.rad2deg(np.arctan2(y - layout.sites[site, 1], x - layout.sites[site, 0]))
+    offsets = np.abs(_wrap180(theta - _BORESIGHTS.reshape((SECTORS_PER_SITE,) + candidates)))
+    sector = site * SECTORS_PER_SITE + offsets.argmin(axis=0)
+    return sector if sector.ndim else int(sector)
 
 
-def _sample_in_sector(layout: Layout, sector: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw inside a sector region (wedge of the site hexagon)."""
-    site = layout.sector_site[sector]
-    center = layout.sites[site]
-    boresight = layout.sector_boresight_deg[sector]
-    radius = layout.isd / np.sqrt(3.0)  # hexagon circumradius
-    for _ in range(PLACEMENT_RETRY_BUDGET):
-        # rng.uniform(0, s) returns 0 + s * rng.random(): same value, same
-        # stream, and the plain call is cheaper
-        u = rng.random()
-        phi = 360.0 * rng.random()
-        # both tests are pure, so the cheap wedge test goes first
-        if abs(_wrap180(phi - boresight)) >= 60.0:
-            continue
-        r = radius * np.sqrt(u)
-        rad = np.deg2rad(phi)
-        point = center + r * np.array([np.cos(rad), np.sin(rad)])
-        if not _in_hexagon(point, center, layout.isd):
-            continue
-        return point
-    raise PlacementError(f"could not draw a point in sector {sector}")
+# Placement is rejection sampling, one candidate per pair of uniform draws
+# (u, v). A candidate that misses the sector region is an inner failure:
+# the same attempt draws again. One that lies in the region but breaks a
+# spacing rule is an outer failure: a new attempt starts. Each object has
+# PLACEMENT_RETRY_BUDGET draws per attempt and attempts per object.
+_INNER, _OUTER, _PASS = 0, 1, 2
+
+# a window that runs out doubles, up to the cap, which bounds the
+# per-window arrays of infeasible layouts
+_MAX_WINDOW = 1024
+
+
+def _window(n: int) -> int:
+    """First window for n objects, in pairs: a sector region takes 28% of
+    the draws in its disc, so n objects use about 3.6 n pairs, and a second
+    window is rare."""
+    return 4 * n + 16
+
+
+class _Draws:
+    """The generator's pairs of doubles, drawn ahead in windows and taken in order.
+
+    Objects are placed one after another: `window` shows the next untaken
+    pairs, and `take` walks the next objects through their classes. On
+    exit the generator is restored to its state on entry and advanced by
+    the draws taken, so it stands where drawing only those, one double at
+    a time, leaves it.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._entry = rng.bit_generator.state
+        self._ahead = np.empty((0, 2))
+        self._at = 0      # pairs of the current window already taken
+        self._taken = 0
+        self._run = 0     # the current object's inner failures in a row
+        self._fails = 0   # and its outer failures
+        self._grow = 0    # least length of the next window
+
+    def __enter__(self) -> _Draws:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        bg = self._rng.bit_generator
+        bg.state = self._entry
+        bg.advance(2 * self._taken)
+        if self._entry["has_uint32"]:
+            # advance drops a buffered 32-bit half, which drawing doubles keeps
+            bg.state = {**bg.state, "has_uint32": 1, "uinteger": self._entry["uinteger"]}
+
+    def window(self, n: int) -> np.ndarray:
+        """The next n untaken pairs (n, 2), columns u and v; twice the
+        last window's, up to _MAX_WINDOW, if an object ran out of it."""
+        n, self._grow = max(n, self._grow), 0
+        self._ahead = self._ahead[self._at:]
+        self._at = 0
+        if len(self._ahead) < n:
+            self._ahead = np.concatenate([self._ahead, self._rng.random((n - len(self._ahead), 2))])
+        return self._ahead[:n]
+
+    def take(self, cls: np.ndarray, counts, check, name) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and window indices of the passes of the next objects.
+
+        cls (R, W) holds the classes of the whole window under R rules.
+        Row r serves the next counts[r] objects in turn; the first starts
+        at the first untaken pair, each later one after the pass before.
+        check(rows, indices) tests the would-be passes in order once
+        more; the first it fails becomes an outer failure. The
+        pairs up to the last pass are taken. Fewer objects come back when
+        the window runs out: then its other pairs are taken too, and the
+        next object's failures carry over to the next window. Raises
+        PlacementError, naming name(r), once an object uses either budget
+        up, with the pairs up to that failure taken.
+        """
+        start, width = self._at, cls.shape[1]
+        if max(self._run, self._fails) + width - start >= PLACEMENT_RETRY_BUDGET:
+            # a budget could run out in this window: walk the next object alone
+            r = next(r for r, count in enumerate(counts) if count)
+            counts = [0] * r + [1]
+        # otherwise only the first object's failures need counting: they
+        # carry over from earlier windows
+        rows, idx = _picks(cls, counts, start, check)
+        if len(idx):
+            self._count(cls[rows[0]], idx[0], name(rows[0]))
+            self._run = self._fails = 0
+            self._take(idx[-1] + 1)
+        if len(idx) < sum(counts):
+            r = int(np.searchsorted(np.cumsum(counts), len(idx), side="right"))
+            self._count(cls[r], width, name(r))
+            self._grow = min(2 * width, _MAX_WINDOW)
+        return rows, idx
+
+    def _count(self, row: np.ndarray, end: int, what: str) -> None:
+        """Take the next object's failures row[_at:end], counting them
+        against its budgets; raise PlacementError at the one that uses a
+        budget up, with the pairs up to it taken."""
+        for i, cls in enumerate(row[self._at:end].tolist(), self._at):
+            if cls == _INNER:
+                self._run += 1
+            else:
+                # an outer failure ends the attempt and its run of inner ones
+                self._run, self._fails = 0, self._fails + 1
+            if PLACEMENT_RETRY_BUDGET in (self._run, self._fails):
+                self._take(i + 1)
+                how = "drew no point in the sector region in" if self._run else "exhausted"
+                raise PlacementError(f"{what} {how} {PLACEMENT_RETRY_BUDGET} tries (constraints infeasible?)")
+        self._take(end)
+
+    def _take(self, end: int) -> None:
+        """Take the window's pairs before index end."""
+        self._taken += int(end) - self._at
+        self._at = int(end)
+
+
+def _picks(cls: np.ndarray, counts, start: int, check) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and indices of the passes of the objects from start on, as in take.
+
+    Stops at the first object without a pass. Marks the first pick that
+    check fails as an outer failure and walks again, so check may judge
+    each pick against the picks before it.
+    """
+    while True:
+        hit_rows, hit_cols = (cls[:, start:] == _PASS).nonzero()
+        hit_cols = (hit_cols + start).tolist()
+        bounds = np.searchsorted(hit_rows, np.arange(len(cls) + 1)).tolist()
+        rows, idx, prev = [], [], start - 1
+        for r, count in enumerate(counts):
+            cols = hit_cols[bounds[r]:bounds[r + 1]]
+            k = bisect.bisect_right(cols, prev)
+            hits = cols[k:k + count]
+            rows += [r] * len(hits)
+            idx += hits
+            if len(hits) < count:
+                break
+            if hits:
+                prev = hits[-1]
+        rows, idx = np.array(rows, dtype=int), np.array(idx, dtype=int)
+        if (ok := check(rows, idx)).all():
+            return rows, idx
+        first = np.argmin(ok)
+        cls[rows[first], idx[first]] = _OUTER
+
+
+def _polar(center: np.ndarray, r: np.ndarray, rad: np.ndarray) -> np.ndarray:
+    """Points (..., W, 2) at radii r and angles rad (W,) from center (..., 2)."""
+    offsets = np.empty((len(r), 2))
+    np.multiply(r, np.cos(rad), out=offsets[:, 0])
+    np.multiply(r, np.sin(rad), out=offsets[:, 1])
+    return center[..., None, :] + offsets
+
+
+def _sector_candidates(layout: Layout, sector: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform candidates in a sector's disc (W, 2), and which lie in its region.
+
+    The region is the 120-degree wedge of the site hexagon. The pair
+    (u, v) gives radius R sqrt(u) and azimuth 360 v, with R the hexagon
+    circumradius.
+    """
+    center = layout.sites[layout.sector_site[sector]]
+    r = layout.isd / np.sqrt(3.0) * np.sqrt(pairs[:, 0])
+    phi = 360.0 * pairs[:, 1]
+    rad = np.deg2rad(phi)
+    points = _polar(center, r, rad)
+    in_wedge = np.abs(_wrap180(phi - layout.sector_boresight_deg[sector])) < 60.0
+    # one matrix-vector product per point, which rounds as the single-point product does
+    edges = _HEX_NORMALS @ (points - center)[:, :, None]
+    in_hexagon = (edges <= layout.isd / 2.0 + 1e-9).all(axis=(1, 2))
+    return points, in_wedge & in_hexagon
 
 
 def place_picos(
@@ -196,26 +349,39 @@ def place_picos(
     """
     if per_sector < 0:
         raise ValueError("per_sector must be >= 0")
-    picos = np.empty((layout.n_sectors * per_sector, 2))
+    # the sites, then the picos as they are placed, with the spacing each keeps
+    stations = np.concatenate([layout.sites, np.empty((layout.n_sectors * per_sector, 2))])
+    spacing = np.repeat([min_to_site_m, min_to_pico_m], [N_SITES, layout.n_sectors * per_sector])
+    picos = stations[N_SITES:]
     placed = 0
-    for sector in range(layout.n_sectors):
-        for _ in range(per_sector):
-            for _ in range(PLACEMENT_RETRY_BUDGET):
-                cand = _sample_in_sector(layout, sector, rng)
-                # distances, not squared distances: the threshold test must
-                # round exactly as the scalar check did
-                if np.any(wrap_distance(cand, layout.sites, layout) < min_to_site_m):
-                    continue
-                if np.any(wrap_distance(cand, picos[:placed], layout) < min_to_pico_m):
-                    continue
-                picos[placed] = cand
-                placed += 1
-                break
-            else:
-                raise PlacementError(
-                    f"pico placement in sector {sector} exhausted "
-                    f"{PLACEMENT_RETRY_BUDGET} retries (constraints infeasible?)"
+    # distances, not squared distances: each threshold test rounds as the
+    # distance of its pair of points does
+    with _Draws(rng) as draws:
+        for sector in range(layout.n_sectors):
+            first = sector * per_sector
+            while placed < first + per_sector:
+                pairs = draws.window(_window(first + per_sector - placed))
+                cands, inside = _sector_candidates(layout, sector, pairs)
+                # the window's candidates at once against the sites, the picos
+                # placed so far and each other
+                inner = inside.nonzero()[0]
+                seen = N_SITES + placed
+                d = wrap_distance(cands[inner], np.concatenate([stations[:seen], cands[inner]]), layout)
+                cls = np.where(inside, _PASS, _INNER)
+                cls[inner[(d[:, :seen] < spacing[:seen]).any(axis=1)]] = _OUTER
+                close = d[:, seen:] < min_to_pico_m
+
+                def spaced(rows, idx, inner=inner, close=close):
+                    """check for take: each pick clear of the picks before it."""
+                    at = np.searchsorted(inner, idx)
+                    return ~(close[at[:, None], at] & np.tri(len(at), k=-1, dtype=bool)).any(axis=1)
+
+                _, idx = draws.take(
+                    cls[None], (first + per_sector - placed,), spaced,
+                    lambda r: f"pico placement in sector {sector}",
                 )
+                picos[placed:placed + len(idx)] = cands[idx]
+                placed += len(idx)
     return picos, np.repeat(np.arange(layout.n_sectors), per_sector)
 
 
@@ -242,48 +408,46 @@ def place_users(
             f"in some sector ({per_sector_picos.max(initial=0)}); every pico needs a seed user"
         )
 
-    bs_positions = np.concatenate([layout.sites, picos]) if len(picos) else layout.sites
+    station_x, station_y = np.concatenate([layout.sites, picos]).T.copy()
 
-    def clear_of_stations(point):
-        return ((bs_positions - point) ** 2).sum(axis=1).min() > _MIN_BS_SEPARATION_M**2
+    def clear_of_stations(p):
+        """check for take: which picks lie off every station."""
+        dx, dy = station_x - p[:, :1], station_y - p[:, 1:]
+        return (dx * dx + dy * dy).min(axis=1) > _MIN_BS_SEPARATION_M**2
 
-    user_pos: list[np.ndarray] = []
-    user_sector: list[int] = []
-    user_seed: list[int] = []
-
-    for sector in range(layout.n_sectors):
-        pico_ids = np.flatnonzero(pico_sector == sector) if len(pico_sector) else np.array([], dtype=int)
-        for pid in pico_ids:
-            center = picos[pid]
-            for _ in range(PLACEMENT_RETRY_BUDGET):
-                r = seed_radius_m * np.sqrt(rng.random())
-                phi = 2 * np.pi * rng.random()
-                point = center + r * np.array([np.cos(phi), np.sin(phi)])
-                if sector_of(point, layout) != sector:
-                    continue
-                if not clear_of_stations(point):
-                    continue
-                break
-            else:
-                raise PlacementError(f"seed user for pico {pid} exhausted retries")
-            user_pos.append(point)
-            user_sector.append(sector)
-            user_seed.append(int(pid))
-        for _ in range(users_per_sector - len(pico_ids)):
-            for _ in range(PLACEMENT_RETRY_BUDGET):
-                point = _sample_in_sector(layout, sector, rng)
-                if clear_of_stations(point):
-                    break
-            else:
-                raise PlacementError(f"user placement in sector {sector} exhausted retries")
-            user_pos.append(point)
-            user_sector.append(sector)
-            user_seed.append(-1)
+    users = np.empty((layout.n_sectors * users_per_sector, 2))
+    user_seed = np.full(len(users), -1)
+    placed = 0
+    with _Draws(rng) as draws:
+        for sector in range(layout.n_sectors):
+            # the seed users, one rule per pico, then the uniform users, one rule
+            seeds = np.flatnonzero(pico_sector == sector) if len(pico_sector) else np.array([], dtype=int)
+            end = placed + users_per_sector
+            while placed < end:
+                pairs = draws.window(_window(end - placed))
+                r = seed_radius_m * np.sqrt(pairs[:, 0])
+                phi = 2 * np.pi * pairs[:, 1]
+                seeded = _polar(picos[seeds], r, phi)
+                # a seed user has one budget: a draw outside the host sector
+                # or on a station costs one try
+                home = sector_of(seeded.reshape(-1, 2), layout).reshape(seeded.shape[:2]) == sector
+                uniform, inside = _sector_candidates(layout, sector, pairs)
+                cls = np.concatenate([np.where(home, _PASS, _OUTER), np.where(inside, _PASS, _INNER)[None]])
+                points = np.concatenate([seeded, uniform[None]])
+                rows, idx = draws.take(
+                    cls, [1] * len(seeds) + [end - placed - len(seeds)],
+                    lambda rows, idx, points=points: clear_of_stations(points[rows, idx]),
+                    lambda r: f"seed user for pico {seeds[r]}" if r < len(seeds) else f"user placement in sector {sector}",
+                )
+                users[placed:placed + len(idx)] = points[rows, idx]
+                user_seed[placed:placed + len(idx)] = np.append(seeds, -1)[rows]
+                placed += len(idx)
+                seeds = seeds[len(idx):]
 
     return NodeSet(
         picos=picos,
         pico_sector=np.asarray(pico_sector, dtype=int),
-        users=np.array(user_pos) if user_pos else np.zeros((0, 2)),
-        user_sector=np.array(user_sector, dtype=int),
-        user_seed_pico=np.array(user_seed, dtype=int),
+        users=users,
+        user_sector=np.repeat(np.arange(layout.n_sectors), users_per_sector),
+        user_seed_pico=user_seed,
     )

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hetsim import topology
 from hetsim.topology import (
+    N_SITES,
     PLACEMENT_RETRY_BUDGET,
     SECTOR_BORESIGHTS_DEG,
     SECTORS_PER_SITE,
@@ -421,3 +423,166 @@ def test_wrap_distance_rows_equal_scalar_calls(seed, n, isd):
     assert _same_bits(scalar, [_ref_wrap_distance(a, p, layout) for p in b])
     assert isinstance(wrap_distance(a, b[0], layout), float)
     assert wrap_distance(a, b[:0], layout).shape == (0,)
+
+
+def _edge_points(layout, rng, n):
+    """Points on the decision edges of sector_of and of the sector regions.
+
+    Per site: on both wedge edges (60 degrees off each boresight), on the
+    hexagon edges (which hold the points equidistant from two sites), and
+    at the midpoint between the site and a random other site.
+    """
+    site = layout.sites[rng.integers(0, N_SITES, size=n)]
+    rho = rng.uniform(0.0, layout.isd / np.sqrt(3.0), size=n)
+    wedge = np.deg2rad(rng.choice(SECTOR_BORESIGHTS_DEG, size=n) + rng.choice([-60.0, 60.0], size=n))
+    on_wedge = site + rho[:, None] * np.stack([np.cos(wedge), np.sin(wedge)], axis=1)
+    normal = np.deg2rad(60.0 * rng.integers(0, 6, size=n))
+    along = rng.uniform(-0.5, 0.5, size=n) * layout.isd / np.sqrt(3.0)
+    on_hexagon = (
+        site
+        + layout.isd / 2.0 * np.stack([np.cos(normal), np.sin(normal)], axis=1)
+        + along[:, None] * np.stack([-np.sin(normal), np.cos(normal)], axis=1)
+    )
+    midway = (site + layout.sites[rng.integers(0, N_SITES, size=n)]) / 2.0
+    return np.concatenate([on_wedge, on_hexagon, midway, layout.sites])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 30), isd=st.floats(100.0, 2000.0))
+def test_sector_of_rows_equal_scalar_calls(seed, n, isd):
+    layout = build_layout(isd)
+    rng = np.random.default_rng(seed)
+    points = np.concatenate([rng.uniform(-3.0 * isd, 3.0 * isd, size=(n, 2)), _edge_points(layout, rng, n)])
+    rows = sector_of(points, layout)
+    assert rows.shape == (len(points),)
+    scalar = [sector_of(p, layout) for p in points]
+    assert all(type(s) is int for s in scalar)
+    assert rows.tolist() == scalar == [_ref_sector_of(p, layout) for p in points]
+    assert sector_of(points[:0], layout).shape == (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12), m=st.integers(0, 12), isd=st.floats(100.0, 2000.0))
+def test_wrap_distance_grid_equals_scalar_calls(seed, n, m, isd):
+    layout = build_layout(isd)
+    rng = np.random.default_rng(seed)
+    a = np.concatenate([rng.uniform(-3.0 * isd, 3.0 * isd, size=(n, 2)), _edge_points(layout, rng, 2)])
+    b = np.concatenate([rng.uniform(-3.0 * isd, 3.0 * isd, size=(m, 2)), _seam_points(layout, rng, m)])
+    grid = wrap_distance(a, b, layout)
+    assert grid.shape == (len(a), len(b))
+    scalar = np.array([[wrap_distance(p, q, layout) for q in b] for p in a]).reshape(len(a), len(b))
+    assert _same_bits(grid, scalar)
+    assert _same_bits(scalar, np.array([[_ref_wrap_distance(p, q, layout) for q in b] for p in a]).reshape(grid.shape))
+    one = rng.uniform(-3.0 * isd, 3.0 * isd, size=2)
+    assert _same_bits(wrap_distance(a, one, layout), np.array([wrap_distance(p, one, layout) for p in a]))
+    assert wrap_distance(a[:0], b, layout).shape == (0, len(b))
+
+
+# ---- retry budgets below the draw-ahead window ------------------------------
+
+
+def _outcome(place_picos_fn, place_users_fn, params, seed):
+    """(outcome, generator state): the NodeSet fields, or what ran out.
+
+    A PlacementError is told by which budget ran out, inner ("could not
+    draw" / "drew no point": misses of the sector region in a row) or
+    outer, and by the sector or pico it names first.
+    """
+    rng = np.random.default_rng(seed)
+    layout = build_layout(params["isd"])
+    try:
+        picos, psec = place_picos_fn(
+            layout, params["picos"], rng, params["min_to_site_m"], params["min_to_pico_m"]
+        )
+        nodes = place_users_fn(layout, picos, psec, params["users"], rng, params["seed_radius_m"])
+    except PlacementError as exc:
+        msg = str(exc)
+        budget = "inner" if ("could not draw" in msg or "drew no point" in msg) else "outer"
+        return (budget, int(re.search(r"\d+", msg).group())), rng.bit_generator.state
+    fields = (nodes.picos, nodes.pico_sector, nodes.users, nodes.user_sector, nodes.user_seed_pico)
+    return fields, rng.bit_generator.state
+
+
+_ACC = {"isd": 500.0, "picos": 2, "users": 12, "min_to_site_m": 75.0, "min_to_pico_m": 35.0, "seed_radius_m": 50.0}
+
+# case: (params, {budget: draw seed}, how the reference run ends); each
+# seed is one whose reference run ends that way at that budget
+_BUDGET_CASES = {
+    # a pico's attempt misses the sector region budget times in a row
+    "pico-inner": ({**_ACC}, {1: 0, 3: 0, 7: 0}, "inner"),
+    # every in-region candidate lies within 500 m of a site
+    "pico-outer-sites": ({**_ACC, "min_to_site_m": 500.0}, {1: 1, 3: 0, 7: 1}, "outer"),
+    # the second pico of a sector can never keep 5 km from the first
+    "pico-outer-picos": ({**_ACC, "min_to_pico_m": 5000.0}, {1: 1, 3: 3, 7: 1}, "outer"),
+    # a 0.1 um seed disc lies on its pico, a station: every seed try fails
+    "seed-user": ({**_ACC, "seed_radius_m": 1e-7}, {1: 0, 3: 0, 7: 0}, "outer"),
+    # no picos: a uniform user's attempt misses the region budget times in a row
+    "uniform-user": ({**_ACC, "picos": 0}, {1: 0, 3: 0, 7: 0}, "inner"),
+    # budgets above every run of failures but below both first windows
+    # (24 pairs for the picos of a sector, 28 for its users); in 2 um seed
+    # discs a quarter of the seed draws lie on their pico and are drawn again
+    "success": ({**_ACC, "users": 3, "seed_radius_m": 2e-6}, {20: 0, 21: 0, 23: 0}, "placed"),
+}
+
+
+@pytest.mark.parametrize("case,budget,seed", [
+    (case, budget, seed) for case, (_, seeds, _) in _BUDGET_CASES.items() for budget, seed in seeds.items()
+])
+def test_budget_below_window_matches_reference(case, budget, seed):
+    # a window longer than the budget walks each object alone, counting its
+    # failures: the outcome, the budget that ran out, the object it names
+    # and the generator state afterwards equal the scalar loops'
+    params, _, ends = _BUDGET_CASES[case]
+    place_picos_fns = (_ref_place_picos, place_picos)
+    if case == "seed-user":
+        # the picos placed at the real budget, so that the seed users run out
+        picos, psec = place_picos(build_layout(params["isd"]), params["picos"], np.random.default_rng(seed))
+        place_picos_fns = (lambda *args: (picos, psec),) * 2
+    with mock.patch.object(topology, "PLACEMENT_RETRY_BUDGET", budget):
+        ref_out, ref_state = _outcome(place_picos_fns[0], _ref_place_users, params, seed)
+        new_out, new_state = _outcome(place_picos_fns[1], place_users, params, seed)
+    if ends == "placed":
+        assert isinstance(ref_out[0], np.ndarray)
+        assert all(_same_bits(a, b) for a, b in zip(ref_out, new_out))
+    else:
+        assert ref_out[0] == ends
+        assert new_out == ref_out
+    assert new_state == ref_state
+
+
+def test_acc2_drop0_placement_and_gains_match_scalar_reference():
+    # the production shape at the real budget: acc2 (seed 1), drop 0
+    from hetsim.radio import RadioParams, compute_gain_matrix
+
+    layout = build_layout(500.0)
+    results = []
+    for place_picos_fn, place_users_fn in ((_ref_place_picos, _ref_place_users), (place_picos, place_users)):
+        rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(0,)))
+        picos, psec = place_picos_fn(layout, 2, rng, 75.0, 35.0)
+        nodes = place_users_fn(layout, picos, psec, 12, rng, 50.0)
+        state = rng.bit_generator.state
+        gains = compute_gain_matrix(layout, nodes, rng, RadioParams())
+        results.append((nodes, state, gains))
+    (ref, ref_state, ref_gains), (new, new_state, new_gains) = results
+    assert topology.PLACEMENT_RETRY_BUDGET == 10_000
+    assert new.users.shape == (684, 2) and (new.user_seed_pico >= 0).sum() == 114
+    for field in ("picos", "pico_sector", "users", "user_sector", "user_seed_pico"):
+        assert _same_bits(getattr(ref, field), getattr(new, field)), field
+    assert new_state == ref_state
+    assert _same_bits(ref_gains.g, new_gains.g)
+    assert _same_bits(ref_gains.cell_tier, new_gains.cell_tier)
+
+
+def test_placement_keeps_a_buffered_32_bit_draw():
+    # a generator that holds half of a 64-bit output from a 32-bit draw keeps
+    # it through placement, as drawing one double at a time does
+    layout = build_layout(500.0)
+    states = []
+    for place_picos_fn, place_users_fn in ((_ref_place_picos, _ref_place_users), (place_picos, place_users)):
+        rng = np.random.default_rng(3)
+        rng.integers(0, 2**32, dtype=np.uint32)
+        picos, psec = place_picos_fn(layout, 1, rng)
+        place_users_fn(layout, picos, psec, 3, rng)
+        states.append((rng.bit_generator.state, rng.integers(0, 2**32, dtype=np.uint32)))
+    assert states[0][0]["has_uint32"] == 1
+    assert states[1] == states[0]
