@@ -231,12 +231,14 @@ class _Draws:
         Row r serves the next counts[r] objects in turn; the first starts
         at the first untaken pair, each later one after the pass before.
         check(rows, indices) tests the would-be passes in order once
-        more; the first it fails becomes an outer failure. The
-        pairs up to the last pass are taken. Fewer objects come back when
-        the window runs out: then its other pairs are taken too, and the
-        next object's failures carry over to the next window. Raises
-        PlacementError, naming name(r), once an object uses either budget
-        up, with the pairs up to that failure taken.
+        more; the first it fails becomes an outer failure, and the objects
+        walk again. The pairs up to the last pass are taken. Fewer objects
+        come back when the window runs out: then its other pairs are taken
+        too, and the next object's failures carry over to the next window.
+        A window that could hold a budget's worth of one object's failures
+        gives only the next object. Raises PlacementError, naming name(r),
+        once an object uses either budget up, with the pairs up to that
+        failure taken.
         """
         start, width = self._at, cls.shape[1]
         if max(self._run, self._fails) + width - start >= PLACEMENT_RETRY_BUDGET:
@@ -247,21 +249,21 @@ class _Draws:
         # carry over from earlier windows
         rows, idx = _picks(cls, counts, start, check)
         if len(idx):
-            self._count(cls[rows[0]], idx[0], name(rows[0]))
+            self._count(cls, rows[0], idx[0], name)
             self._run = self._fails = 0
             self._take(idx[-1] + 1)
         if len(idx) < sum(counts):
             r = int(np.searchsorted(np.cumsum(counts), len(idx), side="right"))
-            self._count(cls[r], width, name(r))
+            self._count(cls, r, width, name)
             self._grow = min(2 * width, _MAX_WINDOW)
         return rows, idx
 
-    def _count(self, row: np.ndarray, end: int, what: str) -> None:
-        """Take the next object's failures row[_at:end], counting them
+    def _count(self, cls: np.ndarray, r: int, end: int, name) -> None:
+        """Take the next object's failures cls[r, _at:end], counting them
         against its budgets; raise PlacementError at the one that uses a
         budget up, with the pairs up to it taken."""
-        for i, cls in enumerate(row[self._at:end].tolist(), self._at):
-            if cls == _INNER:
+        for i, kind in enumerate(cls[r, self._at:end].tolist(), self._at):
+            if kind == _INNER:
                 self._run += 1
             else:
                 # an outer failure ends the attempt and its run of inner ones
@@ -269,7 +271,7 @@ class _Draws:
             if PLACEMENT_RETRY_BUDGET in (self._run, self._fails):
                 self._take(i + 1)
                 how = "drew no point in the sector region in" if self._run else "exhausted"
-                raise PlacementError(f"{what} {how} {PLACEMENT_RETRY_BUDGET} tries (constraints infeasible?)")
+                raise PlacementError(f"{name(r)} {how} {PLACEMENT_RETRY_BUDGET} tries (constraints infeasible?)")
         self._take(end)
 
     def _take(self, end: int) -> None:
@@ -283,17 +285,17 @@ def _picks(cls: np.ndarray, counts, start: int, check) -> tuple[np.ndarray, np.n
 
     Stops at the first object without a pass. Marks the first pick that
     check fails as an outer failure and walks again, so check may judge
-    each pick against the picks before it.
+    each pick by the picks before it.
     """
     while True:
-        hit_rows, hit_cols = (cls[:, start:] == _PASS).nonzero()
-        hit_cols = (hit_cols + start).tolist()
-        bounds = np.searchsorted(hit_rows, np.arange(len(cls) + 1)).tolist()
+        hit_rows, hit_cols = (cls == _PASS).nonzero()
+        hit_rows, hit_cols = hit_rows.tolist(), hit_cols.tolist()
         rows, idx, prev = [], [], start - 1
         for r, count in enumerate(counts):
-            cols = hit_cols[bounds[r]:bounds[r + 1]]
-            k = bisect.bisect_right(cols, prev)
-            hits = cols[k:k + count]
+            # the row's passes are hit_cols[lo:hi], in order
+            lo, hi = bisect.bisect_left(hit_rows, r), bisect.bisect_left(hit_rows, r + 1)
+            k = bisect.bisect_right(hit_cols, prev, lo, hi)
+            hits = hit_cols[k:min(k + count, hi)]
             rows += [r] * len(hits)
             idx += hits
             if len(hits) < count:

@@ -478,6 +478,37 @@ def test_wrap_distance_grid_equals_scalar_calls(seed, n, m, isd):
     assert wrap_distance(a[:0], b, layout).shape == (0, len(b))
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), isd=st.floats(100.0, 2000.0), sector=st.integers(0, 56))
+def test_sector_window_classes_equal_scalar_rule(seed, isd, sector):
+    # a window's candidates and region flags equal the scalar loop's, also
+    # for pairs that land on the hexagon test's threshold (an edge pushed out
+    # by the 1e-9 m tolerance) and on the wedge edges, where one rounding
+    # apart would flip the flag
+    layout = build_layout(isd)
+    rng = np.random.default_rng(seed)
+    n = 40
+    center = layout.sites[layout.sector_site[sector]]
+    boresight = layout.sector_boresight_deg[sector]
+    radius = isd / np.sqrt(3.0)
+    normal = np.deg2rad(60.0 * rng.integers(0, 6, size=n))
+    along = rng.uniform(-0.5, 0.5, size=n) * radius
+    ex = (isd / 2.0 + 1e-9) * np.cos(normal) - along * np.sin(normal)
+    ey = (isd / 2.0 + 1e-9) * np.sin(normal) + along * np.cos(normal)
+    on_hexagon = np.stack([np.minimum((np.hypot(ex, ey) / radius) ** 2, 1.0 - 2**-53),
+                           np.rad2deg(np.arctan2(ey, ex)) % 360.0 / 360.0], axis=1)
+    on_wedge = np.stack([rng.random(n),
+                         (boresight + rng.choice([-60.0, 60.0], size=n)) % 360.0 / 360.0], axis=1)
+    pairs = np.concatenate([on_hexagon, on_wedge, rng.random((n, 2))])
+    points, inside = topology._sector_candidates(layout, sector, pairs)
+    for (u, v), point, flag in zip(pairs, points, inside):
+        r = radius * np.sqrt(u)
+        phi = 360.0 * v
+        ref = center + r * np.array([np.cos(np.deg2rad(phi)), np.sin(np.deg2rad(phi))])
+        assert _same_bits(point, ref)
+        assert flag == (_ref_in_hexagon(ref, center, isd) and abs(_ref_wrap180(phi - boresight)) < 60.0)
+
+
 # ---- retry budgets below the draw-ahead window ------------------------------
 
 
