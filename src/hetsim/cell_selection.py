@@ -36,7 +36,7 @@ import numpy as np
 
 from hetsim import uplink_power
 from hetsim.radio import GainMatrix, PICO
-from hetsim.scheduler import Allocation, allocate, per_slot
+from hetsim.scheduler import DATA_RBS, Allocation, allocate, per_slot
 from hetsim.uplink_power import PowerConfig
 
 VALID_KINDS = ("rsrp", "pl", "cre", "interference")
@@ -105,7 +105,7 @@ class NetworkState:
         serving: np.ndarray,
         power_cfg: PowerConfig,
         noise_rb_mw: float,
-        total_rbs: int = 48,
+        total_rbs: int = DATA_RBS,
     ) -> "NetworkState":
         """State of an assignment; each user's power follows its link to its serving cell."""
         serving = np.asarray(serving, dtype=int)
@@ -231,7 +231,7 @@ def select_interference_based(
     power_cfg: PowerConfig,
     noise_rb_mw: float,
     cfg: StrategyConfig,
-    total_rbs: int = 48,
+    total_rbs: int = DATA_RBS,
 ) -> Assignment:
     """Asynchronous best-response search for the interference-based rule.
 
@@ -358,7 +358,7 @@ def brute_force_oracle(
     gains: GainMatrix,
     power_cfg: PowerConfig,
     noise_rb_mw: float,
-    total_rbs: int = 48,
+    total_rbs: int = DATA_RBS,
 ) -> OracleResult:
     """Exhaustive stability check over every possible assignment.
 

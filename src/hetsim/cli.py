@@ -71,6 +71,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             if args.instances < 1:
                 raise ValueError(f"--instances must be >= 1, got {args.instances}")
+            if args.seed < 0:
+                raise ValueError(f"--seed must be >= 0, got {args.seed}")
             result = run_oracle_suite(instances=args.instances, seed=args.seed)
             rate = result.converged / result.instances
             print(

@@ -36,6 +36,7 @@ from hetsim.cell_selection import (
 from hetsim.metrics import NoiseModel, SampleView, SinrReport, SinrRun
 from hetsim.metrics import wideband_sinr  # noqa: F401 - kept bound here, hetbench traces harness.wideband_sinr
 from hetsim.radio import MACRO, PICO, GainMatrix, RadioParams, compute_gain_matrix
+from hetsim.scheduler import DATA_RBS
 from hetsim.topology import build_layout, place_picos, place_users
 from hetsim.uplink_power import PowerConfig
 
@@ -71,7 +72,7 @@ class Scenario(RadioParams):
     p0_dbm: float | tuple[float, ...] = _option("power", -90.0)
     max_ue_power_dbm: float = _option("power", PowerConfig.pmax_dbm)
     rbs_per_user: int = _option("power", PowerConfig.rbs_per_user)
-    total_data_rbs: int = _option("power", 48)
+    total_data_rbs: int = _option("power", DATA_RBS)
     alphas: tuple[float, ...] = _option("power", (0.4, 0.6, 0.8, 1.0))
     # [selection]
     strategies: tuple[str, ...] = _option("selection", ("rsrp", "pl", "cre", "interference"))
@@ -124,6 +125,8 @@ class Scenario(RadioParams):
             raise ConfigError("max_passes must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         texts = [("strategies", token) for token in self.strategies] + [("output_dir", self.output_dir or "")]
         for name, text in texts:
             if text != text.strip() or re.search(r"(?:^|\s)[;#]", text):
@@ -431,23 +434,22 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
 # ---- campaign ---------------------------------------------------------------
 
 
-def run_campaign(scenario: Scenario, workers: int | None = None) -> tuple[SinrReport, list[StrategySummary]]:
+def run_campaign(scenario: Scenario) -> tuple[SinrReport, list[StrategySummary]]:
     """Run all drops, aggregate, and write outputs when output_dir is set.
 
     The aggregate is assembled in drop-index order, so it does not depend
     on the number of workers or their completion order.
     """
     scenario.validate()
-    n_workers = scenario.workers if workers is None else workers
     indices = list(range(scenario.drops))
     results = []
     failures: list[str] = []
-    if n_workers > 1:
+    if scenario.workers > 1:
         # imported here: multiprocessing adds about 1 MB to every process
         # that imports hetsim, and a single-worker run never needs it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=scenario.workers) as pool:
             futures = [pool.submit(run_drop, scenario, i) for i in indices]
             for fut in futures:
                 try:

@@ -10,6 +10,7 @@ taken to the nearest wraparound image of the user.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,14 +64,10 @@ class GainMatrix:
     def n_users(self) -> int:
         return self.g.shape[1]
 
-    @property
+    @cached_property
     def g_linear(self) -> np.ndarray:
         """Linear-scale gains, cached after the first access."""
-        cached = getattr(self, "_g_linear", None)
-        if cached is None:
-            cached = 10.0 ** (self.g / 10.0)
-            object.__setattr__(self, "_g_linear", cached)
-        return cached
+        return 10.0 ** (self.g / 10.0)
 
 
 def path_loss_db(tier: str, d_m: float, params: RadioParams = DEFAULT_RADIO):

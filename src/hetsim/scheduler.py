@@ -25,6 +25,11 @@ from functools import cached_property
 
 import numpy as np
 
+from hetsim.uplink_power import PowerConfig
+
+# default size of the uplink data band, in RBs
+DATA_RBS = 48
+
 
 def per_slot(values: np.ndarray, slots: int, fill=0) -> np.ndarray:
     """A (K, ...) per-user array in the per-slot layout, (slots, ceil(K / slots), ...).
@@ -67,7 +72,7 @@ class Allocation:
         return self.user_subframe * self.total_rbs + self.user_rb_start
 
 
-def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = 48, rbs_per_user: int = 4) -> Allocation:
+def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = DATA_RBS, rbs_per_user: int = PowerConfig.rbs_per_user) -> Allocation:
     """Index-keyed block allocation; a pure function of the assignment.
 
     serving maps user index -> cell index. Slot collisions within a cell

@@ -10,7 +10,6 @@ Geometry conventions used throughout:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,26 +170,19 @@ def sector_of(point: np.ndarray, layout: Layout) -> int | np.ndarray:
 # PLACEMENT_RETRY_BUDGET draws per attempt and attempts per object.
 _INNER, _OUTER, _PASS = 0, 1, 2
 
-# a window that runs out doubles, up to the cap, which bounds the
-# per-window arrays of infeasible layouts
+# the cap on a doubled window, which bounds the per-window arrays of
+# infeasible layouts
 _MAX_WINDOW = 1024
-
-
-def _window(n: int) -> int:
-    """First window for n objects, in pairs: a sector region takes 28% of
-    the draws in its disc, so n objects use about 3.6 n pairs, and a second
-    window is rare."""
-    return 4 * n + 16
 
 
 class _Draws:
     """The generator's pairs of doubles, drawn ahead in windows and taken in order.
 
-    Objects are placed one after another: `window` shows the next untaken
-    pairs, and `take` walks the next objects through their classes. On
-    exit the generator is restored to its state on entry and advanced by
-    the draws taken, so it stands where drawing only those, one double at
-    a time, leaves it.
+    Objects are placed one after another: `window` shows the untaken
+    pairs, and `walk` takes them pair by pair for the next object, as the
+    one-pair-at-a-time loops draw them. On exit the generator is restored
+    to its state on entry and advanced by the draws taken, so it stands
+    where drawing only those, one double at a time, leaves it.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -198,10 +190,9 @@ class _Draws:
         self._entry = rng.bit_generator.state
         self._ahead = np.empty((0, 2))
         self._at = 0      # pairs of the current window already taken
-        self._taken = 0
+        self._taken = 0   # and of the windows before it
         self._run = 0     # the current object's inner failures in a row
         self._fails = 0   # and its outer failures
-        self._grow = 0    # least length of the next window
 
     def __enter__(self) -> _Draws:
         return self
@@ -209,104 +200,74 @@ class _Draws:
     def __exit__(self, *exc) -> None:
         bg = self._rng.bit_generator
         bg.state = self._entry
-        bg.advance(2 * self._taken)
+        bg.advance(2 * (self._taken + self._at))
         if self._entry["has_uint32"]:
             # advance drops a buffered 32-bit half, which drawing doubles keeps
             bg.state = {**bg.state, "has_uint32": 1, "uinteger": self._entry["uinteger"]}
 
-    def window(self, n: int) -> np.ndarray:
-        """The next n untaken pairs (n, 2), columns u and v; twice the
-        last window's, up to _MAX_WINDOW, if an object ran out of it."""
-        n, self._grow = max(n, self._grow), 0
+    def window(self, n: int, last: int) -> np.ndarray:
+        """The next untaken pairs (W, 2), columns u and v, for n objects
+        after a window of last pairs that they ran out of (0 for none).
+
+        A sector region takes 28% of the draws in its disc, so n objects
+        use about 3.6 n pairs, and W = 4 n + 16 makes a second window rare.
+        A later window is at least twice the last, up to _MAX_WINDOW.
+        """
+        n = max(4 * n + 16, min(2 * last, _MAX_WINDOW))
+        self._taken += self._at
         self._ahead = self._ahead[self._at:]
         self._at = 0
         if len(self._ahead) < n:
             self._ahead = np.concatenate([self._ahead, self._rng.random((n - len(self._ahead), 2))])
         return self._ahead[:n]
 
-    def take(self, cls: np.ndarray, counts, check, name) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and window indices of the passes of the next objects.
+    def walk(self, kinds: np.ndarray, name: str) -> int | None:
+        """Window index of the next object's pass, taking the pairs up to it.
 
-        cls (R, W) holds the classes of the whole window under R rules.
-        Row r serves the next counts[r] objects in turn; the first starts
-        at the first untaken pair, each later one after the pass before.
-        check(rows, indices) tests the would-be passes in order once
-        more; the first it fails becomes an outer failure, and the objects
-        walk again. The pairs up to the last pass are taken. Fewer objects
-        come back when the window runs out: then its other pairs are taken
-        too, and the next object's failures carry over to the next window.
-        A window that could hold a budget's worth of one object's failures
-        gives only the next object. Raises PlacementError, naming name(r),
-        once an object uses either budget up, with the pairs up to that
-        failure taken.
+        kinds (W,) holds the class of each pair of the window for this
+        object. None comes back when the window runs out first: its pairs
+        are taken, and the object's failures carry over to the next
+        window. Raises PlacementError, naming name, at the failure that
+        uses either budget up, with the pairs up to it taken.
         """
-        start, width = self._at, cls.shape[1]
-        if max(self._run, self._fails) + width - start >= PLACEMENT_RETRY_BUDGET:
-            # a budget could run out in this window: walk the next object alone
-            r = next(r for r, count in enumerate(counts) if count)
-            counts = [0] * r + [1]
-        # otherwise only the first object's failures need counting: they
-        # carry over from earlier windows
-        rows, idx = _picks(cls, counts, start, check)
-        if len(idx):
-            self._count(cls, rows[0], idx[0], name)
-            self._run = self._fails = 0
-            self._take(idx[-1] + 1)
-        if len(idx) < sum(counts):
-            r = int(np.searchsorted(np.cumsum(counts), len(idx), side="right"))
-            self._count(cls, r, width, name)
-            self._grow = min(2 * width, _MAX_WINDOW)
-        return rows, idx
-
-    def _count(self, cls: np.ndarray, r: int, end: int, name) -> None:
-        """Take the next object's failures cls[r, _at:end], counting them
-        against its budgets; raise PlacementError at the one that uses a
-        budget up, with the pairs up to it taken."""
-        for i, kind in enumerate(cls[r, self._at:end].tolist(), self._at):
+        for i, kind in enumerate(kinds[self._at:].tolist(), self._at):
+            if kind == _PASS:
+                self._at, self._run, self._fails = i + 1, 0, 0
+                return i
             if kind == _INNER:
                 self._run += 1
             else:
                 # an outer failure ends the attempt and its run of inner ones
                 self._run, self._fails = 0, self._fails + 1
             if PLACEMENT_RETRY_BUDGET in (self._run, self._fails):
-                self._take(i + 1)
+                self._at = i + 1
                 how = "drew no point in the sector region in" if self._run else "exhausted"
-                raise PlacementError(f"{name(r)} {how} {PLACEMENT_RETRY_BUDGET} tries (constraints infeasible?)")
-        self._take(end)
-
-    def _take(self, end: int) -> None:
-        """Take the window's pairs before index end."""
-        self._taken += int(end) - self._at
-        self._at = int(end)
+                raise PlacementError(f"{name} {how} {PLACEMENT_RETRY_BUDGET} tries (constraints infeasible?)")
+        self._at = len(kinds)
+        return None
 
 
-def _picks(cls: np.ndarray, counts, start: int, check) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and indices of the passes of the objects from start on, as in take.
+# a station more than this apart in x is farther than _MIN_BS_SEPARATION_M
+# even after the coordinates' rounding
+_X_BAND_M = 1e-5
 
-    Stops at the first object without a pass. Marks the first pick that
-    check fails as an outer failure and walks again, so check may judge
-    each pick by the picks before it.
+
+def _off_stations(points: np.ndarray, stations: np.ndarray) -> np.ndarray:
+    """Which points (N, 2) lie farther than _MIN_BS_SEPARATION_M from every station.
+
+    The stations (S, 2) are sorted by x and end with a row at x = +inf.
+    A point is tested as min(dx*dx + dy*dy) > _MIN_BS_SEPARATION_M**2
+    over the stations only if a station lies within _X_BAND_M of it in x;
+    any other point is off every station.
     """
-    while True:
-        hit_rows, hit_cols = (cls == _PASS).nonzero()
-        hit_rows, hit_cols = hit_rows.tolist(), hit_cols.tolist()
-        rows, idx, prev = [], [], start - 1
-        for r, count in enumerate(counts):
-            # the row's passes are hit_cols[lo:hi], in order
-            lo, hi = bisect.bisect_left(hit_rows, r), bisect.bisect_left(hit_rows, r + 1)
-            k = bisect.bisect_right(hit_cols, prev, lo, hi)
-            hits = hit_cols[k:min(k + count, hi)]
-            rows += [r] * len(hits)
-            idx += hits
-            if len(hits) < count:
-                break
-            if hits:
-                prev = hits[-1]
-        rows, idx = np.array(rows, dtype=int), np.array(idx, dtype=int)
-        if (ok := check(rows, idx)).all():
-            return rows, idx
-        first = np.argmin(ok)
-        cls[rows[first], idx[first]] = _OUTER
+    x = points[:, 0]
+    # the first station from x - _X_BAND_M on, the +inf row if none
+    near = stations[np.searchsorted(stations[:, 0], x - _X_BAND_M), 0] <= x + _X_BAND_M
+    off = np.ones(len(points), dtype=bool)
+    if near.any():
+        dx, dy = stations[:, 0] - points[near, :1], stations[:, 1] - points[near, 1:]
+        off[near] = (dx * dx + dy * dy).min(axis=1) > _MIN_BS_SEPARATION_M**2
+    return off
 
 
 def _polar(center: np.ndarray, r: np.ndarray, rad: np.ndarray) -> np.ndarray:
@@ -360,30 +321,23 @@ def place_picos(
     # distance of its pair of points does
     with _Draws(rng) as draws:
         for sector in range(layout.n_sectors):
-            first = sector * per_sector
-            while placed < first + per_sector:
-                pairs = draws.window(_window(first + per_sector - placed))
+            end, pairs = (sector + 1) * per_sector, ()
+            while placed < end:
+                pairs = draws.window(end - placed, len(pairs))
                 cands, inside = _sector_candidates(layout, sector, pairs)
                 # the window's candidates at once against the sites, the picos
                 # placed so far and each other
                 inner = inside.nonzero()[0]
                 seen = N_SITES + placed
                 d = wrap_distance(cands[inner], np.concatenate([stations[:seen], cands[inner]]), layout)
-                cls = np.where(inside, _PASS, _INNER)
-                cls[inner[(d[:, :seen] < spacing[:seen]).any(axis=1)]] = _OUTER
+                kinds = np.where(inside, _PASS, _INNER)
+                kinds[inner[(d[:, :seen] < spacing[:seen]).any(axis=1)]] = _OUTER
                 close = d[:, seen:] < min_to_pico_m
-
-                def spaced(rows, idx, inner=inner, close=close):
-                    """check for take: each pick clear of the picks before it."""
-                    at = np.searchsorted(inner, idx)
-                    return ~(close[at[:, None], at] & np.tri(len(at), k=-1, dtype=bool)).any(axis=1)
-
-                _, idx = draws.take(
-                    cls[None], (first + per_sector - placed,), spaced,
-                    lambda r: f"pico placement in sector {sector}",
-                )
-                picos[placed:placed + len(idx)] = cands[idx]
-                placed += len(idx)
+                while placed < end and (i := draws.walk(kinds, f"pico placement in sector {sector}")) is not None:
+                    picos[placed] = cands[i]
+                    placed += 1
+                    # the later candidates too close to this pick
+                    kinds[inner[close[:, np.searchsorted(inner, i)]]] = _OUTER
     return picos, np.repeat(np.arange(layout.n_sectors), per_sector)
 
 
@@ -410,41 +364,41 @@ def place_users(
             f"in some sector ({per_sector_picos.max(initial=0)}); every pico needs a seed user"
         )
 
-    station_x, station_y = np.concatenate([layout.sites, picos]).T.copy()
-
-    def clear_of_stations(p):
-        """check for take: which picks lie off every station."""
-        dx, dy = station_x - p[:, :1], station_y - p[:, 1:]
-        return (dx * dx + dy * dy).min(axis=1) > _MIN_BS_SEPARATION_M**2
-
+    # sorted by x, as _off_stations reads them
+    stations = np.concatenate([layout.sites, picos, [[np.inf, np.inf]]])
+    stations = stations[np.argsort(stations[:, 0])]
     users = np.empty((layout.n_sectors * users_per_sector, 2))
     user_seed = np.full(len(users), -1)
     placed = 0
     with _Draws(rng) as draws:
         for sector in range(layout.n_sectors):
-            # the seed users, one rule per pico, then the uniform users, one rule
+            # the seed users, one row of classes per pico, then the uniform
+            # users, one row
             seeds = np.flatnonzero(pico_sector == sector) if len(pico_sector) else np.array([], dtype=int)
-            end = placed + users_per_sector
+            names = [f"seed user for pico {pico}" for pico in seeds] + [f"user placement in sector {sector}"]
+            first, end, pairs = placed, placed + users_per_sector, ()
+            user_seed[first:first + len(seeds)] = seeds
             while placed < end:
-                pairs = draws.window(_window(end - placed))
+                pairs = draws.window(end - placed, len(pairs))
                 r = seed_radius_m * np.sqrt(pairs[:, 0])
                 phi = 2 * np.pi * pairs[:, 1]
                 seeded = _polar(picos[seeds], r, phi)
-                # a seed user has one budget: a draw outside the host sector
-                # or on a station costs one try
                 home = sector_of(seeded.reshape(-1, 2), layout).reshape(seeded.shape[:2]) == sector
                 uniform, inside = _sector_candidates(layout, sector, pairs)
-                cls = np.concatenate([np.where(home, _PASS, _OUTER), np.where(inside, _PASS, _INNER)[None]])
                 points = np.concatenate([seeded, uniform[None]])
-                rows, idx = draws.take(
-                    cls, [1] * len(seeds) + [end - placed - len(seeds)],
-                    lambda rows, idx, points=points: clear_of_stations(points[rows, idx]),
-                    lambda r: f"seed user for pico {seeds[r]}" if r < len(seeds) else f"user placement in sector {sector}",
-                )
-                users[placed:placed + len(idx)] = points[rows, idx]
-                user_seed[placed:placed + len(idx)] = np.append(seeds, -1)[rows]
-                placed += len(idx)
-                seeds = seeds[len(idx):]
+                # a seed user has one budget: a draw outside the host sector
+                # or on a station costs one try
+                ok = np.concatenate([home, inside[None]])
+                clear = _off_stations(points.reshape(-1, 2), stations).reshape(ok.shape)
+                kinds = np.where(ok & clear, _PASS, _OUTER)
+                kinds[-1, ~inside] = _INNER
+                while placed < end:
+                    row = min(placed - first, len(seeds))
+                    i = draws.walk(kinds[row], names[row])
+                    if i is None:
+                        break
+                    users[placed] = points[row, i]
+                    placed += 1
 
     return NodeSet(
         picos=picos,

@@ -136,6 +136,8 @@ def test_scenario_validation_errors(tmp_path):
         replace(Scenario(), total_data_rbs=50).validate()
     with pytest.raises(ConfigError, match="p0_dbm"):
         replace(Scenario(), p0_dbm=(-50.0, -90.0)).validate()
+    with pytest.raises(ConfigError, match="master_seed"):
+        replace(Scenario(), master_seed=-1).validate()
 
 
 @pytest.mark.parametrize("total_data_rbs", [0, -4])
@@ -329,6 +331,7 @@ def valid_scenarios(draw):
             st.floats(min_value=data_rbs * (NoiseModel.rb_bandwidth_hz / 1e6), allow_infinity=False)
         ),
         drops=draw(st.integers(min_value=1)),
+        master_seed=draw(st.integers(min_value=0)),
         max_passes=draw(st.integers(min_value=1)),
         workers=draw(st.integers(1, 64)),
         alphas=alphas,
@@ -683,7 +686,7 @@ def test_failed_drops_name_their_stage(workers):
     # no pico fits 10 km from every site: both drops fail while placing
     scenario = replace(TINY, min_pico_to_macro_m=1e4)
     with pytest.raises(RuntimeError) as info:
-        run_campaign(scenario, workers=workers)
+        run_campaign(replace(scenario, workers=workers))
     lines = str(info.value).splitlines()[1:]
     assert [line.strip().split(":")[0] for line in lines] == [
         "drop 0 failed in placement", "drop 1 failed in placement",
@@ -777,3 +780,15 @@ def test_cli_oracle_rejects_no_instances(capsys, instances):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --instances must be >= 1, got {instances}\n"
+
+
+@pytest.mark.parametrize("command,error", [
+    (["run", "--drops", "1"], "master_seed must be >= 0, got -1"),
+    (["oracle", "--instances", "5"], "--seed must be >= 0, got -1"),
+])
+def test_cli_rejects_a_negative_seed(capsys, command, error):
+    # numpy's own message would name neither the key nor the flag
+    assert cli_main(command + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"

@@ -209,6 +209,34 @@ def test_users_clear_of_station_positions(layout):
     assert np.all(d2 > 0.0)
 
 
+def test_station_check_equals_brute_force(layout):
+    # the exact test runs only for points with a station within 1e-5 m in
+    # x; every point gets the answer of the test over all stations
+    rng = np.random.default_rng(11)
+    picos, _ = place_picos(layout, 2, rng)
+    stations = np.concatenate([layout.sites, picos])
+    at = stations[rng.integers(0, len(stations), size=60)]
+    angle = rng.uniform(0.0, 2 * np.pi, size=(60, 1))
+    around = np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
+    axes = np.repeat([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], 15, axis=0)
+    far_in_y = rng.choice([-1.0, 1.0], 60) * rng.uniform(2e-6, 300.0, 60)
+    # (points, whether they are off every station), then points 1 um away,
+    # on the threshold
+    known = [(at + r * around, r > 1e-6) for r in (0.0, 0.5e-6, 2e-6)] + [
+        (at + r * axes, r > 1e-6) for r in (0.5e-6, 2e-6, 0.99e-5, 1.01e-5)
+    ] + [
+        (at + np.stack([rng.uniform(-1e-5, 1e-5, 60), far_in_y], axis=1), True),
+        (rng.uniform(-1500.0, 1500.0, size=(200, 2)), True),
+    ]
+    points = np.concatenate([p for p, _ in known] + [at + 1e-6 * around, at + 1e-6 * axes])
+    dx, dy = stations[:, 0] - points[:, :1], stations[:, 1] - points[:, 1:]
+    brute = (dx * dx + dy * dy).min(axis=1) > 1e-12
+    by_x = np.concatenate([stations, [[np.inf, np.inf]]])
+    by_x = by_x[np.argsort(by_x[:, 0])]
+    assert topology._off_stations(points, by_x).tolist() == brute.tolist()
+    assert brute[:-120].tolist() == [off for p, off in known for _ in p]
+
+
 # ---- scalar placement reference ----------------------------------------------
 #
 # The placement loops as they were before the candidate checks were
@@ -560,9 +588,10 @@ _BUDGET_CASES = {
     (case, budget, seed) for case, (_, seeds, _) in _BUDGET_CASES.items() for budget, seed in seeds.items()
 ])
 def test_budget_below_window_matches_reference(case, budget, seed):
-    # a window longer than the budget walks each object alone, counting its
-    # failures: the outcome, the budget that ran out, the object it names
-    # and the generator state afterwards equal the scalar loops'
+    # a budget can run out inside the first window: the walk counts each
+    # object's failures pair by pair, so the outcome, the budget that ran
+    # out, the object it names and the generator state afterwards equal the
+    # scalar loops'
     params, _, ends = _BUDGET_CASES[case]
     place_picos_fns = (_ref_place_picos, place_picos)
     if case == "seed-user":
