@@ -10,7 +10,7 @@ seeded Monte Carlo drops.
 from hetsim.topology import Layout, NodeSet, build_layout, place_picos, place_users, wrap_distance
 from hetsim.radio import GainMatrix, RadioParams, compute_gain_matrix, path_loss_db
 from hetsim.uplink_power import PowerConfig, UserPower, open_loop_power
-from hetsim.scheduler import Allocation, allocate
+from hetsim.scheduler import allocate
 from hetsim.cell_selection import (
     Assignment,
     NetworkState,

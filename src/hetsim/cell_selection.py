@@ -13,17 +13,18 @@ All interference arithmetic runs in linear milliwatts. A user's own
 transmit power never enters its own metric, so candidate evaluation can
 keep every other power fixed. A user's RB slot (index mod slots) never
 changes, and only users of one slot share blocks, so the search is one
-independent game per slot. The allocation and NetworkState's received
-powers therefore keep their users in scheduler's per-slot layout, and
-one kernel, _block_metric, scores any batch of users with one stacked
-product: the search feeds it the users at one position of every slot,
-and the brute-force oracle every user of every assignment at once. The
-search walks each pass position by position, scores a position's users
-together and commits its moves in index order. A move re-ranks only the
-mover's slot inside its old and new cell, reads the mover's power from
-a per-(cell, user) open-loop table, and marks for re-evaluation only
-the users whose block it touched; a search that returns to an earlier
-pass-end assignment is fast-forwarded along its cycle.
+independent game per slot. NetworkState therefore keeps the
+allocation, each user's subframe, and the received powers in
+scheduler's per-slot layout, and one kernel, _block_metric, scores any
+batch of users with one stacked product: the search feeds it the users
+at one position of every slot, and the brute-force oracle every user of
+every assignment at once. The search walks each pass position by
+position, scores a position's users together and commits its moves in
+index order. A move re-ranks only the mover's slot, in place, inside
+its old and new cell, reads the mover's power from a per-(cell, user)
+open-loop table, and marks for re-evaluation only the users whose block
+it touched; a search that returns to an earlier pass-end assignment is
+fast-forwarded along its cycle.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from hetsim import uplink_power
 from hetsim.radio import GainMatrix, PICO
-from hetsim.scheduler import DATA_RBS, Allocation, allocate, per_slot
+from hetsim.scheduler import DATA_RBS, allocate, per_slot
 from hetsim.uplink_power import PowerConfig
 
 VALID_KINDS = ("rsrp", "pl", "cre", "interference")
@@ -81,20 +82,18 @@ class Assignment:
 class NetworkState:
     """Everything the interference metric needs about the current network.
 
-    The allocation keeps its users in the per-slot layout of
-    scheduler.per_slot, and rows[s, j] is the per-RB received power at
-    every cell of the user at alloc.subframe[s, j] (zero rows pad short
-    slots). The rows are built on first use, and power_table on the first
-    move: a state built only for SINR never needs them.
+    subframe is the allocation, in the per-slot layout of scheduler.allocate,
+    and rows[s, j] is the per-RB received power at every cell of the user at
+    subframe[s, j] (zero rows pad short slots). The rows are built on first
+    use, and power_table on the first move: a state built only for SINR
+    never needs them.
     """
 
     gains: GainMatrix
     serving: np.ndarray
-    alloc: Allocation
+    subframe: np.ndarray
     power_cfg: PowerConfig
     noise_rb_mw: float
-    total_power_dbm: np.ndarray
-    per_rb_power_dbm: np.ndarray
     per_rb_power_mw: np.ndarray
     capped: np.ndarray
 
@@ -113,19 +112,21 @@ class NetworkState:
         return cls(
             gains=gains,
             serving=serving,
-            alloc=allocate(serving, gains.n_cells, total_rbs, power_cfg.rbs_per_user),
+            subframe=allocate(serving, gains.n_cells, total_rbs, power_cfg.rbs_per_user),
             power_cfg=power_cfg,
             noise_rb_mw=noise_rb_mw,
-            total_power_dbm=power.total_dbm,
-            per_rb_power_dbm=power.per_rb_dbm,
             per_rb_power_mw=mw,
             capped=power.capped,
         )
 
+    @property
+    def slots(self) -> int:
+        return len(self.subframe)
+
     @cached_property
     def rows(self) -> np.ndarray:
         """(slots, users_per_slot, cells) per-RB received power of every user at every cell."""
-        return per_slot(self.gains.g_linear.T * self.per_rb_power_mw[:, None], self.alloc.slots)
+        return per_slot(self.gains.g_linear.T * self.per_rb_power_mw[:, None], self.slots)
 
     @cached_property
     def power_table(self) -> tuple[uplink_power.UserPower, np.ndarray]:
@@ -135,33 +136,27 @@ class NetworkState:
     def move_user(self, user: int, cell: int) -> np.ndarray:
         """Commit a serving-cell change; return the users whose metric it can change.
 
-        Only the mover's slot is re-ranked, inside its old and new cell, in a
-        copy of the subframes, so an Allocation taken before the move keeps
-        its values. The mover's power comes from power_table, and only it
-        changes, so the users that can change are those now in the mover's
-        block or in a block that a user whose subframe changed left or entered.
+        Only the mover's slot is re-ranked, in place, inside its old and new
+        cell. The mover's power comes from power_table, and only it changes,
+        so the users that can change are those now in the mover's block or
+        in a block that a user whose subframe changed left or entered.
         """
-        alloc = self.alloc
-        slots = alloc.slots
+        slots = self.slots
         pos, slot = divmod(user, slots)
         old_cell = int(self.serving[user])
         self.serving[user] = cell
         cells = self.serving[slot::slots]
-        subframe = alloc.subframe.copy()
-        before, row = alloc.subframe[slot], subframe[slot]
+        row = self.subframe[slot]
+        hit = np.zeros(len(row) + 1, dtype=bool)  # hit[-1] stays False for the padding
         for group_cell in (old_cell, cell):
             group = (cells == group_cell).nonzero()[0]
+            moved = group[row[group] != np.arange(len(group))]
+            hit[row[moved]] = True
             row[group] = np.arange(len(group))
-        self.alloc = Allocation(subframe, alloc.n_users, alloc.rbs_per_user, alloc.total_rbs)
-        changed = row != before
-        hit = np.zeros(len(row) + 1, dtype=bool)  # hit[-1] stays False for the padding
-        hit[before[changed]] = True
-        hit[row[changed]] = True
+            hit[row[moved]] = True
         hit[row[pos]] = True
 
         power, mw = self.power_table
-        self.total_power_dbm[user] = power.total_dbm[cell, user]
-        self.per_rb_power_dbm[user] = power.per_rb_dbm[cell, user]
         self.capped[user] = power.capped[cell, user]
         self.per_rb_power_mw[user] = mw[cell, user]
         self.rows[slot, pos] = self.gains.g_linear[:, user] * mw[cell, user]
@@ -218,7 +213,7 @@ def _position_metrics(state: NetworkState, g_slot: np.ndarray, j: int, live: np.
     mask, zero at column j. g_slot is per_slot(g_linear.T).
     """
     lo, hi = live[0], live[-1] + 1
-    subframe = state.alloc.subframe[lo:hi]
+    subframe = state.subframe[lo:hi]
     mask = (subframe == subframe[:, j:j + 1]).astype(float)
     mask[:, j] = 0.0
     return _block_metric(
@@ -257,7 +252,7 @@ def select_interference_based(
     moves of each pass extended periodically.
     """
     state = NetworkState.build(gains, select_rsrp(gains).c, power_cfg, noise_rb_mw, total_rbs)
-    slots = state.alloc.slots
+    slots = state.slots
     g_slot = per_slot(gains.g_linear.T, slots, fill=1.0)  # finite padding, never read as live
     dirty = np.ones(gains.n_users, dtype=bool)
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
@@ -364,7 +359,7 @@ def brute_force_oracle(
 
     All n_cells^K assignments are scored at once, and each is derived
     from the model's rules, not from the search's allocation path
-    (allocate, Allocation.move, NetworkState): a user's power follows
+    (allocate, NetworkState.build and move_user): a user's power follows
     from its own coupling loss to its cell alone, and its subframe is the
     number of lower-index users of its slot in its cell. The metric is
     the kernel the search uses, so each assignment's metric array has

@@ -102,6 +102,12 @@ class Scenario(RadioParams):
             raise ConfigError("picos_per_sector must be >= 0")
         if self.users_per_sector < self.picos_per_sector:
             raise ConfigError("users_per_sector must be >= picos_per_sector (seed users)")
+        if self.min_pico_to_macro_m < 0:
+            raise ConfigError(f"min_pico_to_macro_m must be >= 0, got {self.min_pico_to_macro_m!r}")
+        if self.min_pico_to_pico_m < 0:
+            raise ConfigError(f"min_pico_to_pico_m must be >= 0, got {self.min_pico_to_pico_m!r}")
+        if self.pico_coverage_radius_m <= 0:
+            raise ConfigError(f"pico_coverage_radius_m must be positive, got {self.pico_coverage_radius_m!r}")
         if self.drops < 1:
             raise ConfigError("drops must be >= 1")
         if self.rbs_per_user < 1:
@@ -125,6 +131,8 @@ class Scenario(RadioParams):
             raise ConfigError("max_passes must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not self.strategies:
+            raise ConfigError("strategies must be non-empty")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         texts = [("strategies", token) for token in self.strategies] + [("output_dir", self.output_dir or "")]
@@ -305,7 +313,8 @@ def _all_user_sinr_db(state: NetworkState) -> np.ndarray:
     g_lin = state.gains.g_linear
     serving = state.serving
     p = state.per_rb_power_mw
-    key = state.alloc.block_key
+    slots = state.slots
+    key = (state.subframe * slots + np.arange(slots)[:, None]).T.ravel()[:len(serving)]  # subframe * slots + slot
     order = np.argsort(key, kind="stable")  # users by block, ascending inside a block
     starts = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
     sizes = np.diff(np.r_[starts, len(order)])
@@ -464,7 +473,6 @@ def run_campaign(scenario: Scenario) -> tuple[SinrReport, list[StrategySummary]]
                 failures.append(str(exc))
     if failures:
         raise CampaignError(failures)
-    results.sort(key=lambda r: r.drop_index)
 
     runs: list[SinrRun] = []
     summaries: list[StrategySummary] = []

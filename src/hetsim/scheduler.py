@@ -9,9 +9,9 @@ separated in time (consecutive subframes, ordered by user index), so a
 cell's transmissions are always orthogonal and co-channel interference
 comes only from other cells' users on the same subframe and RBs.
 
-Only users of one slot ever share a block, so an Allocation keeps its
-subframes in a per-slot layout (see per_slot), and a change of one
-user's cell re-ranks that user's slot alone.
+Only users of one slot ever share a block, so the allocation is the
+subframe of each user in the per-slot layout (see per_slot), and a
+change of one user's cell re-ranks that user's slot alone.
 
 For the canonical case of one cell holding users 0..L-1 this reproduces
 plain left-to-right packing: blocks [0-3], [4-7], ... in subframe 0,
@@ -19,9 +19,6 @@ with user 12 spilling to subframe 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,39 +42,13 @@ def per_slot(values: np.ndarray, slots: int, fill=0) -> np.ndarray:
     return np.ascontiguousarray(out.reshape((depth, slots) + values.shape[1:]).swapaxes(0, 1))
 
 
-@dataclass(frozen=True)
-class Allocation:
-    subframe: np.ndarray  # (slots, users_per_slot) per-slot layout of each user's subframe, -1 pads
-    n_users: int
-    rbs_per_user: int
-    total_rbs: int
-
-    @property
-    def slots(self) -> int:
-        return self.total_rbs // self.rbs_per_user
-
-    @cached_property
-    def user_subframe(self) -> np.ndarray:
-        """(K,) subframe carrying each user's block."""
-        return self.subframe.T.ravel()[:self.n_users]
-
-    @cached_property
-    def user_rb_start(self) -> np.ndarray:
-        """(K,) first RB of each user's block."""
-        return np.arange(self.n_users) % self.slots * self.rbs_per_user
-
-    @cached_property
-    def block_key(self) -> np.ndarray:
-        """(K,) block id subframe * total_rbs + rb_start of every user."""
-        return self.user_subframe * self.total_rbs + self.user_rb_start
-
-
-def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = DATA_RBS, rbs_per_user: int = PowerConfig.rbs_per_user) -> Allocation:
+def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = DATA_RBS, rbs_per_user: int = PowerConfig.rbs_per_user) -> np.ndarray:
     """Index-keyed block allocation; a pure function of the assignment.
 
-    serving maps user index -> cell index. Slot collisions within a cell
-    spill to later subframes in ascending user-index order; the epoch is
-    as long as the deepest collision.
+    serving maps user index -> cell index. Returns each user's subframe
+    in the per-slot layout (see per_slot), -1 for padding. Slot collisions
+    within a cell spill to later subframes in ascending user-index order;
+    the epoch is as long as the deepest collision.
     """
     serving = np.asarray(serving, dtype=int)
     if serving.size and (serving.min() < 0 or serving.max() >= n_cells):
@@ -98,9 +69,4 @@ def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = DATA_RBS, rbs_p
         group_start = np.maximum.accumulate(np.where(new_group, np.arange(n_users), 0))
         user_subframe[order] = np.arange(n_users) - group_start
 
-    return Allocation(
-        subframe=per_slot(user_subframe, slots, fill=-1),
-        n_users=n_users,
-        rbs_per_user=rbs_per_user,
-        total_rbs=total_rbs,
-    )
+    return per_slot(user_subframe, slots, fill=-1)

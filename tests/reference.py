@@ -16,39 +16,55 @@ import numpy as np
 
 from hetsim.cell_selection import MOVE_REL_THRESHOLD, Assignment, NetworkState, _block_metric, select_rsrp
 from hetsim.metrics import SUBCARRIERS_PER_RB, wideband_sinr
-from hetsim.scheduler import Allocation
+from hetsim.uplink_power import PowerConfig
 
 _EMPTY = np.array([], dtype=int)
 
 
-# ---- block lookups of an Allocation --------------------------------------------
+RBS = PowerConfig.rbs_per_user
 
 
-def subframes_per_epoch(alloc) -> int:
-    return int(alloc.subframe.max(initial=0)) + 1
+# ---- block lookups of a per-slot subframe array ----------------------------------
 
 
-def rb_range(alloc, user: int) -> range:
-    start = int(alloc.user_rb_start[user])
-    return range(start, start + alloc.rbs_per_user)
+def subframes_per_epoch(subframe) -> int:
+    return int(subframe.max(initial=0)) + 1
 
 
-def block_members(alloc, subframe: int, rb_start: int) -> np.ndarray:
-    """Users whose block is exactly (subframe, rb_start), ascending."""
-    return np.flatnonzero(alloc.block_key == subframe * alloc.total_rbs + rb_start)
+def user_blocks(subframe, n_users: int, rbs_per_user: int = RBS) -> tuple[np.ndarray, np.ndarray]:
+    """(K,) subframe and (K,) first RB of each user's block.
+
+    User k sits at [k % slots, k // slots] of the per-slot array and
+    transmits on the RBs of slot k % slots.
+    """
+    slots = len(subframe)
+    slot, pos = np.arange(n_users) % slots, np.arange(n_users) // slots
+    return subframe[slot, pos], slot * rbs_per_user
 
 
-def blocks(alloc):
+def rb_range(subframe, user: int, rbs_per_user: int = RBS) -> range:
+    start = user % len(subframe) * rbs_per_user
+    return range(start, start + rbs_per_user)
+
+
+def block_members(subframe, n_users: int, sf: int, rb_start: int, rbs_per_user: int = RBS) -> np.ndarray:
+    """Users whose block is exactly (sf, rb_start), ascending."""
+    user_sf, user_start = user_blocks(subframe, n_users, rbs_per_user)
+    return np.flatnonzero((user_sf == sf) & (user_start == rb_start))
+
+
+def blocks(subframe, n_users: int, rbs_per_user: int = RBS):
     """Iterate ((subframe, rb_start), member users) over occupied blocks.
 
-    Blocks come in ascending id order; members in ascending user order.
+    Blocks come in ascending (subframe, rb_start) order; members in
+    ascending user order.
     """
-    key = alloc.block_key
-    for block in np.unique(key):
-        yield divmod(int(block), alloc.total_rbs), np.flatnonzero(key == block)
+    user_sf, user_start = user_blocks(subframe, n_users, rbs_per_user)
+    for block in sorted(set(zip(user_sf.tolist(), user_start.tolist()))):
+        yield block, np.flatnonzero((user_sf == block[0]) & (user_start == block[1]))
 
 
-def cochannel_interferers(alloc, serving: np.ndarray, user: int, rb: int) -> np.ndarray:
+def cochannel_interferers(subframe, serving: np.ndarray, user: int, rb: int, rbs_per_user: int = RBS) -> np.ndarray:
     """Users of other cells transmitting on rb in the user's subframe.
 
     Blocks are aligned multiples of rbs_per_user, so a block covers rb
@@ -59,11 +75,12 @@ def cochannel_interferers(alloc, serving: np.ndarray, user: int, rb: int) -> np.
     serving = np.asarray(serving, dtype=int)
     if user < 0 or user >= len(serving):
         raise IndexError(f"user {user} out of range")
-    if not 0 <= rb < alloc.total_rbs:
-        raise ValueError(f"rb {rb} outside [0, {alloc.total_rbs})")
-    sf = int(alloc.user_subframe[user])
-    block_start = (rb // alloc.rbs_per_user) * alloc.rbs_per_user
-    members = block_members(alloc, sf, block_start)
+    total_rbs = len(subframe) * rbs_per_user
+    if not 0 <= rb < total_rbs:
+        raise ValueError(f"rb {rb} outside [0, {total_rbs})")
+    sf = int(subframe[user % len(subframe), user // len(subframe)])
+    block_start = (rb // rbs_per_user) * rbs_per_user
+    members = block_members(subframe, len(serving), sf, block_start, rbs_per_user)
     if len(members) == 0:
         return _EMPTY
     keep = (members != user) & (serving[members] != serving[user])
@@ -83,11 +100,11 @@ def interference_metric(user: int, cell: int, state) -> float:
 
     Excludes the user's own transmission; all quantities linear (mW).
     """
-    alloc = state.alloc
+    rbs = state.power_cfg.rbs_per_user
     g_lin = state.gains.g_linear
     total = 0.0
-    for rb in rb_range(alloc, user):
-        others = cochannel_interferers(alloc, state.serving, user, rb)
+    for rb in rb_range(state.subframe, user, rbs):
+        others = cochannel_interferers(state.subframe, state.serving, user, rb, rbs)
         i_mw = float(g_lin[cell, others] @ state.per_rb_power_mw[others]) if len(others) else 0.0
         total += (i_mw + state.noise_rb_mw) / g_lin[cell, user]
     return total
@@ -112,21 +129,20 @@ def adaptive_bias(user: int, serving: int, candidate: int, state) -> float:
 
 def per_rb_sinr(user: int, rb: int, state) -> float:
     """Linear SINR of one user on one of its own resource blocks."""
-    alloc = state.alloc
-    start = int(alloc.user_rb_start[user])
-    if not start <= rb < start + alloc.rbs_per_user:
+    rbs = state.power_cfg.rbs_per_user
+    if rb not in rb_range(state.subframe, user, rbs):
         raise ValueError(f"user {user} is not scheduled on rb {rb}")
     g_lin = state.gains.g_linear
     cell = int(state.serving[user])
     signal = state.per_rb_power_mw[user] * g_lin[cell, user]
-    others = cochannel_interferers(alloc, state.serving, user, rb)
+    others = cochannel_interferers(state.subframe, state.serving, user, rb, rbs)
     interference = float(g_lin[cell, others] @ state.per_rb_power_mw[others]) if len(others) else 0.0
     return float(signal / (interference + state.noise_rb_mw))
 
 
 def user_wideband_sinr_db(user: int, state) -> float:
     """Wideband SINR (dB) over the user's blocks in its scheduled subframe."""
-    per_rb = [per_rb_sinr(user, rb, state) for rb in rb_range(state.alloc, user)]
+    per_rb = [per_rb_sinr(user, rb, state) for rb in rb_range(state.subframe, user, state.power_cfg.rbs_per_user)]
     per_sc = np.repeat(per_rb, SUBCARRIERS_PER_RB)
     return 10.0 * math.log10(wideband_sinr(per_sc))
 
@@ -145,8 +161,8 @@ def metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
     k, and its interference is a sum of nonnegative terms.
     """
     users = np.asarray(users)
-    pos, slot = np.divmod(users, state.alloc.slots)
-    subframe = state.alloc.subframe[slot]
+    pos, slot = np.divmod(users, state.slots)
+    subframe = state.subframe[slot]
     batch = np.arange(len(users))
     mask = subframe == subframe[batch, pos][:, None]
     mask[batch, pos] = False
@@ -163,18 +179,18 @@ def metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
     return _block_metric(mask, rows, gain, state.power_cfg.rbs_per_user, state.noise_rb_mw, items)
 
 
-def allocation_move(alloc, serving: np.ndarray, user: int, old_cell: int) -> tuple[Allocation, np.ndarray]:
-    """Allocation after `user` moved from old_cell to serving[user], and the users it touched.
+def allocation_move(subframe, serving: np.ndarray, user: int, old_cell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subframes after `user` moved from old_cell to serving[user], and the users it touched.
 
     Equal to allocate(serving, ...): only the ranks of the user's slot
     inside its old and new cell can change, so only that slot is
-    re-ranked. The touched users are those now in the mover's block
-    or in a block that a user whose subframe changed left or entered.
+    re-ranked, in a copy. The touched users are those now in the mover's
+    block or in a block that a user whose subframe changed left or entered.
     """
-    slots = alloc.slots
+    slots = len(subframe)
     slot, pos = user % slots, user // slots
     cells = serving[slot::slots]
-    before = alloc.subframe[slot]
+    before = subframe[slot]
     row = before.copy()
     for cell in (old_cell, cells[pos]):
         group = np.flatnonzero(cells == cell)
@@ -184,9 +200,8 @@ def allocation_move(alloc, serving: np.ndarray, user: int, old_cell: int) -> tup
     hit[before[changed]] = True
     hit[row[changed]] = True
     hit[row[pos]] = True
-    subframe = alloc.subframe.copy()
-    subframe[slot] = row
-    moved = Allocation(subframe, alloc.n_users, alloc.rbs_per_user, alloc.total_rbs)
+    moved = subframe.copy()
+    moved[slot] = row
     return moved, slot + slots * np.flatnonzero(hit[row])
 
 
@@ -198,7 +213,7 @@ def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48) -> Assignmen
     cycle fast-forward and the bookkeeping are those of the search.
     """
     state = NetworkState.build(gains, select_rsrp(gains).c, power_cfg, noise_rb_mw, total_rbs)
-    slots = state.alloc.slots
+    slots = state.slots
     dirty = np.ones(gains.n_users, dtype=bool)
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
     seen = {state.serving.tobytes(): 0}

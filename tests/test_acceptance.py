@@ -25,7 +25,7 @@ from hetsim.harness import Scenario, run_campaign, run_drop, run_oracle_suite
 from hetsim.metrics import NoiseModel, percentiles, wideband_sinr
 from hetsim.radio import PICO, compute_gain_matrix, path_loss_db
 from hetsim.topology import build_layout, place_picos, place_users
-from reference import cochannel_interferers, rb_range
+from reference import cochannel_interferers, rb_range, user_blocks
 
 NOISE = NoiseModel()
 ALPHAS = (0.4, 0.6, 0.8, 1.0)
@@ -229,7 +229,8 @@ def test_criterion_05_power_cap(drop_states):
     worst = -np.inf
     for per_drop in drop_states:
         for state in per_drop.values():
-            worst = max(worst, float(state.total_power_dbm.max()))
+            total_dbm = 10.0 * np.log10(state.per_rb_power_mw) + 10.0 * math.log10(state.power_cfg.rbs_per_user)
+            worst = max(worst, float(total_dbm.max()))
     ok = worst <= 23.0 + 1e-12
     assert report(5, "23 dBm power cap", ok, f"max total transmit power {worst:.4f} dBm")
 
@@ -249,15 +250,16 @@ def test_criterion_07_orthogonality(drop_states):
     ok = True
     for per_drop in drop_states:
         for state in per_drop.values():
-            alloc, serving = state.alloc, state.serving
+            subframe, serving = state.subframe, state.serving
+            user_sf, rb_start = user_blocks(subframe, len(serving))
             seen = {}
             for u in range(len(serving)):
-                for rb in rb_range(alloc, u):
-                    key = (int(serving[u]), int(alloc.user_subframe[u]), rb)
+                for rb in rb_range(subframe, u):
+                    key = (int(serving[u]), int(user_sf[u]), rb)
                     ok &= key not in seen
                     seen[key] = u
             for u in range(0, len(serving), 37):
-                others = cochannel_interferers(alloc, serving, u, int(alloc.user_rb_start[u]))
+                others = cochannel_interferers(subframe, serving, u, int(rb_start[u]))
                 ok &= bool(np.all(serving[others] != serving[u])) and u not in others
     assert report(7, "intra-cell orthogonality", ok, "no RB overlap; interferer sets cross-cell only")
 

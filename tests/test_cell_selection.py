@@ -30,6 +30,7 @@ from reference import (
     interference_metric,
     metric_rows,
     subframes_per_epoch,
+    user_blocks,
 )
 
 NOISE_MW = NoiseModel().per_rb_noise_mw
@@ -141,14 +142,14 @@ def test_metric_matches_literal_formula():
         serving = rng.integers(0, n_cells, size=n_users)
         state = NetworkState.build(gains, serving, PowerConfig(-90.0, 0.8), NOISE_MW, total_rbs=4)
         g_lin = 10 ** (gains.g / 10.0)
-        p_mw = 10 ** (state.per_rb_power_dbm / 10.0)
+        p_mw = 10 ** (open_loop_power(PowerConfig(-90.0, 0.8), -gains.g[serving, np.arange(n_users)]).per_rb_dbm / 10.0)
         kernel = metric_rows(np.arange(n_users), state)
+        user_sf = user_blocks(state.subframe, n_users)[0]
         for k in range(n_users):
-            sf = state.alloc.user_subframe[k]
             co = [
                 u
                 for u in range(n_users)
-                if u != k and state.alloc.user_subframe[u] == sf and serving[u] != serving[k]
+                if u != k and user_sf[u] == user_sf[k] and serving[u] != serving[k]
             ]
             for cell in range(n_cells):
                 expected = sum(
@@ -164,7 +165,7 @@ def test_metric_at_serving_cell_is_serving_interference():
     serving = np.array([0, 1])
     state = NetworkState.build(gains, serving, PowerConfig(-90.0, 1.0), NOISE_MW, total_rbs=4)
     g_lin = 10 ** (gains.g / 10.0)
-    p1 = 10 ** (state.per_rb_power_dbm[1] / 10.0)
+    p1 = 10 ** (open_loop_power(PowerConfig(-90.0, 1.0), -gains.g[1, 1]).per_rb_dbm / 10.0)
     i_serving = 4 * (p1 * g_lin[0, 1] + NOISE_MW)
     assert interference_metric(0, 0, state) == pytest.approx(i_serving / g_lin[0, 0], rel=1e-12)
 
@@ -527,13 +528,16 @@ def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_m
         touched = state.move_user(user, cell)
         unscored.move_user(user, cell)
         fresh = NetworkState.build(gains, state.serving.copy(), power, NOISE_MW, total_rbs)
-        for name in ("subframe", "user_subframe", "user_rb_start", "block_key"):
-            assert np.array_equal(getattr(state.alloc, name), getattr(fresh.alloc, name))
-        assert subframes_per_epoch(state.alloc) == subframes_per_epoch(fresh.alloc)
-        occupied = [(b, list(m)) for b, m in blocks(state.alloc)]
-        assert occupied == [(b, list(m)) for b, m in blocks(fresh.alloc)]
-        for name in ("total_power_dbm", "per_rb_power_dbm", "per_rb_power_mw", "capped"):
+        assert np.array_equal(state.subframe, fresh.subframe)
+        assert subframes_per_epoch(state.subframe) == subframes_per_epoch(fresh.subframe)
+        occupied = [(b, list(m)) for b, m in blocks(state.subframe, n_users)]
+        assert occupied == [(b, list(m)) for b, m in blocks(fresh.subframe, n_users)]
+        for name in ("per_rb_power_mw", "capped"):
             assert np.array_equal(getattr(state, name), getattr(fresh, name))
+        # each user's power follows the open-loop law on its serving link
+        served = open_loop_power(power, -gains.g[state.serving, users])
+        assert np.array_equal(state.per_rb_power_mw, 10.0 ** (served.per_rb_dbm / 10.0))
+        assert np.array_equal(state.capped, served.capped)
         # the per-RB received power rows in the per-slot layout
         assert np.array_equal(state.rows, fresh.rows)
         # skipping an untouched user is exact: its metric vector is unchanged
@@ -609,7 +613,7 @@ def test_metric_rows_match_scalar_metric_at_acceptance_points(alpha):
         state = NetworkState.build(gains, serving.copy(), power, NOISE_MW)
         users = np.arange(gains.n_users)
         kernel = metric_rows(users, state)
-        slots = state.alloc.slots
+        slots = state.slots
         g_slot = per_slot(gains.g_linear.T, slots, fill=1.0)
         program = np.vstack([
             _position_metrics(state, g_slot, j, np.arange(min(slots, gains.n_users - start)))
@@ -757,23 +761,21 @@ def test_position_metrics_equal_metric_rows(seed, n_cells, slots, n_users, n_mov
 )
 def test_in_place_move_equals_copying_move(seed, n_cells, slots, n_users, n_moves):
     # the in-place re-rank gives the subframes and the touched users of the
-    # former move, which copied the allocation, and leaves the allocation
-    # the state held before the move as it was
+    # former move, which copied the allocation
     rng = np.random.default_rng(seed)
     gains = random_gm(rng, n_cells, n_users)
     state = NetworkState.build(gains, rng.integers(0, n_cells, n_users), PowerConfig(-90.0, 0.8), NOISE_MW, 4 * slots)
     for _ in range(n_moves):
         user, cell = int(rng.integers(0, n_users)), int(rng.integers(0, n_cells))
-        held, old_cell = state.alloc, int(state.serving[user])
-        held_subframe, held_blocks = held.subframe.copy(), held.block_key.copy()
+        old_cell = int(state.serving[user])
         serving = state.serving.copy()
         serving[user] = cell
-        expected, expected_touched = allocation_move(held, serving, user, old_cell)
+        expected, expected_touched = allocation_move(state.subframe, serving, user, old_cell)
         touched = state.move_user(user, cell)
-        assert np.array_equal(state.alloc.subframe, expected.subframe)
+        assert np.array_equal(state.subframe, expected)
         assert np.array_equal(touched, expected_touched)
-        assert np.array_equal(state.alloc.block_key, expected.block_key)
-        assert np.array_equal(held.subframe, held_subframe) and np.array_equal(held.block_key, held_blocks)
+        occupied = [(b, list(m)) for b, m in blocks(state.subframe, n_users)]
+        assert occupied == [(b, list(m)) for b, m in blocks(expected, n_users)]
 
 
 # ---- the open-loop power table -------------------------------------------------

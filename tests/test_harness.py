@@ -28,7 +28,7 @@ from hetsim.metrics import NoiseModel, SinrReport, SinrRun, SinrSample, percenti
 from hetsim.radio import compute_gain_matrix
 from hetsim.topology import build_layout, place_picos, place_users
 from hetsim.uplink_power import PowerConfig
-from reference import block_members, blocks, user_wideband_sinr_db
+from reference import block_members, blocks, user_blocks, user_wideband_sinr_db
 
 # small but complete scenario: 57 picos, 171 users, every strategy
 TINY = replace(
@@ -138,6 +138,8 @@ def test_scenario_validation_errors(tmp_path):
         replace(Scenario(), p0_dbm=(-50.0, -90.0)).validate()
     with pytest.raises(ConfigError, match="master_seed"):
         replace(Scenario(), master_seed=-1).validate()
+    with pytest.raises(ConfigError, match="strategies"):
+        replace(Scenario(), strategies=()).validate()
 
 
 @pytest.mark.parametrize("total_data_rbs", [0, -4])
@@ -146,6 +148,22 @@ def test_total_data_rbs_must_be_positive(total_data_rbs):
     # would fail in its first SINR stage
     with pytest.raises(ConfigError, match="total_data_rbs"):
         replace(Scenario(), total_data_rbs=total_data_rbs).validate()
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("min_pico_to_macro_m", -75.0),
+        ("min_pico_to_pico_m", -5.0),
+        ("pico_coverage_radius_m", -50.0),
+        ("pico_coverage_radius_m", 0.0),
+    ],
+)
+def test_negative_distances_are_rejected(name, value):
+    # a negative radius would mirror each seed draw through its pico, and a
+    # negative spacing would drop its rule without a word
+    with pytest.raises(ConfigError, match=name):
+        replace(Scenario(), **{name: value}).validate()
 
 
 @pytest.mark.parametrize("max_passes", [0, -3])
@@ -312,17 +330,19 @@ def valid_scenarios(draw):
     data_rbs = rbs * draw(st.integers(1, 12))
     alphas = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True)))
     p0 = draw(st.one_of(FLOATS, st.lists(FLOATS, min_size=len(alphas), max_size=len(alphas))))
-    # strategy tokens with distinct labels: plain kinds, and cre with its own bias
-    kinds = draw(st.lists(st.sampled_from(VALID_KINDS), unique=True))
+    # at least one strategy token, with distinct labels: plain kinds, and cre with its own bias
+    kinds = draw(st.lists(st.sampled_from(VALID_KINDS), min_size=1, unique=True))
     biases = draw(st.lists(FLOATS, max_size=3, unique_by=lambda b: f"{b:g}"))
-    cre_bias = values["cre_bias_db"]
-    if "cre" in kinds and f"{cre_bias:g}" in {f"{b:g}" for b in biases}:
-        kinds.remove("cre")
+    if "cre" in kinds:
+        biases = [b for b in biases if f"{b:g}" != f"{values['cre_bias_db']:g}"]
     strategies = draw(st.permutations(kinds + [f"cre:{b!r}" for b in biases]))
     path = st.text(alphabet="abcXYZ019_-./%()", max_size=8)
     output_dir = draw(st.one_of(st.none(), st.tuples(path, path).map("%".join)))
     values.update(
         isd_m=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        min_pico_to_macro_m=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        min_pico_to_pico_m=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        pico_coverage_radius_m=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
         picos_per_sector=picos,
         users_per_sector=picos + draw(st.integers(0, 50)),
         rbs_per_user=rbs,
@@ -442,14 +462,16 @@ def per_user_sinr_db(state):
     on its per-RB SINR repeated over every subcarrier of its block."""
     from hetsim.metrics import SUBCARRIERS_PER_RB, wideband_sinr
 
-    g_lin, serving, alloc, p = state.gains.g_linear, state.serving, state.alloc, state.per_rb_power_mw
+    g_lin, serving, p = state.gains.g_linear, state.serving, state.per_rb_power_mw
+    rbs = state.power_cfg.rbs_per_user
+    user_sf, rb_start = user_blocks(state.subframe, len(serving), rbs)
     out = np.empty(len(serving))
     for u in range(len(serving)):
-        members = block_members(alloc, int(alloc.user_subframe[u]), int(alloc.user_rb_start[u]))
+        members = block_members(state.subframe, len(serving), int(user_sf[u]), int(rb_start[u]), rbs)
         rx = g_lin[np.ix_(serving[members], members)] * p[members][None, :]
         i = int(np.flatnonzero(members == u)[0])
         gamma_rb = rx[i, i] / (rx.sum(axis=1)[i] - rx[i, i] + state.noise_rb_mw)
-        per_sc = np.full(alloc.rbs_per_user * SUBCARRIERS_PER_RB, gamma_rb)
+        per_sc = np.full(rbs * SUBCARRIERS_PER_RB, gamma_rb)
         out[u] = 10.0 * math.log10(wideband_sinr(per_sc))
     return out
 
@@ -483,7 +505,7 @@ def per_block_sinr_db(state):
     serving = state.serving
     p = state.per_rb_power_mw
     out = np.empty(len(serving))
-    for _, members in blocks(state.alloc):
+    for _, members in blocks(state.subframe, len(serving), state.power_cfg.rbs_per_user):
         rx = g_lin[np.ix_(serving[members], members)] * p[members][None, :]
         signal = np.diagonal(rx)
         gamma_rb = signal / (rx.sum(axis=1) - signal + state.noise_rb_mw)
@@ -519,8 +541,8 @@ def sinr_states(draw):
 @given(sinr_states())
 def test_batched_sinr_equals_per_block_loop(drawn):
     width, state = drawn
-    sizes = np.bincount(state.alloc.block_key)
-    assert sizes.max() >= width
+    sizes = [len(members) for _, members in blocks(state.subframe, len(state.serving))]
+    assert max(sizes) >= width
     batched = _all_user_sinr_db(state)
     assert np.array_equal(batched, per_block_sinr_db(state))
     assert np.array_equal(batched, per_user_sinr_db(state))

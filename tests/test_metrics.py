@@ -15,7 +15,7 @@ from hetsim.metrics import (
     wideband_sinr,
 )
 from hetsim.radio import GainMatrix
-from hetsim.uplink_power import PowerConfig
+from hetsim.uplink_power import PowerConfig, open_loop_power
 from reference import per_rb_sinr, user_wideband_sinr_db
 
 NOISE = NoiseModel()
@@ -105,7 +105,7 @@ def _lone_user_state(g_db=-133.1, per_rb_dbm=-10.0, alpha=0.8):
     state = NetworkState.build(
         gains, np.array([0]), PowerConfig(p0, alpha), NOISE.per_rb_noise_mw
     )
-    assert state.per_rb_power_dbm[0] == pytest.approx(per_rb_dbm, abs=1e-9)
+    assert open_loop_power(PowerConfig(p0, alpha), -g_db).per_rb_dbm == pytest.approx(per_rb_dbm, abs=1e-9)
     return state
 
 
@@ -135,9 +135,10 @@ def test_per_rb_sinr_one_interferer_at_noise_level():
         gains, np.array([0, 1]), PowerConfig(p0, 0.8), NOISE.per_rb_noise_mw, total_rbs=4
     )
     assert not state.capped.any()
-    received_dbm = state.per_rb_power_dbm[1] + g[0, 1]
+    served = open_loop_power(PowerConfig(p0, 0.8), -g[[0, 1], [0, 1]])
+    received_dbm = served.per_rb_dbm[1] + g[0, 1]
     assert received_dbm == pytest.approx(NOISE.per_rb_noise_dbm, abs=1e-9)
-    solo = _lone_user_state(g_db=-95.0, per_rb_dbm=float(state.per_rb_power_dbm[0]))
+    solo = _lone_user_state(g_db=-95.0, per_rb_dbm=float(served.per_rb_dbm[0]))
     with_interf = per_rb_sinr(0, 0, state)
     alone = per_rb_sinr(0, 0, solo)
     assert 10 * math.log10(alone / with_interf) == pytest.approx(3.01, abs=0.005)
