@@ -11,6 +11,7 @@ from hetsim.harness import (
     Scenario,
     float_list,
     load_scenario,
+    percentile_line,
     run_campaign,
     run_oracle_suite,
     scenario_to_ini,
@@ -57,10 +58,7 @@ def main(argv: list[str] | None = None) -> int:
             scenario = _scenario_from_args(args)
             report, _ = run_campaign(scenario)
             for row in report.percentile_table():
-                print(
-                    f"{row['strategy']} alpha={row['alpha']:g} p5={row['p5_db']:.2f} "
-                    f"p50={row['p50_db']:.2f} p90={row['p90_db']:.2f} n={row['n']}"
-                )
+                print(percentile_line(row))
             if scenario.output_dir:
                 print(f"outputs written to {scenario.output_dir}")
             return 0

@@ -33,7 +33,7 @@ from hetsim.cell_selection import (
     select_pl,
     select_rsrp,
 )
-from hetsim.metrics import NoiseModel, SampleView, SinrReport, SinrRun
+from hetsim.metrics import NoiseModel, SinrReport, SinrRun
 from hetsim.metrics import wideband_sinr  # noqa: F401 - kept bound here, hetbench traces harness.wideband_sinr
 from hetsim.radio import MACRO, PICO, GainMatrix, RadioParams, compute_gain_matrix
 from hetsim.scheduler import DATA_RBS
@@ -133,6 +133,8 @@ class Scenario(RadioParams):
             raise ConfigError("workers must be >= 1")
         if not self.strategies:
             raise ConfigError("strategies must be non-empty")
+        if self.output_dir == "":
+            raise ConfigError("output_dir must name a directory, got ''")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         texts = [("strategies", token) for token in self.strategies] + [("output_dir", self.output_dir or "")]
@@ -222,14 +224,20 @@ for _field in fields(Scenario):
 
 
 def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
-    """Parse an INI scenario file; unknown sections or keys are errors."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    """Parse an INI scenario file; unknown sections (a non-empty [DEFAULT]
+    too) or keys are errors, and so is a file that cannot be read."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
 
     values: dict = {}
     for section in parser.sections():
@@ -271,31 +279,6 @@ def scenario_to_ini(scenario: Scenario) -> str:
 
 
 # ---- drop execution --------------------------------------------------------
-
-
-@dataclass
-class StrategySummary:
-    drop: int
-    strategy: str
-    alpha: float
-    macro_attached: int
-    pico_attached: int
-    converged: bool
-    passes_used: int
-    moves_total: int
-    capped_users: int
-    cycle_period: int | None  # passes per cycle of a search that cycled
-
-
-@dataclass
-class DropResult:
-    drop_index: int
-    runs: list[SinrRun]
-    summaries: list[StrategySummary]
-
-    @property
-    def samples(self) -> SampleView:
-        return SampleView(self.runs)
 
 
 def _all_user_sinr_db(state: NetworkState) -> np.ndarray:
@@ -368,8 +351,8 @@ def _stage(drop_index: int, stage: str):
         raise DropError(drop_index, stage, exc) from exc
 
 
-def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
-    """Simulate one drop: topology, gains, then every (strategy, alpha).
+def run_drop(scenario: Scenario, drop_index: int) -> list[SinrRun]:
+    """Simulate one drop: topology, gains, then one SinrRun per (strategy, alpha).
 
     A failure is raised as a DropError whose stage is placement, gain
     matrix, the selection of one strategy (and alpha, for the search), or
@@ -398,7 +381,6 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
     noise_mw = scenario.noise_model().per_rb_noise_mw
 
     runs: list[SinrRun] = []
-    summaries: list[StrategySummary] = []
     for strategy in scenario.strategy_configs():
         label = strategy.label
         if strategy.kind != "interference":
@@ -420,16 +402,8 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
                 )
                 sinr_db = _all_user_sinr_db(state)
             runs.append(
-                SinrRun(drop_index, label, alpha, power_cfg.p0_dbm, assignment.c, sinr_db, gains.cell_tier)
-            )
-            tiers = gains.cell_tier[assignment.c]
-            summaries.append(
-                StrategySummary(
-                    drop=drop_index,
-                    strategy=label,
-                    alpha=alpha,
-                    macro_attached=int(np.sum(tiers == MACRO)),
-                    pico_attached=int(np.sum(tiers == PICO)),
+                SinrRun(
+                    drop_index, label, alpha, power_cfg.p0_dbm, assignment.c, sinr_db, gains.cell_tier,
                     converged=bool(assignment.converged),
                     passes_used=int(assignment.passes_used),
                     moves_total=int(sum(assignment.moves_per_pass)),
@@ -437,21 +411,25 @@ def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
                     cycle_period=assignment.cycle_period,
                 )
             )
-    return DropResult(drop_index=drop_index, runs=runs, summaries=summaries)
+    return runs
 
 
 # ---- campaign ---------------------------------------------------------------
 
 
-def run_campaign(scenario: Scenario) -> tuple[SinrReport, list[StrategySummary]]:
+def run_campaign(scenario: Scenario) -> tuple[SinrReport, list[SinrRun]]:
     """Run all drops, aggregate, and write outputs when output_dir is set.
 
-    The aggregate is assembled in drop-index order, so it does not depend
-    on the number of workers or their completion order.
+    Returns the report and its runs. The runs are assembled in drop-index
+    order, so they do not depend on the number of workers or their
+    completion order. An output_dir that cannot be made a directory fails
+    before the first drop runs.
     """
     scenario.validate()
+    if scenario.output_dir is not None:
+        _check_output_dir(scenario.output_dir)
     indices = list(range(scenario.drops))
-    results = []
+    runs: list[SinrRun] = []
     failures: list[str] = []
     if scenario.workers > 1:
         # imported here: multiprocessing adds about 1 MB to every process
@@ -462,31 +440,34 @@ def run_campaign(scenario: Scenario) -> tuple[SinrReport, list[StrategySummary]]
             futures = [pool.submit(run_drop, scenario, i) for i in indices]
             for fut in futures:
                 try:
-                    results.append(fut.result())
+                    runs.extend(fut.result())
                 except DropError as exc:
                     failures.append(str(exc))
     else:
         for i in indices:
             try:
-                results.append(run_drop(scenario, i))
+                runs.extend(run_drop(scenario, i))
             except DropError as exc:
                 failures.append(str(exc))
     if failures:
         raise CampaignError(failures)
 
-    runs: list[SinrRun] = []
-    summaries: list[StrategySummary] = []
-    for res in results:
-        runs.extend(res.runs)
-        summaries.extend(res.summaries)
     report = SinrReport(runs=runs)
-
     if scenario.output_dir is not None:
-        write_outputs(scenario, report, summaries)
-    return report, summaries
+        write_outputs(scenario, report)
+    return report, report.runs
 
 
-def write_outputs(scenario: Scenario, report: SinrReport, summaries: list[StrategySummary]):
+def _check_output_dir(path: str) -> None:
+    """Raise a ConfigError unless path is, or can be made, a writable directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing) or not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"output_dir {path}: {existing} is not a writable directory")
+
+
+def write_outputs(scenario: Scenario, report: SinrReport):
     outdir = scenario.output_dir
     os.makedirs(outdir, exist_ok=True)
     table = report.percentile_table()
@@ -508,7 +489,7 @@ def write_outputs(scenario: Scenario, report: SinrReport, summaries: list[Strate
         fh.writelines(_cdf_csv(metrics_mod.export_cdf(report)))
 
     with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_summary_text(scenario, table, summaries))
+        fh.write(_summary_text(scenario, table, report.runs))
 
     with open(os.path.join(outdir, "scenario.resolved.cfg"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(scenario_to_ini(scenario))
@@ -537,40 +518,45 @@ def _cdf_csv(curves: list[tuple[str, float, np.ndarray, np.ndarray]]) -> Iterato
         yield "".join([f"{head}{x:.6f}{f}" for x, f in zip(sinr_db.tolist(), fractions[n])])
 
 
-def _summary_text(scenario: Scenario, table: list[dict], summaries: list[StrategySummary]) -> str:
+def percentile_line(row: dict) -> str:
+    """One percentile-table row as the CLI prints it and summary.txt lists it."""
+    return (
+        f"{row['strategy']} alpha={row['alpha']:g} "
+        f"p5={row['p5_db']:.2f} p50={row['p50_db']:.2f} p90={row['p90_db']:.2f} n={row['n']}"
+    )
+
+
+def _summary_text(scenario: Scenario, table: list[dict], runs: list[SinrRun]) -> str:
     lines = [
         f"drops={scenario.drops} master_seed={scenario.master_seed} "
         f"picos_per_sector={scenario.picos_per_sector} users_per_sector={scenario.users_per_sector}",
         "",
         "strategy alpha macro_attached pico_attached converged_rate mean_passes capped_users",
     ]
-    groups: dict[tuple[str, float], list[StrategySummary]] = {}
-    for s in summaries:
-        groups.setdefault((s.strategy, s.alpha), []).append(s)
+    groups: dict[tuple[str, float], list[SinrRun]] = {}
+    for run in runs:
+        groups.setdefault((run.strategy, run.alpha), []).append(run)
     for (strategy, alpha), items in groups.items():
-        macro = np.mean([s.macro_attached for s in items])
-        pico = np.mean([s.pico_attached for s in items])
-        conv = np.mean([1.0 if s.converged else 0.0 for s in items])
-        passes = np.mean([s.passes_used for s in items])
-        capped = np.mean([s.capped_users for s in items])
+        tiers = [run.cell_tier[run.serving_cell] for run in items]
+        macro = np.mean([np.sum(t == MACRO) for t in tiers])
+        pico = np.mean([np.sum(t == PICO) for t in tiers])
+        conv = np.mean([1.0 if run.converged else 0.0 for run in items])
+        passes = np.mean([run.passes_used for run in items])
+        capped = np.mean([run.capped_users for run in items])
         lines.append(
             f"{strategy} {alpha:g} {macro:.1f} {pico:.1f} {conv:.2f} {passes:.2f} {capped:.1f}"
         )
     lines.append("")
     lines.append("passes histogram (interference strategy):")
     hist: dict[int, int] = {}
-    for s in summaries:
-        if s.strategy == "interference":
-            hist[s.passes_used] = hist.get(s.passes_used, 0) + 1
+    for run in runs:
+        if run.strategy == "interference":
+            hist[run.passes_used] = hist.get(run.passes_used, 0) + 1
     for passes in sorted(hist):
         lines.append(f"  passes={passes}: {hist[passes]}")
     lines.append("")
     lines.append("percentiles (dB):")
-    for row in table:
-        lines.append(
-            f"  {row['strategy']} alpha={row['alpha']:g} "
-            f"p5={row['p5_db']:.2f} p50={row['p50_db']:.2f} p90={row['p90_db']:.2f} n={row['n']}"
-        )
+    lines.extend(f"  {percentile_line(row)}" for row in table)
     return "\n".join(lines) + "\n"
 
 

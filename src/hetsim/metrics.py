@@ -56,7 +56,8 @@ class SinrSample(NamedTuple):
 
 
 class SinrRun(NamedTuple):
-    """One (drop, strategy, alpha) run as columns over its users 0..K-1."""
+    """One (drop, strategy, alpha) run: columns over its users 0..K-1 and
+    the tallies of its selection; the defaults describe a run with no search."""
 
     drop: int
     strategy: str
@@ -65,6 +66,11 @@ class SinrRun(NamedTuple):
     serving_cell: np.ndarray  # (K,) serving cell of each user
     sinr_db: np.ndarray       # (K,) wideband SINR (dB) of each user
     cell_tier: np.ndarray     # (C,) tier of every cell of the drop
+    converged: bool = True
+    passes_used: int = 0
+    moves_total: int = 0
+    capped_users: int = 0     # users held at the power cap
+    cycle_period: int | None = None  # passes per cycle of a search that cycled
 
 
 class SampleView:

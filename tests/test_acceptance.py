@@ -87,9 +87,9 @@ def pct(campaign_report, strategy, alpha):
 def interference_runs(campaign, alpha):
     """One detail line: how many interference runs at alpha converged, and
     their percentiles next to those over all drops."""
-    rep, summaries = campaign
-    runs = [s for s in summaries if s.strategy == "interference" and s.alpha == alpha]
-    drops = {s.drop for s in runs if s.converged}
+    rep, runs = campaign
+    runs = [r for r in runs if r.strategy == "interference" and r.alpha == alpha]
+    drops = {r.drop for r in runs if r.converged}
     text = f"interference a={alpha:g} converged {len(drops)}/{len(runs)} runs"
     if not drops:
         return text

@@ -36,3 +36,27 @@ def test_bench_refuses_a_wrong_or_failed_run(tmp_path, correct, failed):
     checkout = stub_checkout(tmp_path, {"correct": correct, "attempted": 3, "failed": failed, "metrics": METRICS})
     with pytest.raises(RuntimeError, match=f"oracle parent seed 5: correct={correct} failed={failed}"):
         load_tool().bench(checkout, "parent", "oracle", 1, 0, 5)
+
+
+def run(side, seed, trace=0, **metrics):
+    return {"side": side, "seed": seed, "trace": trace, "metrics": metrics}
+
+
+def test_wins_counts_strict_gains_in_each_metrics_sense():
+    runs = [
+        run("parent", 2, items_per_s=9.0, setup_s=0.20), run("change", 2, items_per_s=9.5, setup_s=0.20),
+        run("parent", 3, items_per_s=9.0, setup_s=0.20), run("change", 3, items_per_s=9.0, setup_s=0.10),
+        run("parent", 4, items_per_s=9.0, setup_s=0.10), run("change", 4, items_per_s=8.0, setup_s=0.30),
+        # traced runs are no pairs
+        run("parent", None, trace=1, items_per_s=1.0, setup_s=9.0),
+        run("change", None, trace=1, items_per_s=1.0, setup_s=9.0),
+    ]
+    assert load_tool().wins(runs, {"items_per_s": "higher", "setup_s": "lower"}) == {
+        "items_per_s": 1,  # seed 2 won; the tie at seed 3 counts for neither side
+        "setup_s": 1,      # seed 3 won; the tie at seed 2 counts for neither side
+    }
+
+
+def test_stats_of_four_values():
+    runs = [run("change", seed, items_per_s=v) for seed, v in enumerate([4.0, 1.0, 3.0, 2.0])]
+    assert load_tool().stats(runs) == {"items_per_s": {"min": 1.0, "q1": 1.25, "median": 2.5, "q3": 3.75}}

@@ -24,7 +24,7 @@ from hetsim.harness import (
     run_oracle_suite,
     scenario_to_ini,
 )
-from hetsim.metrics import NoiseModel, SinrReport, SinrRun, SinrSample, percentiles
+from hetsim.metrics import NoiseModel, SampleView, SinrReport, SinrRun, SinrSample, percentiles
 from hetsim.radio import compute_gain_matrix
 from hetsim.topology import build_layout, place_picos, place_users
 from hetsim.uplink_power import PowerConfig
@@ -42,6 +42,14 @@ TINY = replace(
 )
 
 
+def tallies(runs):
+    """Each run's key and search tallies, as comparable tuples."""
+    return [
+        (r.drop, r.strategy, r.alpha, r.converged, r.passes_used, r.moves_total, r.capped_users, r.cycle_period)
+        for r in runs
+    ]
+
+
 @pytest.fixture(scope="module")
 def tiny_result():
     return run_drop(TINY, 0)
@@ -49,27 +57,28 @@ def tiny_result():
 
 def test_run_drop_deterministic(tiny_result):
     again = run_drop(TINY, 0)
-    assert again.samples == tiny_result.samples
-    assert again.summaries == tiny_result.summaries
+    assert SampleView(again) == SampleView(tiny_result)
+    assert tallies(again) == tallies(tiny_result)
 
 
 def test_run_drop_sample_count(tiny_result):
     users = 57 * TINY.users_per_sector
-    assert len(tiny_result.samples) == users * len(TINY.strategies) * len(TINY.alphas)
+    assert len(SampleView(tiny_result)) == users * len(TINY.strategies) * len(TINY.alphas)
 
 
 def test_run_drop_sample_fields(tiny_result):
-    labels = {s.strategy for s in tiny_result.samples}
+    samples = SampleView(tiny_result)
+    labels = {s.strategy for s in samples}
     assert labels == {"rsrp", "pl", "cre6", "interference"}
-    assert all(s.tier in ("macro", "pico") for s in tiny_result.samples)
-    assert all(np.isfinite(s.sinr_db) for s in tiny_result.samples)
+    assert all(s.tier in ("macro", "pico") for s in samples)
+    assert all(np.isfinite(s.sinr_db) for s in samples)
 
 
 def test_cre_zero_matches_rsrp_samples():
     scenario = replace(TINY, strategies=("rsrp", "cre:0"), drops=1)
-    result = run_drop(scenario, 0)
-    rsrp = {(s.user, s.alpha): s for s in result.samples if s.strategy == "rsrp"}
-    cre = {(s.user, s.alpha): s for s in result.samples if s.strategy == "cre0"}
+    samples = SampleView(run_drop(scenario, 0))
+    rsrp = {(s.user, s.alpha): s for s in samples if s.strategy == "rsrp"}
+    cre = {(s.user, s.alpha): s for s in samples if s.strategy == "cre0"}
     assert rsrp.keys() == cre.keys()
     for key, s in rsrp.items():
         assert cre[key].serving_cell == s.serving_cell
@@ -78,28 +87,29 @@ def test_cre_zero_matches_rsrp_samples():
 
 def test_campaign_single_drop_equals_run_drop(tmp_path):
     scenario = replace(TINY, drops=1)
-    report, summaries = run_campaign(scenario)
+    report, runs = run_campaign(scenario)
     direct = run_drop(scenario, 0)
-    assert report.samples == direct.samples
-    assert summaries == direct.summaries
+    assert runs is report.runs
+    assert report.samples == SampleView(direct)
+    assert tallies(runs) == tallies(direct)
 
 
 def test_campaign_aggregates_drops():
-    report, summaries = run_campaign(TINY)
+    report, runs = run_campaign(TINY)
     assert {s.drop for s in report.samples} == {0, 1}
     per_drop = len(TINY.strategies) * len(TINY.alphas) * 57 * TINY.users_per_sector
     assert len(report.samples) == 2 * per_drop
-    assert len(summaries) == 2 * len(TINY.strategies) * len(TINY.alphas)
+    assert len(runs) == 2 * len(TINY.strategies) * len(TINY.alphas)
 
 
 def test_samples_carry_each_alphas_p0():
     scenario = replace(TINY, alphas=(0.6, 1.0), p0_dbm=(-47.25, -90.0), drops=1)
-    report, summaries = run_campaign(scenario)
+    report, runs = run_campaign(scenario)
     assert {(s.alpha, s.p0_dbm) for s in report.samples} == {(0.6, -47.25), (1.0, -90.0)}
-    assert {s.drop for s in summaries} == {0}
+    assert {r.drop for r in runs} == {0}
     # a single P0 applies to every alpha
     single = run_drop(replace(scenario, p0_dbm=-80.0), 0)
-    assert {s.p0_dbm for s in single.samples} == {-80.0}
+    assert {s.p0_dbm for s in SampleView(single)} == {-80.0}
 
 
 def test_strategies_share_drop_randomness():
@@ -107,15 +117,15 @@ def test_strategies_share_drop_randomness():
     # must not perturb the samples of the ones already there
     solo = run_drop(replace(TINY, strategies=("rsrp",)), 0)
     both = run_drop(replace(TINY, strategies=("rsrp", "pl")), 0)
-    rsrp_solo = [s for s in solo.samples if s.strategy == "rsrp"]
-    rsrp_both = [s for s in both.samples if s.strategy == "rsrp"]
+    rsrp_solo = [s for s in SampleView(solo) if s.strategy == "rsrp"]
+    rsrp_both = [s for s in SampleView(both) if s.strategy == "rsrp"]
     assert rsrp_solo == rsrp_both
 
 
 def test_drop_streams_are_distinct():
     a = run_drop(TINY, 0)
     b = run_drop(TINY, 1)
-    assert [s.sinr_db for s in a.samples] != [s.sinr_db for s in b.samples]
+    assert [s.sinr_db for s in SampleView(a)] != [s.sinr_db for s in SampleView(b)]
 
 
 def test_scenario_validation_errors(tmp_path):
@@ -123,6 +133,8 @@ def test_scenario_validation_errors(tmp_path):
         replace(Scenario(), drops=0).validate()
     with pytest.raises(ConfigError):
         replace(Scenario(), users_per_sector=1, picos_per_sector=2).validate()
+    with pytest.raises(ConfigError, match="output_dir must name a directory"):
+        replace(Scenario(), output_dir="").validate()
     # the layout is fixed at 19 sites: no key sets another count
     path = tmp_path / "sites.cfg"
     path.write_text("[layout]\nsites = 7\n", encoding="utf-8")
@@ -221,7 +233,7 @@ def test_summaries_carry_cycle_period():
         Scenario(), picos_per_sector=2, users_per_sector=6, alphas=(1.0,),
         strategies=("rsrp", "interference"), master_seed=1,
     )
-    rsrp, searched = run_drop(scenario, 0).summaries
+    rsrp, searched = run_drop(scenario, 0)
     assert rsrp.cycle_period is None
     assert searched.cycle_period == 2
     assert not searched.converged and searched.passes_used == scenario.max_passes
@@ -425,11 +437,25 @@ def test_config_unknown_section_rejected(tmp_path):
     path.write_text("[doppler]\nspeed = 3\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="doppler"):
         load_scenario(str(path))
+    # [DEFAULT] is no scenario section, alone or leaking into [run]
+    for text in ("[DEFAULT]\ndrops = 3\n", "[DEFAULT]\ndrops = 3\n[run]\nmaster_seed = 2\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_scenario(str(path))
+    path.write_text("[DEFAULT]\n[run]\ndrops = 3\n", encoding="utf-8")
+    assert load_scenario(str(path)).drops == 3
 
 
-def test_config_missing_file():
+def test_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="no/such/file.cfg"):
         load_scenario("no/such/file.cfg")
+    # a directory is no file, and its error names it
+    with pytest.raises(ConfigError, match=f"cannot read config file {tmp_path}"):
+        load_scenario(str(tmp_path))
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("[run]\n# d\xe9j\xe0 vu\ndrops = 3\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=f"config file {path} is not UTF-8"):
+        load_scenario(str(path))
 
 
 def test_config_bad_value(tmp_path):
@@ -587,7 +613,7 @@ def former_drop_samples(scenario, drop_index):
     return samples
 
 
-def former_outputs(scenario, samples, summaries):
+def former_outputs(scenario, samples, runs):
     """Every output file as first written: row by row from a SinrSample
     list, the CDF from one (strategy, alpha, sinr_db, fraction) tuple per row."""
     groups = {}
@@ -615,7 +641,7 @@ def former_outputs(scenario, samples, summaries):
             f"{strategy},{alpha:g},{sinr_db:.6f},{fraction:.8f}\n"
             for strategy, alpha, sinr_db, fraction in cdf
         ),
-        "summary.txt": _summary_text(scenario, table, summaries),
+        "summary.txt": _summary_text(scenario, table, runs),
         "scenario.resolved.cfg": scenario_to_ini(scenario),
     }
 
@@ -625,13 +651,19 @@ def test_outputs_equal_row_by_row_writers(tmp_path):
         TINY, strategies=("rsrp", "pl", "cre:0", "interference"), alphas=(0.6, 1.0),
         p0_dbm=(-47.25, -90.0), drops=2, output_dir=str(tmp_path / "out"),
     )
-    report, summaries = run_campaign(scenario)
+    report, runs = run_campaign(scenario)
     samples = former_drop_samples(scenario, 0) + former_drop_samples(scenario, 1)
     assert list(report.samples) == samples
     assert report.samples == samples
     assert {(s.alpha, s.p0_dbm) for s in report.samples} == {(0.6, -47.25), (1.0, -90.0)}
-    for name, text in former_outputs(scenario, samples, summaries).items():
+    for name, text in former_outputs(scenario, samples, runs).items():
         assert (tmp_path / "out" / name).read_bytes() == text.encode("utf-8"), name
+    # the attach columns of summary.txt count each run's users by the tier of their cell
+    rows = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8").splitlines()[3:11]
+    for row in rows:
+        strategy, alpha, macro, pico = row.split()[:4]
+        tiers = [s.tier for s in samples if (s.strategy, f"{s.alpha:g}") == (strategy, alpha)]
+        assert (float(macro), float(pico)) == (tiers.count("macro") / 2, tiers.count("pico") / 2)
 
 
 def test_cdf_rows_of_curves_of_different_lengths():
@@ -754,7 +786,27 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     )
     assert code == 0
     assert (out / "samples.csv").exists()
-    assert "outputs written" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "outputs written" in stdout
+    # the printed percentile lines are summary.txt's, without the indent
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    listed = summary.split("percentiles (dB):\n")[1]
+    assert stdout.startswith(listed.replace("  ", ""))
+    assert stdout.count("\n") == listed.count("\n") + 1
+
+
+def test_cli_unusable_out_fails_before_any_drop(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a drop ran")
+
+    monkeypatch.setattr(harness, "run_drop", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    for out in (taken, taken / "sub"):
+        assert cli_main(["run", "--drops", "1", "--strategies", "rsrp", "--alphas", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: output_dir {out}: {taken} is not a writable directory")
+        assert err.count("\n") == 1
 
 
 def test_cli_alphas_override_must_match_p0_list(tmp_path, capsys):
