@@ -95,7 +95,6 @@ class NetworkState:
     power_cfg: PowerConfig
     noise_rb_mw: float
     per_rb_power_mw: np.ndarray
-    capped: np.ndarray
 
     @classmethod
     def build(
@@ -108,30 +107,35 @@ class NetworkState:
     ) -> "NetworkState":
         """State of an assignment; each user's power follows its link to its serving cell."""
         serving = np.asarray(serving, dtype=int)
-        power, mw = _power_table(power_cfg, gains.g[serving, np.arange(len(serving))])
         return cls(
             gains=gains,
             serving=serving,
             subframe=allocate(serving, gains.n_cells, total_rbs, power_cfg.rbs_per_user),
             power_cfg=power_cfg,
             noise_rb_mw=noise_rb_mw,
-            per_rb_power_mw=mw,
-            capped=power.capped,
+            per_rb_power_mw=uplink_power.per_rb_mw(power_cfg, -gains.g[serving, np.arange(len(serving))]),
         )
 
     @property
     def slots(self) -> int:
         return len(self.subframe)
 
+    @property
+    def capped(self) -> np.ndarray:
+        """Whether the power cap holds each user on its link to its serving cell."""
+        served = self.gains.g[self.serving, np.arange(len(self.serving))]
+        return uplink_power.open_loop_power(self.power_cfg, -served).capped
+
     @cached_property
     def rows(self) -> np.ndarray:
         """(slots, users_per_slot, cells) per-RB received power of every user at every cell."""
-        return per_slot(self.gains.g_linear.T * self.per_rb_power_mw[:, None], self.slots)
+        mw = per_slot(self.per_rb_power_mw, self.slots)
+        return self.gains.g_linear_per_slot(self.slots) * mw[:, :, None]
 
     @cached_property
-    def power_table(self) -> tuple[uplink_power.UserPower, np.ndarray]:
-        """Open-loop power of every user at every cell, (cells, K) arrays, and its per-RB mW."""
-        return _power_table(self.power_cfg, self.gains.g)
+    def power_table(self) -> np.ndarray:
+        """(cells, K) per-RB open-loop power in mW of every user at every cell."""
+        return uplink_power.per_rb_mw(self.power_cfg, -self.gains.g)
 
     def move_user(self, user: int, cell: int) -> np.ndarray:
         """Commit a serving-cell change; return the users whose metric it can change.
@@ -156,21 +160,10 @@ class NetworkState:
             hit[row[moved]] = True
         hit[row[pos]] = True
 
-        power, mw = self.power_table
-        self.capped[user] = power.capped[cell, user]
-        self.per_rb_power_mw[user] = mw[cell, user]
-        self.rows[slot, pos] = self.gains.g_linear[:, user] * mw[cell, user]
+        mw = self.power_table[cell, user]
+        self.per_rb_power_mw[user] = mw
+        self.rows[slot, pos] = self.gains.g_linear_per_slot(slots)[slot, pos] * mw
         return slot + slots * hit[row].nonzero()[0]
-
-
-def _power_table(power_cfg: PowerConfig, g: np.ndarray) -> tuple[uplink_power.UserPower, np.ndarray]:
-    """Open-loop power of links with composite gains g (any shape), and its per-RB mW.
-
-    The law compensates the coupling loss -g; each entry has the bits of a
-    call on that link alone.
-    """
-    power = uplink_power.open_loop_power(power_cfg, -g)
-    return power, 10.0 ** (power.per_rb_dbm / 10.0)
 
 
 def select_rsrp(gains: GainMatrix) -> Assignment:
@@ -210,7 +203,7 @@ def _position_metrics(state: NetworkState, g_slot: np.ndarray, j: int, live: np.
     the slot range they span, as views. Blocks are aligned and same-cell
     users never share one, so the co-set of the user at [s, j] on each of
     its RBs is every other user of slot s in its subframe: row s of the
-    mask, zero at column j. g_slot is per_slot(g_linear.T).
+    mask, zero at column j. g_slot is gains.g_linear_per_slot(slots).
     """
     lo, hi = live[0], live[-1] + 1
     subframe = state.subframe[lo:hi]
@@ -253,7 +246,7 @@ def select_interference_based(
     """
     state = NetworkState.build(gains, select_rsrp(gains).c, power_cfg, noise_rb_mw, total_rbs)
     slots = state.slots
-    g_slot = per_slot(gains.g_linear.T, slots, fill=1.0)  # finite padding, never read as live
+    g_slot = gains.g_linear_per_slot(slots)
     dirty = np.ones(gains.n_users, dtype=bool)
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
     seen = {state.serving.tobytes(): 0}
@@ -340,7 +333,7 @@ def _assignment_metrics(
     mask = padded[:, members] == subframe[:, :, None]                          # (A, K, U)
     mask[:, users, users // slots] = False
     # per-RB received power of user j at every cell when served by cell i
-    _, mw = _power_table(power_cfg, gains.g)                                   # (C, K)
+    mw = uplink_power.per_rb_mw(power_cfg, -gains.g)                           # (C, K)
     g_lin_t = gains.g_linear.T
     received = np.zeros((n_users + 1, n_cells, n_cells))
     received[:n_users] = g_lin_t[:, None, :] * mw.T[:, :, None]

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from hetsim.scheduler import per_slot
 from hetsim.topology import Layout, NodeSet
 
 MACRO = "macro"
@@ -69,19 +70,31 @@ class GainMatrix:
         """Linear-scale gains, cached after the first access."""
         return 10.0 ** (self.g / 10.0)
 
+    def g_linear_per_slot(self, slots: int) -> np.ndarray:
+        """g_linear.T in scheduler's per-slot layout, (slots, users per slot, C), built once per slot count.
+
+        Padding rows hold 1.0, finite gains that no live user reads.
+        """
+        layouts = self.__dict__.setdefault("_per_slot", {})
+        if slots not in layouts:
+            layouts[slots] = per_slot(self.g_linear.T, slots, fill=1.0)
+        return layouts[slots]
+
 
 def path_loss_db(tier: str, d_m: float, params: RadioParams = DEFAULT_RADIO):
     """Distance path loss in dB; the model argument is in kilometers."""
     d_m = np.asarray(d_m, dtype=float)
     if np.any(d_m <= 0):
         raise ValueError("path loss undefined for non-positive distance")
-    d_km = d_m / 1000.0
     if tier == MACRO:
-        pl = params.macro_pl_const_db + params.macro_pl_slope * np.log10(d_km)
+        const, slope = params.macro_pl_const_db, params.macro_pl_slope
     elif tier == PICO:
-        pl = params.pico_pl_const_db + params.pico_pl_slope * np.log10(d_km)
+        const, slope = params.pico_pl_const_db, params.pico_pl_slope
     else:
         raise ValueError(f"unknown tier {tier!r}")
+    pl = np.log10(d_m / 1000.0)  # const + slope * log10(d_km), in place
+    pl *= slope
+    pl += const
     return pl if pl.shape else float(pl)
 
 
@@ -93,6 +106,32 @@ def antenna_pattern_db(theta_deg, params: RadioParams = DEFAULT_RADIO):
         params.antenna_max_atten_db,
     )
     return -atten if atten.shape else -float(atten)
+
+
+def _nearest_image(cell_pos, users, wrap_vectors, which: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Squared distance from every cell to the nearest wraparound image of every user.
+
+    A running minimum over the images that keeps the first on ties. With
+    which, the nearest image's index in wrap_vectors comes back too, else
+    None.
+    """
+    shape = (len(cell_pos), len(users))
+    best2, dist2, dy = np.empty(shape), np.empty(shape), np.empty(shape)
+    pick = np.zeros(shape, dtype=np.int8) if which else None
+    for k, shift in enumerate(wrap_vectors):
+        dx = dist2 if k else best2
+        np.subtract((users[:, 0] + shift[0])[None, :], cell_pos[:, 0, None], out=dx)
+        np.subtract((users[:, 1] + shift[1])[None, :], cell_pos[:, 1, None], out=dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        if k and which:
+            closer = dist2 < best2
+            np.copyto(best2, dist2, where=closer)
+            pick[closer] = k
+        elif k:
+            np.minimum(best2, dist2, out=best2)
+    return best2, pick
 
 
 def compute_gain_matrix(
@@ -109,40 +148,37 @@ def compute_gain_matrix(
     n_sec = layout.n_sectors
     n_pico = nodes.n_picos
     users = nodes.users
-
-    cell_pos = np.concatenate([layout.sites[layout.sector_site], nodes.picos]) if n_pico else layout.sites[layout.sector_site]
     tier = np.array([MACRO] * n_sec + [PICO] * n_pico)
 
-    # nearest wraparound image of every user as seen from every cell: a
-    # running minimum over the images that keeps the first on ties
-    for k, shift in enumerate(layout.wrap_vectors):
-        dx = (users[:, 0] + shift[0])[None, :] - cell_pos[:, 0, None]     # (C, K)
-        dy = (users[:, 1] + shift[1])[None, :] - cell_pos[:, 1, None]
-        dist2 = dx * dx + dy * dy
-        if k == 0:
-            best2, disp_x, disp_y = dist2, dx, dy
-            continue
-        closer = dist2 < best2
-        np.copyto(best2, dist2, where=closer)
-        np.copyto(disp_x, dx, where=closer)
-        np.copyto(disp_y, dy, where=closer)
-    dist = np.sqrt(best2)
+    # a site's sectors share its position, so the macro tier's image search,
+    # path loss and angle run per site and are spread over its sectors
+    site_dist2, pick = _nearest_image(layout.sites, users, layout.wrap_vectors, True)
+    disp = layout.wrap_vectors[pick]
+    disp += users
+    disp -= layout.sites[:, None, :]
+    off = np.rad2deg(np.arctan2(disp[..., 1], disp[..., 0]))[layout.sector_site]
+    off -= layout.sector_boresight_deg[:n_sec, None]
+    off += 180.0
+    np.remainder(off, 360.0, out=off)
+    off -= 180.0
+    pattern = antenna_pattern_db(off, params)
 
-    pl = np.empty_like(dist)
-    pl[:n_sec] = path_loss_db(MACRO, dist[:n_sec], params)
+    # g is assembled in place, in the order -pl - shadow + pattern + rx_gain -
+    # penetration that fixes its bits
+    g = np.empty((n_sec + n_pico, len(users)))
+    site_pl = path_loss_db(MACRO, np.sqrt(site_dist2, out=site_dist2), params)
+    np.negative(site_pl[layout.sector_site], out=g[:n_sec])
     if n_pico:
-        pl[n_sec:] = path_loss_db(PICO, dist[n_sec:], params)
+        dist2, _ = _nearest_image(nodes.picos, users, layout.wrap_vectors, False)
+        np.negative(path_loss_db(PICO, np.sqrt(dist2, out=dist2), params), out=g[n_sec:])
 
     sigma = np.where(tier == MACRO, params.macro_shadow_sigma_db, params.pico_shadow_sigma_db)
-    shadow = rng.standard_normal(dist.shape) * sigma[:, None]
-
-    pattern = np.zeros_like(dist)
-    theta = np.rad2deg(np.arctan2(disp_y[:n_sec], disp_x[:n_sec]))
-    off = (theta - layout.sector_boresight_deg[:n_sec, None] + 180.0) % 360.0 - 180.0
-    pattern[:n_sec] = antenna_pattern_db(off, params)
-
-    rx_gain = np.where(tier == MACRO, params.macro_rx_gain_db, params.pico_rx_gain_db)
-    g = -pl - shadow + pattern + rx_gain[:, None] - params.penetration_loss_db
+    shadow = rng.standard_normal(g.shape)
+    shadow *= sigma[:, None]
+    g -= shadow
+    g[:n_sec] += pattern
+    g += np.where(tier == MACRO, params.macro_rx_gain_db, params.pico_rx_gain_db)[:, None]
+    g -= params.penetration_loss_db
 
     rs_power = np.where(tier == MACRO, params.macro_rs_power_dbm, params.pico_rs_power_dbm)
     return GainMatrix(g=g, cell_tier=tier, rs_power_dbm=rs_power)

@@ -47,19 +47,50 @@ class UserPower:
     capped: bool | np.ndarray
 
 
+def _losses(pl_db) -> np.ndarray:
+    pl = np.asarray(pl_db, dtype=float)
+    if not np.isfinite(pl).all():
+        raise ValueError("pl_db must be finite")
+    return pl
+
+
+def _bandwidth_db(cfg: PowerConfig):
+    return 10.0 * np.log10(cfg.rbs_per_user)
+
+
+def _total_dbm(cfg: PowerConfig, pl: np.ndarray, out: np.ndarray | None = None):
+    """The law's total power min(Pmax, P0 + 10 log10(N_RB) + alpha * PL), and which links the cap holds.
+
+    The total is computed in out when it is given; out may be pl itself.
+    """
+    total = np.multiply(pl, cfg.alpha, out=out)
+    total += cfg.p0_dbm + _bandwidth_db(cfg)
+    capped = total > cfg.pmax_dbm
+    return np.minimum(total, cfg.pmax_dbm, out=out), capped
+
+
 def open_loop_power(cfg: PowerConfig, pl_db) -> UserPower:
     """Transmit power of users with coupling loss pl_db on cfg.rbs_per_user blocks.
 
     pl_db is one loss (floats come back) or an array of losses (arrays
     come back, each entry equal to the scalar call on that loss).
     """
-    pl = np.asarray(pl_db, dtype=float)
-    if not np.isfinite(pl).all():
-        raise ValueError("pl_db must be finite")
-    bw_term = 10.0 * np.log10(cfg.rbs_per_user)
-    uncapped = cfg.p0_dbm + bw_term + cfg.alpha * pl
-    total = np.minimum(cfg.pmax_dbm, uncapped)
-    capped = uncapped > cfg.pmax_dbm
+    pl = _losses(pl_db)
+    total, capped = _total_dbm(cfg, pl)
+    per_rb = total - _bandwidth_db(cfg)
     if pl.ndim == 0:
-        return UserPower(total_dbm=float(total), per_rb_dbm=float(total - bw_term), capped=bool(capped))
-    return UserPower(total_dbm=total, per_rb_dbm=total - bw_term, capped=capped)
+        return UserPower(total_dbm=float(total), per_rb_dbm=float(per_rb), capped=bool(capped))
+    return UserPower(total_dbm=total, per_rb_dbm=per_rb, capped=capped)
+
+
+def per_rb_mw(cfg: PowerConfig, pl_db: np.ndarray) -> np.ndarray:
+    """Per-RB transmit power in mW of links with coupling losses pl_db, computed in place.
+
+    pl_db, a float array, is overwritten with the result and returned.
+    Each entry is 10 ** (per_rb_dbm / 10) of open_loop_power on the same
+    losses, bit for bit.
+    """
+    power, _ = _total_dbm(cfg, _losses(pl_db), out=pl_db)
+    power -= _bandwidth_db(cfg)
+    power /= 10.0
+    return np.power(10.0, power, out=power)

@@ -16,12 +16,11 @@ from hetsim.cell_selection import (
     select_rsrp,
     _assignment_metrics,
     _position_metrics,
-    _power_table,
 )
 from hetsim.metrics import NoiseModel
 from hetsim.radio import GainMatrix
 from hetsim.scheduler import per_slot
-from hetsim.uplink_power import PowerConfig, open_loop_power
+from hetsim.uplink_power import PowerConfig, open_loop_power, per_rb_mw
 from reference import (
     adaptive_bias,
     allocation_move,
@@ -790,15 +789,12 @@ def test_power_table_equals_per_user_calls(alpha):
     rng = np.random.default_rng(11)
     g = rng.uniform(-160.0, -60.0, size=(7, 40))
     cfg = PowerConfig(alpha * -90.0 + (1.0 - alpha) * (23.0 - 10.0 * np.log10(4)), alpha)
-    power, mw = _power_table(cfg, g)
-    assert power.capped.any() and not power.capped.all()
+    gains = GainMatrix(g=g, cell_tier=np.array(["macro"] * 7), rs_power_dbm=np.full(7, 46.0))
+    mw = NetworkState.build(gains, np.zeros(40, dtype=int), cfg, NOISE_MW).power_table
+    capped = open_loop_power(cfg, -g).capped
+    assert capped.any() and not capped.all()
     for cell, user in itertools.product(range(7), range(40)):
         one = open_loop_power(cfg, -g[cell, user])
-        assert np.float64(power.total_dbm[cell, user]).tobytes() == np.float64(one.total_dbm).tobytes()
-        assert np.float64(power.per_rb_dbm[cell, user]).tobytes() == np.float64(one.per_rb_dbm).tobytes()
-        assert power.capped[cell, user] == one.capped
         assert mw[cell, user].tobytes() == (10.0 ** (np.array([one.per_rb_dbm]) / 10.0)).tobytes()
-        sliced, sliced_mw = _power_table(cfg, g[cell, user:user + 1])
-        assert sliced.per_rb_dbm.tobytes() == power.per_rb_dbm[cell, user:user + 1].tobytes()
-        assert sliced.total_dbm.tobytes() == power.total_dbm[cell, user:user + 1].tobytes()
+        sliced_mw = per_rb_mw(cfg, -g[cell, user:user + 1])
         assert sliced_mw.tobytes() == mw[cell, user:user + 1].tobytes()

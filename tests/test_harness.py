@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetsim import harness, metrics
-from hetsim.cell_selection import VALID_KINDS, NetworkState, select_interference_based
+from hetsim.cell_selection import VALID_KINDS, NetworkState, StrategyConfig, select_interference_based, select_rsrp
 from hetsim.cli import main as cli_main
 from hetsim.harness import (
     ConfigError,
@@ -27,7 +28,7 @@ from hetsim.harness import (
 from hetsim.metrics import NoiseModel, SampleView, SinrReport, SinrRun, SinrSample, percentiles
 from hetsim.radio import compute_gain_matrix
 from hetsim.topology import build_layout, place_picos, place_users
-from hetsim.uplink_power import PowerConfig
+from hetsim.uplink_power import PowerConfig, open_loop_power
 from reference import block_members, blocks, user_blocks, user_wideband_sinr_db
 
 # small but complete scenario: 57 picos, 171 users, every strategy
@@ -509,7 +510,7 @@ def test_fast_sinr_path_matches_reference():
     from hetsim.cell_selection import NetworkState
     from hetsim.harness import _all_user_sinr_db, random_small_gains
     from hetsim.metrics import NoiseModel
-    from hetsim.uplink_power import PowerConfig
+    from hetsim.uplink_power import PowerConfig, open_loop_power
 
     rng = np.random.default_rng(13)
     noise = NoiseModel().per_rb_noise_mw
@@ -574,9 +575,8 @@ def test_batched_sinr_equals_per_block_loop(drawn):
     assert np.array_equal(batched, per_user_sinr_db(state))
 
 
-def former_drop_samples(scenario, drop_index):
-    """One drop's samples as the drop runner first built them: one
-    SinrSample per user and run, SINR from the per-block loop."""
+def drop_inputs(scenario, drop_index):
+    """A drop's layout, its placed nodes and its generator, ready for the gain matrix, as run_drop makes them."""
     rng = np.random.default_rng(np.random.SeedSequence(scenario.master_seed, spawn_key=(drop_index,)))
     layout = build_layout(scenario.isd_m)
     picos, pico_sector = place_picos(
@@ -587,7 +587,13 @@ def former_drop_samples(scenario, drop_index):
         layout, picos, pico_sector, scenario.users_per_sector, rng,
         seed_radius_m=scenario.pico_coverage_radius_m,
     )
-    gains = compute_gain_matrix(layout, nodes, rng, scenario)
+    return layout, nodes, rng
+
+
+def former_drop_samples(scenario, drop_index):
+    """One drop's samples as the drop runner first built them: one
+    SinrSample per user and run, SINR from the per-block loop."""
+    gains = compute_gain_matrix(*drop_inputs(scenario, drop_index), scenario)
     noise_mw = scenario.noise_model().per_rb_noise_mw
     cell_tier = gains.cell_tier.tolist()
     samples = []
@@ -679,6 +685,68 @@ def test_cdf_rows_of_curves_of_different_lengths():
         for i, v in enumerate(values.tolist(), start=1)
     )
     assert "".join(harness._cdf_csv(curves)) == expected
+
+
+# ---- the cap and the per-drop allocation, on the acc2 shape ----------------------
+
+# Scenario() is the acc2 benchmark's shape: 2 picos and 12 users a sector,
+# every strategy at alpha 0.4, 0.6, 0.8 and 1.0, master seed 1
+MB = 2**20
+
+
+def crossing_p0(alpha):
+    """P0 by the common-Pmax-crossing rule, from P0 = -90 dBm at alpha = 1; it caps links beyond about 107 dB."""
+    return alpha * -90.0 + (1.0 - alpha) * (23.0 - 10.0 * math.log10(4))
+
+
+def test_capped_users_count_the_served_links_at_the_cap():
+    scenario = replace(Scenario(), p0_dbm=tuple(crossing_p0(a) for a in Scenario().alphas))
+    gains = compute_gain_matrix(*drop_inputs(scenario, 0), scenario)
+    users = np.arange(gains.n_users)
+    runs = run_drop(scenario, 0)
+    for run in runs:
+        served = open_loop_power(scenario.power_config(run.alpha), -gains.g[run.serving_cell, users])
+        assert run.capped_users == served.capped.sum()
+    assert all(run.capped_users > 0 for run in runs)
+
+
+def test_capped_follows_a_moved_state():
+    # a state that moves reports the cap of its links after the moves
+    scenario = Scenario()
+    gains = compute_gain_matrix(*drop_inputs(scenario, 0), scenario)
+    users = np.arange(gains.n_users)
+    cfg = scenario.power_config(1.0)
+    state = NetworkState.build(gains, select_rsrp(gains).c, cfg, scenario.noise_model().per_rb_noise_mw)
+    before = int(state.capped.sum())
+    weakest = gains.g.argmin(axis=0)
+    for user in users[::7].tolist():
+        state.move_user(user, int(weakest[user]))
+    served = open_loop_power(cfg, -gains.g[state.serving, users]).capped
+    assert np.array_equal(state.capped, served)
+    assert served.sum() > before
+
+
+def test_drop_allocation_peaks():
+    # tracemalloc peaks on acc2 drop 0: the gain matrix builds no full-size
+    # temporaries, and a search, once the drop's per-slot gains exist (its
+    # first search builds them), holds its rows and its mW table
+    scenario = Scenario()
+    layout, nodes, rng = drop_inputs(scenario, 0)
+    noise = scenario.noise_model().per_rb_noise_mw
+    search = StrategyConfig("interference")
+    tracemalloc.start()
+    try:
+        gains = compute_gain_matrix(layout, nodes, rng, scenario)
+        gain_peak = tracemalloc.get_traced_memory()[1]
+        select_interference_based(gains, scenario.power_config(0.4), noise, search, scenario.total_data_rbs)
+        in_use = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        select_interference_based(gains, scenario.power_config(0.6), noise, search, scenario.total_data_rbs)
+        search_peak = tracemalloc.get_traced_memory()[1] - in_use
+    finally:
+        tracemalloc.stop()
+    assert gain_peak <= 6 * MB
+    assert search_peak <= 3.5 * MB
 
 
 def test_campaign_without_users_writes_empty_tables(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetsim.uplink_power import STANDARD_ALPHAS, PowerConfig, UserPower, open_loop_power
+from hetsim.uplink_power import STANDARD_ALPHAS, PowerConfig, UserPower, open_loop_power, per_rb_mw
 
 
 def cfg(alpha, p0=-90.0):
@@ -101,6 +101,10 @@ def test_array_law_equals_scalar_law(pls, alpha, p0, pmax, n_rb):
     config = PowerConfig(p0_dbm=p0, alpha=alpha, pmax_dbm=pmax, rbs_per_user=n_rb)
     pl = np.array(pls)
     arr = open_loop_power(config, pl)
+    # the in-place mW form of the same law
+    losses = pl.copy()
+    mw = per_rb_mw(config, losses)
+    assert mw is losses and mw.tobytes() == (10.0 ** (arr.per_rb_dbm / 10.0)).tobytes()
     for i, value in enumerate(pls):
         up = open_loop_power(config, value)
         assert type(up.total_dbm) is float and type(up.capped) is bool

@@ -16,6 +16,14 @@ traced per-layer metric; per workload and end-to-end metric, the number
 of pairs the change won; and the full git revisions and the CPU count.
 A run whose summary says `correct: false` or `failed > 0` stops the
 recording with an error that names its workload, side and seed.
+
+Last comes a density sweep outside hetbench: a DENSITY_DROPS-drop
+campaign of the default scenario (the acc2 shape, master seed 1, no
+output files) at each pico and user density of SHAPES, DENSITY_REPEATS
+times per side, again alternating which side runs first. Each campaign
+runs in a fresh interpreter, so its peak RSS is its own. The file keeps
+every campaign's seconds per drop and peak RSS, and per (side, shape)
+their min and median.
 """
 
 from __future__ import annotations
@@ -35,6 +43,25 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10       # untraced pairs per workload, enough to test a gain claim
 FIRST_SEED = 2   # away from the recorded seeds (1 and 0), whose outputs are gated
 TRACED = 3       # traced runs per side: one traced run's layer times drift with the host
+
+SHAPES = [(picos, users) for users in (12, 24) for picos in (2, 6, 10)]  # per sector
+DENSITY_DROPS = 20
+DENSITY_REPEATS = 3
+
+# one campaign of a shape, run by a fresh interpreter that imports hetsim
+# from the checkout: argv is picos and users per sector and the drop count
+DENSITY_RUN = """
+import json, resource, sys, time
+from dataclasses import replace
+from hetsim.harness import Scenario, run_campaign
+picos, users, drops = map(int, sys.argv[1:])
+scenario = replace(Scenario(), picos_per_sector=picos, users_per_sector=users, drops=drops)
+start = time.perf_counter()
+run_campaign(scenario)
+seconds = time.perf_counter() - start
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"s_per_drop": seconds / drops, "peak_mb": peak_mb}))
+"""
 
 
 def _git(*args: str) -> bytes:
@@ -70,6 +97,28 @@ def bench(checkout: str, side: str, workload: str, seconds: float, trace: int, s
         )
     summary["metrics"] = {name: m["value"] for name, m in summary["metrics"].items()}
     return summary
+
+
+def density(checkout: str, picos: int, users: int, drops: int = DENSITY_DROPS) -> dict:
+    """Seconds per drop and peak RSS (MB) of one campaign of the shape, run from the checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    cmd = [sys.executable, "-c", DENSITY_RUN, str(picos), str(users), str(drops)]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{picos} picos / {users} users in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def density_stats(runs: list[dict]) -> dict:
+    """Per shape, the min and median of seconds per drop and of peak MB over runs."""
+    out = {}
+    for picos, users in SHAPES:
+        shape = [r for r in runs if (r["picos"], r["users"]) == (picos, users)]
+        out[f"{picos}x{users}"] = {
+            name: {"min": min(r[name] for r in shape), "median": statistics.median(r[name] for r in shape)}
+            for name in ("s_per_drop", "peak_mb")
+        }
+    return out
 
 
 def stats(runs: list[dict]) -> dict:
@@ -124,6 +173,13 @@ def main(argv=None) -> int:
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     runs.append({"side": side, "workload": workload, "trace": 1, "seed": None,
                                  **bench(dirs[side], side, workload, seconds, 1, None)})
+        density_runs = []
+        for i in range(DENSITY_REPEATS):
+            for picos, users in SHAPES:
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    density_runs.append({"side": side, "picos": picos, "users": users,
+                                         **density(dirs[side], picos, users)})
+                    print(f"density {picos}x{users} {side}: {density_runs[-1]}", file=sys.stderr)
 
     summary = {
         side: {
@@ -150,6 +206,13 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "traced_runs": TRACED,
         "runs": runs,
+        "density": {
+            "drops": DENSITY_DROPS,
+            "repeats": DENSITY_REPEATS,
+            "summary": {side: density_stats([r for r in density_runs if r["side"] == side])
+                        for side in ("parent", "change")},
+            "runs": density_runs,
+        },
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
