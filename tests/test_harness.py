@@ -510,7 +510,7 @@ def test_fast_sinr_path_matches_reference():
     from hetsim.cell_selection import NetworkState
     from hetsim.harness import _all_user_sinr_db, random_small_gains
     from hetsim.metrics import NoiseModel
-    from hetsim.uplink_power import PowerConfig, open_loop_power
+    from hetsim.uplink_power import PowerConfig
 
     rng = np.random.default_rng(13)
     noise = NoiseModel().per_rb_noise_mw
@@ -691,6 +691,7 @@ def test_cdf_rows_of_curves_of_different_lengths():
 
 # Scenario() is the acc2 benchmark's shape: 2 picos and 12 users a sector,
 # every strategy at alpha 0.4, 0.6, 0.8 and 1.0, master seed 1
+
 MB = 2**20
 
 
