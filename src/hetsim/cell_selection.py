@@ -78,6 +78,19 @@ class Assignment:
     cycle_detected_at: int | None = None  # pass whose end state repeated
 
 
+def _g_slot(gains: GainMatrix, slots: int) -> np.ndarray:
+    """gains.g_linear.T in the per-slot layout, (slots, users per slot, C).
+
+    Built once per slot count and kept on the gains object, so the
+    searches of a drop share it. Padding rows hold 1.0, finite gains that
+    no live user reads.
+    """
+    layouts = gains.__dict__.setdefault("_g_slot", {})
+    if slots not in layouts:
+        layouts[slots] = per_slot(gains.g_linear.T, slots, fill=1.0)
+    return layouts[slots]
+
+
 @dataclass
 class NetworkState:
     """Everything the interference metric needs about the current network.
@@ -130,7 +143,7 @@ class NetworkState:
     def rows(self) -> np.ndarray:
         """(slots, users_per_slot, cells) per-RB received power of every user at every cell."""
         mw = per_slot(self.per_rb_power_mw, self.slots)
-        return self.gains.g_linear_per_slot(self.slots) * mw[:, :, None]
+        return _g_slot(self.gains, self.slots) * mw[:, :, None]
 
     @cached_property
     def power_table(self) -> np.ndarray:
@@ -162,7 +175,7 @@ class NetworkState:
 
         mw = self.power_table[cell, user]
         self.per_rb_power_mw[user] = mw
-        self.rows[slot, pos] = self.gains.g_linear_per_slot(slots)[slot, pos] * mw
+        self.rows[slot, pos] = _g_slot(self.gains, slots)[slot, pos] * mw
         return slot + slots * hit[row].nonzero()[0]
 
 
@@ -203,7 +216,7 @@ def _position_metrics(state: NetworkState, g_slot: np.ndarray, j: int, live: np.
     the slot range they span, as views. Blocks are aligned and same-cell
     users never share one, so the co-set of the user at [s, j] on each of
     its RBs is every other user of slot s in its subframe: row s of the
-    mask, zero at column j. g_slot is gains.g_linear_per_slot(slots).
+    mask, zero at column j. g_slot is _g_slot(state.gains, slots).
     """
     lo, hi = live[0], live[-1] + 1
     subframe = state.subframe[lo:hi]
@@ -246,7 +259,7 @@ def select_interference_based(
     """
     state = NetworkState.build(gains, select_rsrp(gains).c, power_cfg, noise_rb_mw, total_rbs)
     slots = state.slots
-    g_slot = gains.g_linear_per_slot(slots)
+    g_slot = _g_slot(gains, slots)
     dirty = np.ones(gains.n_users, dtype=bool)
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
     seen = {state.serving.tobytes(): 0}

@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from hetsim.scheduler import per_slot
 from hetsim.topology import Layout, NodeSet
 
 MACRO = "macro"
@@ -70,16 +69,6 @@ class GainMatrix:
         """Linear-scale gains, cached after the first access."""
         return 10.0 ** (self.g / 10.0)
 
-    def g_linear_per_slot(self, slots: int) -> np.ndarray:
-        """g_linear.T in scheduler's per-slot layout, (slots, users per slot, C), built once per slot count.
-
-        Padding rows hold 1.0, finite gains that no live user reads.
-        """
-        layouts = self.__dict__.setdefault("_per_slot", {})
-        if slots not in layouts:
-            layouts[slots] = per_slot(self.g_linear.T, slots, fill=1.0)
-        return layouts[slots]
-
 
 def path_loss_db(tier: str, d_m: float, params: RadioParams = DEFAULT_RADIO):
     """Distance path loss in dB; the model argument is in kilometers."""
@@ -108,16 +97,15 @@ def antenna_pattern_db(theta_deg, params: RadioParams = DEFAULT_RADIO):
     return -atten if atten.shape else -float(atten)
 
 
-def _nearest_image(cell_pos, users, wrap_vectors, which: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Squared distance from every cell to the nearest wraparound image of every user.
+def _nearest_image(cell_pos, users, wrap_vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance from every cell to the nearest wraparound image of every user, and that image's index.
 
-    A running minimum over the images that keeps the first on ties. With
-    which, the nearest image's index in wrap_vectors comes back too, else
-    None.
+    A running minimum over the images that keeps the first on ties; the
+    index is into wrap_vectors.
     """
     shape = (len(cell_pos), len(users))
     best2, dist2, dy = np.empty(shape), np.empty(shape), np.empty(shape)
-    pick = np.zeros(shape, dtype=np.int8) if which else None
+    pick = np.zeros(shape, dtype=np.int8)
     for k, shift in enumerate(wrap_vectors):
         dx = dist2 if k else best2
         np.subtract((users[:, 0] + shift[0])[None, :], cell_pos[:, 0, None], out=dx)
@@ -125,12 +113,10 @@ def _nearest_image(cell_pos, users, wrap_vectors, which: bool) -> tuple[np.ndarr
         dx *= dx
         dy *= dy
         dx += dy
-        if k and which:
+        if k:
             closer = dist2 < best2
             np.copyto(best2, dist2, where=closer)
             pick[closer] = k
-        elif k:
-            np.minimum(best2, dist2, out=best2)
     return best2, pick
 
 
@@ -152,7 +138,7 @@ def compute_gain_matrix(
 
     # a site's sectors share its position, so the macro tier's image search,
     # path loss and angle run per site and are spread over its sectors
-    site_dist2, pick = _nearest_image(layout.sites, users, layout.wrap_vectors, True)
+    site_dist2, pick = _nearest_image(layout.sites, users, layout.wrap_vectors)
     disp = layout.wrap_vectors[pick]
     disp += users
     disp -= layout.sites[:, None, :]
@@ -169,7 +155,7 @@ def compute_gain_matrix(
     site_pl = path_loss_db(MACRO, np.sqrt(site_dist2, out=site_dist2), params)
     np.negative(site_pl[layout.sector_site], out=g[:n_sec])
     if n_pico:
-        dist2, _ = _nearest_image(nodes.picos, users, layout.wrap_vectors, False)
+        dist2, _ = _nearest_image(nodes.picos, users, layout.wrap_vectors)
         np.negative(path_loss_db(PICO, np.sqrt(dist2, out=dist2), params), out=g[n_sec:])
 
     sigma = np.where(tier == MACRO, params.macro_shadow_sigma_db, params.pico_shadow_sigma_db)

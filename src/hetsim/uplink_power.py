@@ -86,11 +86,13 @@ def open_loop_power(cfg: PowerConfig, pl_db) -> UserPower:
 def per_rb_mw(cfg: PowerConfig, pl_db: np.ndarray) -> np.ndarray:
     """Per-RB transmit power in mW of links with coupling losses pl_db, computed in place.
 
-    pl_db, a float array, is overwritten with the result and returned.
-    Each entry is 10 ** (per_rb_dbm / 10) of open_loop_power on the same
-    losses, bit for bit.
+    A float64 array pl_db is overwritten with the result and returned;
+    any other input is converted to a new float64 array first. Each entry
+    is 10 ** (per_rb_dbm / 10) of open_loop_power on the same losses, bit
+    for bit.
     """
-    power, _ = _total_dbm(cfg, _losses(pl_db), out=pl_db)
+    pl = _losses(pl_db)
+    power, _ = _total_dbm(cfg, pl, out=pl)
     power -= _bandwidth_db(cfg)
     power /= 10.0
     return np.power(10.0, power, out=power)

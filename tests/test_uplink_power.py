@@ -105,6 +105,10 @@ def test_array_law_equals_scalar_law(pls, alpha, p0, pmax, n_rb):
     losses = pl.copy()
     mw = per_rb_mw(config, losses)
     assert mw is losses and mw.tobytes() == (10.0 ** (arr.per_rb_dbm / 10.0)).tobytes()
+    # any other input comes back as a new float64 array with the same bits
+    for other in (pls, pl.astype(np.float32), pl.astype(int)):
+        expect = open_loop_power(config, np.asarray(other, dtype=float)).per_rb_dbm
+        assert per_rb_mw(config, other).tobytes() == (10.0 ** (expect / 10.0)).tobytes()
     for i, value in enumerate(pls):
         up = open_loop_power(config, value)
         assert type(up.total_dbm) is float and type(up.capped) is bool

@@ -23,7 +23,7 @@ output files) at each pico and user density of SHAPES, DENSITY_REPEATS
 times per side, again alternating which side runs first. Each campaign
 runs in a fresh interpreter, so its peak RSS is its own. The file keeps
 every campaign's seconds per drop and peak RSS, and per (side, shape)
-their min and median.
+their min, quartiles and median.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ start = time.perf_counter()
 run_campaign(scenario)
 seconds = time.perf_counter() - start
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"s_per_drop": seconds / drops, "peak_mb": peak_mb}))
+print(json.dumps({"metrics": {"s_per_drop": seconds / drops, "peak_mb": peak_mb}}))
 """
 
 
@@ -100,25 +100,13 @@ def bench(checkout: str, side: str, workload: str, seconds: float, trace: int, s
 
 
 def density(checkout: str, picos: int, users: int, drops: int = DENSITY_DROPS) -> dict:
-    """Seconds per drop and peak RSS (MB) of one campaign of the shape, run from the checkout's src/."""
+    """Seconds per drop and peak RSS (MB) of one campaign of the shape, run from the checkout's src/, under metrics."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     cmd = [sys.executable, "-c", DENSITY_RUN, str(picos), str(users), str(drops)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{picos} picos / {users} users in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def density_stats(runs: list[dict]) -> dict:
-    """Per shape, the min and median of seconds per drop and of peak MB over runs."""
-    out = {}
-    for picos, users in SHAPES:
-        shape = [r for r in runs if (r["picos"], r["users"]) == (picos, users)]
-        out[f"{picos}x{users}"] = {
-            name: {"min": min(r[name] for r in shape), "median": statistics.median(r[name] for r in shape)}
-            for name in ("s_per_drop", "peak_mb")
-        }
-    return out
 
 
 def stats(runs: list[dict]) -> dict:
@@ -209,8 +197,12 @@ def main(argv=None) -> int:
         "density": {
             "drops": DENSITY_DROPS,
             "repeats": DENSITY_REPEATS,
-            "summary": {side: density_stats([r for r in density_runs if r["side"] == side])
-                        for side in ("parent", "change")},
+            "summary": {
+                side: {f"{picos}x{users}": stats([r for r in density_runs
+                                                  if (r["side"], r["picos"], r["users"]) == (side, picos, users)])
+                       for picos, users in SHAPES}
+                for side in ("parent", "change")
+            },
             "runs": density_runs,
         },
     }
