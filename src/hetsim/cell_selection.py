@@ -20,11 +20,11 @@ batch of users with one stacked product: the search feeds it the users
 at one position of every slot, and the brute-force oracle every user of
 every assignment at once. The search walks each pass position by
 position, scores a position's users together and commits its moves in
-index order. A move re-ranks only the mover's slot, in place, inside
-its old and new cell, reads the mover's power from a per-(cell, user)
-open-loop table, and marks for re-evaluation only the users whose block
-it touched; a search that returns to an earlier pass-end assignment is
-fast-forwarded along its cycle.
+index order. A move re-ranks only the mover's slot, in place, in one
+loop over the slot's later users, reads the mover's power from a
+per-(cell, user) open-loop table, and marks every user of its slot for
+re-evaluation; a search that returns to an earlier pass-end assignment
+is fast-forwarded along its cycle.
 """
 
 from __future__ import annotations
@@ -150,33 +150,33 @@ class NetworkState:
         """(cells, K) per-RB open-loop power in mW of every user at every cell."""
         return uplink_power.per_rb_mw(self.power_cfg, -self.gains.g)
 
-    def move_user(self, user: int, cell: int) -> np.ndarray:
-        """Commit a serving-cell change; return the users whose metric it can change.
+    def move_user(self, user: int, cell: int) -> None:
+        """Commit a serving-cell change.
 
-        Only the mover's slot is re-ranked, in place, inside its old and new
-        cell. The mover's power comes from power_table, and only it changes,
-        so the users that can change are those now in the mover's block or
-        in a block that a user whose subframe changed left or entered.
+        Only the mover's slot is re-ranked, in place: each later user of
+        the old cell moves one subframe earlier, each later user of the new
+        cell one later, and the mover's subframe is its rank in the new cell.
+        The mover's power comes from power_table, and only it changes. A
+        move to the current cell changes nothing.
         """
         slots = self.slots
         pos, slot = divmod(user, slots)
         old_cell = int(self.serving[user])
+        if cell == old_cell:
+            return
         self.serving[user] = cell
-        cells = self.serving[slot::slots]
+        cells = self.serving[slot::slots].tolist()
         row = self.subframe[slot]
-        hit = np.zeros(len(row) + 1, dtype=bool)  # hit[-1] stays False for the padding
-        for group_cell in (old_cell, cell):
-            group = (cells == group_cell).nonzero()[0]
-            moved = group[row[group] != np.arange(len(group))]
-            hit[row[moved]] = True
-            row[group] = np.arange(len(group))
-            hit[row[moved]] = True
-        hit[row[pos]] = True
+        for later, later_cell in enumerate(cells[pos + 1:], pos + 1):
+            if later_cell == old_cell:
+                row[later] -= 1
+            elif later_cell == cell:
+                row[later] += 1
+        row[pos] = cells[:pos].count(cell)
 
         mw = self.power_table[cell, user]
         self.per_rb_power_mw[user] = mw
         self.rows[slot, pos] = _g_slot(self.gains, slots)[slot, pos] * mw
-        return slot + slots * hit[row].nonzero()[0]
 
 
 def select_rsrp(gains: GainMatrix) -> Assignment:
@@ -248,14 +248,15 @@ def select_interference_based(
     batched call and commits its movers in index order: the same moves,
     in the same per-slot order, as a visit of one user at a time.
 
-    A user whose block no move has touched since it last stayed put is
-    skipped: its metric vector, and so its choice, would be the same. The
-    state after a pass is a pure function of the serving vector, so when
-    a pass ends in the assignment an earlier pass j ended in, every later
-    pass repeats with period p. The search then returns what a run of
-    max_passes passes would: the assignment after pass
-    j + (max_passes - j) % p, not converged, all passes used, and the
-    moves of each pass extended periodically.
+    A user is skipped if no user of its slot has moved since it last
+    stayed put: users of other slots never enter its metric, and a row has
+    the same bits in any batch, so its metric vector, and so its choice,
+    would be the same. The state after a pass is a pure function of the
+    serving vector, so when a pass ends in the assignment an earlier pass
+    j ended in, every later pass repeats with period p. The search then
+    returns what a run of max_passes passes would: the assignment after
+    pass j + (max_passes - j) % p, not converged, all passes used, and
+    the moves of each pass extended periodically.
     """
     state = NetworkState.build(gains, select_rsrp(gains).c, power_cfg, noise_rb_mw, total_rbs)
     slots = state.slots
@@ -281,7 +282,8 @@ def select_interference_based(
             own = metrics[batch, current]
             moving = (best != current) & (metrics[batch, best] < own * (1.0 - MOVE_REL_THRESHOLD))
             for k, cell in zip(step[moving].tolist(), best[moving].tolist()):
-                dirty[state.move_user(k, cell)] = True
+                state.move_user(k, cell)
+                dirty[k % slots::slots] = True
                 moves += 1
         moves_per_pass.append(moves)
         if moves == 0:

@@ -51,8 +51,6 @@ class NodeSet:
     picos: np.ndarray           # (P, 2) positions, m
     pico_sector: np.ndarray     # (P,) host sector index
     users: np.ndarray           # (K, 2) positions, m
-    user_sector: np.ndarray     # (K,) home sector index
-    user_seed_pico: np.ndarray  # (K,) pico index the user was seeded on, -1 if none
 
     @property
     def n_picos(self) -> int:
@@ -368,7 +366,6 @@ def place_users(
     stations = np.concatenate([layout.sites, picos, [[np.inf, np.inf]]])
     stations = stations[np.argsort(stations[:, 0])]
     users = np.empty((layout.n_sectors * users_per_sector, 2))
-    user_seed = np.full(len(users), -1)
     placed = 0
     with _Draws(rng) as draws:
         for sector in range(layout.n_sectors):
@@ -377,7 +374,6 @@ def place_users(
             seeds = np.flatnonzero(pico_sector == sector) if len(pico_sector) else np.array([], dtype=int)
             names = [f"seed user for pico {pico}" for pico in seeds] + [f"user placement in sector {sector}"]
             first, end, pairs = placed, placed + users_per_sector, ()
-            user_seed[first:first + len(seeds)] = seeds
             while placed < end:
                 pairs = draws.window(end - placed, len(pairs))
                 r = seed_radius_m * np.sqrt(pairs[:, 0])
@@ -404,6 +400,4 @@ def place_users(
         picos=picos,
         pico_sector=np.asarray(pico_sector, dtype=int),
         users=users,
-        user_sector=np.repeat(np.arange(layout.n_sectors), users_per_sector),
-        user_seed_pico=user_seed,
     )

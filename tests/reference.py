@@ -7,7 +7,8 @@ the drop runner use the batched kernels; the tests check those kernels
 against these forms, and the acceptance suite builds its independent
 checks on them. The search as it was before it scored by pass position
 (metric_rows, allocation_move, former_search) is kept for the tests
-that compare the search and its in-place moves against it.
+that compare the search and its in-place moves against it; former_search
+without skipping is the reference of the skip rule.
 """
 
 import math
@@ -179,38 +180,31 @@ def metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
     return _block_metric(mask, rows, gain, state.power_cfg.rbs_per_user, state.noise_rb_mw, items)
 
 
-def allocation_move(subframe, serving: np.ndarray, user: int, old_cell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Subframes after `user` moved from old_cell to serving[user], and the users it touched.
+def allocation_move(subframe, serving: np.ndarray, user: int, old_cell: int) -> np.ndarray:
+    """Subframes after `user` moved from old_cell to serving[user].
 
     Equal to allocate(serving, ...): only the ranks of the user's slot
     inside its old and new cell can change, so only that slot is
-    re-ranked, in a copy. The touched users are those now in the mover's
-    block or in a block that a user whose subframe changed left or entered.
+    re-ranked, in a copy.
     """
     slots = len(subframe)
     slot, pos = user % slots, user // slots
     cells = serving[slot::slots]
-    before = subframe[slot]
-    row = before.copy()
+    moved = subframe.copy()
     for cell in (old_cell, cells[pos]):
         group = np.flatnonzero(cells == cell)
-        row[group] = np.arange(len(group))
-    changed = row != before
-    hit = np.zeros(len(row) + 1, dtype=bool)  # hit[-1] stays False for the padding
-    hit[before[changed]] = True
-    hit[row[changed]] = True
-    hit[row[pos]] = True
-    moved = subframe.copy()
-    moved[slot] = row
-    return moved, slot + slots * np.flatnonzero(hit[row])
+        moved[slot, group] = np.arange(len(group))
+    return moved
 
 
-def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48) -> Assignment:
+def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48, skip=True) -> Assignment:
     """select_interference_based as it was before it scored by pass position.
 
     A pass walks in steps of one user per slot and scores each step's
-    dirty users through metric_rows; the moves, the dirty marking, the
-    cycle fast-forward and the bookkeeping are those of the search.
+    dirty users through metric_rows; the moves, the dirty marking (a move
+    marks every user of the mover's slot), the cycle fast-forward and the
+    bookkeeping are those of the search. With skip=False every user is
+    re-scored on every pass.
     """
     state = NetworkState.build(gains, select_rsrp(gains).c, power_cfg, noise_rb_mw, total_rbs)
     slots = state.slots
@@ -222,6 +216,8 @@ def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48) -> Assignmen
     cycle_start = period = None
     while len(moves_per_pass) < cfg.max_passes:
         moves = 0
+        if not skip:
+            dirty[:] = True
         for start in range(0, gains.n_users, slots):
             step = start + np.flatnonzero(dirty[start:start + slots])
             if not len(step):
@@ -234,7 +230,8 @@ def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48) -> Assignmen
             own = metrics[batch, current]
             moving = (best != current) & (metrics[batch, best] < own * (1.0 - MOVE_REL_THRESHOLD))
             for k, cell in zip(step[moving].tolist(), best[moving].tolist()):
-                dirty[state.move_user(k, cell)] = True
+                state.move_user(k, cell)
+                dirty[k % slots::slots] = True
                 moves += 1
         moves_per_pass.append(moves)
         if moves == 0:

@@ -67,3 +67,25 @@ def test_density_runs_one_campaign_from_the_checkout():
     result = load_tool().density(root, 2, 12, drops=1)
     assert set(result["metrics"]) == {"s_per_drop", "peak_mb"}
     assert result["metrics"]["s_per_drop"] > 0 and result["metrics"]["peak_mb"] > 0
+    # the same campaign again gives the same outputs, and another shape others
+    assert load_tool().density(root, 2, 12, drops=1)["digest"] == result["digest"]
+    assert load_tool().density(root, 6, 12, drops=1)["digest"] != result["digest"]
+    assert len(result["digest"]) == 64
+
+
+def test_density_runs_one_blas_thread(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    tool = load_tool()
+    tool.DENSITY_RUN = "import json, os; print(json.dumps({'threads': os.environ['OPENBLAS_NUM_THREADS']}))"
+    assert tool.density(str(tmp_path), 2, 12, drops=1) == {"threads": "1"}
+
+
+def density_run(side, digest):
+    return {"side": side, "picos": 6, "users": 24, "digest": digest, "metrics": {}}
+
+
+def test_check_digest_refuses_changed_outputs():
+    tool = load_tool()
+    tool.check_digest(density_run("parent", "ab"), density_run("change", "ab"))
+    with pytest.raises(RuntimeError, match="density 6x24: change outputs sha256 cd != parent ab"):
+        tool.check_digest(density_run("parent", "ab"), density_run("change", "cd"))

@@ -503,6 +503,22 @@ def test_cycling_drop_matches_reference(max_passes):
     assert (result.cycle_period, result.cycle_detected_at) == (2, 4)
 
 
+def other_slot_rows(state, slot):
+    """Bytes of the _position_metrics row of every user outside the slot, by user.
+
+    The search skips a user until a move lands in its slot, so these rows
+    must not change when a user of the slot moves.
+    """
+    slots, n_users = state.slots, len(state.serving)
+    g_slot = per_slot(state.gains.g_linear.T, slots, fill=1.0)
+    rows = {}
+    for j, start in enumerate(range(0, n_users, slots)):
+        live = np.array([s for s in range(min(slots, n_users - start)) if s != slot], dtype=int)
+        if len(live):
+            rows.update(zip((start + live).tolist(), (r.tobytes() for r in _position_metrics(state, g_slot, j, live))))
+    return rows
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -522,9 +538,9 @@ def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_m
     unscored = NetworkState.build(gains, initial.copy(), power, NOISE_MW, total_rbs)
     users = np.arange(n_users)
     for _ in range(n_moves):
-        before = metric_rows(users, state)
         user, cell = int(rng.integers(0, n_users)), int(rng.integers(0, n_cells))
-        touched = state.move_user(user, cell)
+        before = other_slot_rows(state, user % state.slots)
+        state.move_user(user, cell)
         unscored.move_user(user, cell)
         fresh = NetworkState.build(gains, state.serving.copy(), power, NOISE_MW, total_rbs)
         assert np.array_equal(state.subframe, fresh.subframe)
@@ -539,9 +555,8 @@ def test_incremental_state_equals_rebuild(seed, n_cells, n_users, total_rbs, n_m
         assert np.array_equal(state.capped, served.capped)
         # the per-RB received power rows in the per-slot layout
         assert np.array_equal(state.rows, fresh.rows)
-        # skipping an untouched user is exact: its metric vector is unchanged
-        untouched = np.setdiff1d(users, touched)
-        assert np.array_equal(metric_rows(untouched, state), before[untouched])
+        # a move leaves the metric rows of every other slot's users bitwise unchanged
+        assert other_slot_rows(state, user % state.slots) == before
     assert np.array_equal(unscored.rows, fresh.rows)
 
 
@@ -725,6 +740,28 @@ def test_acceptance_drop_equals_former_search():
         assert getattr(result, name) == getattr(former, name)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 5),
+    slots=st.integers(1, 12),
+    n_users=st.integers(1, 60),
+    alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
+    max_passes=st.integers(1, 25),
+)
+def test_skipping_clean_users_equals_rescoring_every_user(seed, n_cells, slots, n_users, alpha, max_passes):
+    # the search skips a user until a move lands in its slot; a search that
+    # re-scores every user on every pass makes the same moves
+    gains = random_gm(np.random.default_rng(seed), n_cells, n_users)
+    power = PowerConfig(-90.0, alpha)
+    cfg = StrategyConfig(kind="interference", max_passes=max_passes)
+    result = select_interference_based(gains, power, NOISE_MW, cfg, 4 * slots)
+    every = former_search(gains, power, NOISE_MW, cfg, 4 * slots, skip=False)
+    assert result.c.tobytes() == every.c.tobytes()
+    for name in ("converged", "passes_used", "moves_per_pass", "cycle_period", "cycle_detected_at"):
+        assert getattr(result, name) == getattr(every, name)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -759,8 +796,8 @@ def test_position_metrics_equal_metric_rows(seed, n_cells, slots, n_users, n_mov
     n_moves=st.integers(1, 12),
 )
 def test_in_place_move_equals_copying_move(seed, n_cells, slots, n_users, n_moves):
-    # the in-place re-rank gives the subframes and the touched users of the
-    # former move, which copied the allocation
+    # the in-place re-rank gives the subframes of the former move, which
+    # copied the allocation, and leaves the other slots' metric rows alone
     rng = np.random.default_rng(seed)
     gains = random_gm(rng, n_cells, n_users)
     state = NetworkState.build(gains, rng.integers(0, n_cells, n_users), PowerConfig(-90.0, 0.8), NOISE_MW, 4 * slots)
@@ -769,12 +806,34 @@ def test_in_place_move_equals_copying_move(seed, n_cells, slots, n_users, n_move
         old_cell = int(state.serving[user])
         serving = state.serving.copy()
         serving[user] = cell
-        expected, expected_touched = allocation_move(state.subframe, serving, user, old_cell)
-        touched = state.move_user(user, cell)
+        expected = allocation_move(state.subframe, serving, user, old_cell)
+        before = other_slot_rows(state, user % slots)
+        state.move_user(user, cell)
         assert np.array_equal(state.subframe, expected)
-        assert np.array_equal(touched, expected_touched)
+        assert other_slot_rows(state, user % slots) == before
         occupied = [(b, list(m)) for b, m in blocks(state.subframe, n_users)]
         assert occupied == [(b, list(m)) for b, m in blocks(expected, n_users)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 5),
+    slots=st.integers(1, 12),
+    n_users=st.integers(1, 40),
+    n_moves=st.integers(0, 6),
+)
+def test_move_to_current_cell_changes_nothing(seed, n_cells, slots, n_users, n_moves):
+    rng = np.random.default_rng(seed)
+    gains = random_gm(rng, n_cells, n_users)
+    state = NetworkState.build(gains, rng.integers(0, n_cells, n_users), PowerConfig(-90.0, 0.8), NOISE_MW, 4 * slots)
+    for _ in range(n_moves):
+        state.move_user(int(rng.integers(0, n_users)), int(rng.integers(0, n_cells)))
+    user = int(rng.integers(0, n_users))
+    before = [a.copy() for a in (state.serving, state.subframe, state.rows, state.per_rb_power_mw)]
+    state.move_user(user, int(state.serving[user]))
+    after = (state.serving, state.subframe, state.rows, state.per_rb_power_mw)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
 
 # ---- the open-loop power table -------------------------------------------------

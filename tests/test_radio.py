@@ -58,8 +58,6 @@ def _shadowing_db(params, n_users=2000, seed=1):
         picos=rng.uniform(-800, 800, size=(20, 2)),
         pico_sector=np.zeros(20, dtype=int),
         users=rng.uniform(-800, 800, size=(n_users, 2)),
-        user_sector=np.zeros(n_users, dtype=int),
-        user_seed_pico=np.full(n_users, -1),
     )
     shadowed = compute_gain_matrix(layout, nodes, rng, params)
     plain = compute_gain_matrix(layout, nodes, rng, NO_SHADOW)
@@ -90,8 +88,6 @@ def _single_user_nodes(pos, picos=None, pico_sector=None):
         picos=picos,
         pico_sector=pico_sector,
         users=np.asarray([pos], dtype=float),
-        user_sector=np.array([0]),
-        user_seed_pico=np.array([-1]),
     )
 
 
@@ -251,8 +247,6 @@ def test_gain_matrix_matches_reference(seed, n_picos, n_uniform, n_seam, isd):
         picos=rng.uniform(-2.5 * isd, 2.5 * isd, size=(n_picos, 2)),
         pico_sector=np.zeros(n_picos, dtype=int),
         users=users,
-        user_sector=np.zeros(len(users), dtype=int),
-        user_seed_pico=np.full(len(users), -1),
     )
     ref_rng = np.random.default_rng(seed + 1)
     new_rng = np.random.default_rng(seed + 1)

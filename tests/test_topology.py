@@ -107,8 +107,6 @@ def test_wrap_displacement_consistent_with_distance(layout):
         picos=picos,
         pico_sector=np.zeros(20, dtype=int),
         users=users,
-        user_sector=np.zeros(20, dtype=int),
-        user_seed_pico=np.full(20, -1),
     )
     gains = compute_gain_matrix(layout, nodes, rng, no_shadow)
     for i, p in enumerate(picos):
@@ -149,31 +147,39 @@ def test_placement_error_when_infeasible(layout):
         place_picos(layout, 80, np.random.default_rng(0))
 
 
-def test_place_users_counts_and_seeding(layout):
-    rng = np.random.default_rng(1)
-    picos, psec = place_picos(layout, 2, rng)
+def seed_users(pico_sector, users_per_sector):
+    """(user, pico) of every seed user, from placement order: sector by
+    sector, users_per_sector users each, the seed users first in pico order."""
+    return [
+        (sector * users_per_sector + i, pico)
+        for sector in range(57)
+        for i, pico in enumerate(np.flatnonzero(pico_sector == sector))
+    ]
+
+
+def assert_seeded(layout, per_sector, seed):
+    rng = np.random.default_rng(seed)
+    picos, psec = place_picos(layout, per_sector, rng)
     nodes = place_users(layout, picos, psec, 12, rng)
     assert nodes.users.shape == (684, 2)
-    seeded = nodes.user_seed_pico >= 0
-    assert seeded.sum() == 114
-    for u in np.flatnonzero(seeded):
-        pid = nodes.user_seed_pico[u]
+    seeded = seed_users(psec, 12)
+    assert len(seeded) == 57 * per_sector
+    for u, pid in seeded:
         assert wrap_distance(nodes.users[u], picos[pid], layout) <= 50.0
-    assert np.all(np.bincount(nodes.user_sector, minlength=57) == 12)
+
+
+def test_place_users_counts_and_seeding(layout):
+    assert_seeded(layout, 2, 1)
 
 
 def test_place_users_no_picos(layout):
     nodes = place_users(layout, np.zeros((0, 2)), np.array([], dtype=int), 12, np.random.default_rng(2))
     assert nodes.users.shape == (684, 2)
-    assert np.all(nodes.user_seed_pico == -1)
+    assert all(sector_of(nodes.users[u], layout) == u // 12 for u in range(684))
 
 
 def test_place_users_mixed_seeded_uniform(layout):
-    rng = np.random.default_rng(3)
-    picos, psec = place_picos(layout, 6, rng)
-    nodes = place_users(layout, picos, psec, 12, rng)
-    assert (nodes.user_seed_pico >= 0).sum() == 342
-    assert (nodes.user_seed_pico == -1).sum() == 342
+    assert_seeded(layout, 6, 3)
 
 
 def test_place_users_requires_enough_users(layout):
@@ -188,7 +194,7 @@ def test_users_live_in_their_home_sector(layout):
     picos, psec = place_picos(layout, 2, rng)
     nodes = place_users(layout, picos, psec, 12, rng)
     for u in range(nodes.n_users):
-        assert sector_of(nodes.users[u], layout) == nodes.user_sector[u]
+        assert sector_of(nodes.users[u], layout) == u // 12
 
 
 def test_picos_live_in_their_host_sector(layout):
@@ -316,7 +322,7 @@ def _ref_place_users(layout, picos, pico_sector, users_per_sector, rng, seed_rad
     def clear_of_stations(point):
         return np.min(np.sum((bs_positions - point) ** 2, axis=1)) > 1e-6**2
 
-    user_pos, user_sector, user_seed = [], [], []
+    user_pos = []
     for sector in range(layout.n_sectors):
         pico_ids = np.flatnonzero(pico_sector == sector) if len(pico_sector) else np.array([], dtype=int)
         for pid in pico_ids:
@@ -333,8 +339,6 @@ def _ref_place_users(layout, picos, pico_sector, users_per_sector, rng, seed_rad
             else:
                 raise PlacementError(f"seed user for pico {pid} exhausted retries")
             user_pos.append(point)
-            user_sector.append(sector)
-            user_seed.append(int(pid))
         for _ in range(users_per_sector - len(pico_ids)):
             for _ in range(topology.PLACEMENT_RETRY_BUDGET):
                 point = _ref_sample_in_sector(layout, sector, rng)
@@ -343,14 +347,10 @@ def _ref_place_users(layout, picos, pico_sector, users_per_sector, rng, seed_rad
             else:
                 raise PlacementError(f"user placement in sector {sector} exhausted retries")
             user_pos.append(point)
-            user_sector.append(sector)
-            user_seed.append(-1)
     return NodeSet(
         picos=picos,
         pico_sector=np.asarray(pico_sector, dtype=int),
         users=np.array(user_pos) if user_pos else np.zeros((0, 2)),
-        user_sector=np.array(user_sector, dtype=int),
-        user_seed_pico=np.array(user_seed, dtype=int),
     )
 
 
@@ -370,7 +370,7 @@ def _placement(place_picos_fn, place_users_fn, params, seed):
         nodes = place_users_fn(layout, picos, psec, params["users"], rng, params["seed_radius_m"])
     except PlacementError:
         return PlacementError, rng.bit_generator.state
-    fields = (nodes.picos, nodes.pico_sector, nodes.users, nodes.user_sector, nodes.user_seed_pico)
+    fields = (nodes.picos, nodes.pico_sector, nodes.users)
     return fields, rng.bit_generator.state
 
 
@@ -558,7 +558,7 @@ def _outcome(place_picos_fn, place_users_fn, params, seed):
         msg = str(exc)
         budget = "inner" if ("could not draw" in msg or "drew no point" in msg) else "outer"
         return (budget, int(re.search(r"\d+", msg).group())), rng.bit_generator.state
-    fields = (nodes.picos, nodes.pico_sector, nodes.users, nodes.user_sector, nodes.user_seed_pico)
+    fields = (nodes.picos, nodes.pico_sector, nodes.users)
     return fields, rng.bit_generator.state
 
 
@@ -625,8 +625,8 @@ def test_acc2_drop0_placement_and_gains_match_scalar_reference():
         results.append((nodes, state, gains))
     (ref, ref_state, ref_gains), (new, new_state, new_gains) = results
     assert topology.PLACEMENT_RETRY_BUDGET == 10_000
-    assert new.users.shape == (684, 2) and (new.user_seed_pico >= 0).sum() == 114
-    for field in ("picos", "pico_sector", "users", "user_sector", "user_seed_pico"):
+    assert new.users.shape == (684, 2) and len(seed_users(new.pico_sector, 12)) == 114
+    for field in ("picos", "pico_sector", "users"):
         assert _same_bits(getattr(ref, field), getattr(new, field)), field
     assert new_state == ref_state
     assert _same_bits(ref_gains.g, new_gains.g)

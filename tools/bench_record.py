@@ -21,9 +21,13 @@ Last comes a density sweep outside hetbench: a DENSITY_DROPS-drop
 campaign of the default scenario (the acc2 shape, master seed 1, no
 output files) at each pico and user density of SHAPES, DENSITY_REPEATS
 times per side, again alternating which side runs first. Each campaign
-runs in a fresh interpreter, so its peak RSS is its own. The file keeps
-every campaign's seconds per drop and peak RSS, and per (side, shape)
-their min, quartiles and median.
+runs in a fresh interpreter with one BLAS thread, as hetbench runs, so
+its peak RSS is its own. Each campaign also gives a sha256 of its runs'
+serving cells and SINR bytes; a shape whose campaigns' digests differ,
+between the sides or between repeats, stops the recording with an error,
+so a sweep speedup also shows that the outputs did not change. The file
+keeps every campaign's seconds per drop, peak RSS and digest, and per
+(side, shape) the min, quartiles and median of the first two.
 """
 
 from __future__ import annotations
@@ -51,16 +55,20 @@ DENSITY_REPEATS = 3
 # one campaign of a shape, run by a fresh interpreter that imports hetsim
 # from the checkout: argv is picos and users per sector and the drop count
 DENSITY_RUN = """
-import json, resource, sys, time
+import hashlib, json, resource, sys, time
 from dataclasses import replace
 from hetsim.harness import Scenario, run_campaign
 picos, users, drops = map(int, sys.argv[1:])
 scenario = replace(Scenario(), picos_per_sector=picos, users_per_sector=users, drops=drops)
 start = time.perf_counter()
-run_campaign(scenario)
+_, runs = run_campaign(scenario)
 seconds = time.perf_counter() - start
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"metrics": {"s_per_drop": seconds / drops, "peak_mb": peak_mb}}))
+digest = hashlib.sha256()
+for run in runs:
+    digest.update(run.serving_cell.astype("<i8").tobytes())
+    digest.update(run.sinr_db.astype("<f8").tobytes())
+print(json.dumps({"metrics": {"s_per_drop": seconds / drops, "peak_mb": peak_mb}, "digest": digest.hexdigest()}))
 """
 
 
@@ -100,13 +108,26 @@ def bench(checkout: str, side: str, workload: str, seconds: float, trace: int, s
 
 
 def density(checkout: str, picos: int, users: int, drops: int = DENSITY_DROPS) -> dict:
-    """Seconds per drop and peak RSS (MB) of one campaign of the shape, run from the checkout's src/, under metrics."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    """One campaign of the shape, run from the checkout's src/ with one BLAS thread.
+
+    Its seconds per drop and peak RSS (MB) are under metrics, and the
+    sha256 of its runs' serving cells and SINR under digest.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), OPENBLAS_NUM_THREADS="1")
     cmd = [sys.executable, "-c", DENSITY_RUN, str(picos), str(users), str(drops)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{picos} picos / {users} users in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def check_digest(first: dict, run: dict) -> None:
+    """Raise unless run's outputs have the digest of first, a campaign of the same shape."""
+    if run["digest"] != first["digest"]:
+        raise RuntimeError(
+            f"density {run['picos']}x{run['users']}: {run['side']} outputs sha256 {run['digest']} "
+            f"!= {first['side']} {first['digest']}, not recorded"
+        )
 
 
 def stats(runs: list[dict]) -> dict:
@@ -162,11 +183,13 @@ def main(argv=None) -> int:
                     runs.append({"side": side, "workload": workload, "trace": 1, "seed": None,
                                  **bench(dirs[side], side, workload, seconds, 1, None)})
         density_runs = []
+        firsts = {}
         for i in range(DENSITY_REPEATS):
             for picos, users in SHAPES:
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     density_runs.append({"side": side, "picos": picos, "users": users,
                                          **density(dirs[side], picos, users)})
+                    check_digest(firsts.setdefault((picos, users), density_runs[-1]), density_runs[-1])
                     print(f"density {picos}x{users} {side}: {density_runs[-1]}", file=sys.stderr)
 
     summary = {
