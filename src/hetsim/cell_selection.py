@@ -151,13 +151,12 @@ class NetworkState:
         return uplink_power.per_rb_mw(self.power_cfg, -self.gains.g)
 
     def move_user(self, user: int, cell: int) -> None:
-        """Commit a serving-cell change.
+        """Commit a serving-cell change; a move to the current cell changes nothing.
 
-        Only the mover's slot is re-ranked, in place: each later user of
-        the old cell moves one subframe earlier, each later user of the new
-        cell one later, and the mover's subframe is its rank in the new cell.
-        The mover's power comes from power_table, and only it changes. A
-        move to the current cell changes nothing.
+        Only the mover's slot is re-ranked, in place: its later users of the
+        old cell move one subframe earlier, those of the new cell one later,
+        and the mover takes its rank in the new cell. Only the mover's power
+        changes, read from power_table.
         """
         slots = self.slots
         pos, slot = divmod(user, slots)
