@@ -78,6 +78,31 @@ class Assignment:
     cycle_detected_at: int | None = None  # pass whose end state repeated
 
 
+def _strongest(gains: GainMatrix, bias: np.ndarray | None = None) -> np.ndarray:
+    """Each user's cell of largest rs_power_dbm + g (+ bias), lowest cell on ties.
+
+    The sums are taken into a (K, C) array, so the argmax runs along its
+    rows and needs no transposed copy.
+    """
+    received = np.add(gains.g.T, gains.rs_power_dbm, order="C")
+    if bias is not None:
+        received += bias
+    return received.argmax(axis=1)
+
+
+def _rsrp_cells(gains: GainMatrix) -> np.ndarray:
+    """Each user's strongest-RSRP cell, lowest cell on ties.
+
+    Computed once and kept on the gains object, as _g_slot is, so the
+    rsrp baseline and every search start of a drop share it. Callers
+    that may write into it take a copy.
+    """
+    cells = gains.__dict__.get("_rsrp_cells")
+    if cells is None:
+        cells = gains.__dict__["_rsrp_cells"] = _strongest(gains)
+    return cells
+
+
 def _g_slot(gains: GainMatrix, slots: int) -> np.ndarray:
     """gains.g_linear.T in the per-slot layout, (slots, users per slot, C).
 
@@ -89,6 +114,11 @@ def _g_slot(gains: GainMatrix, slots: int) -> np.ndarray:
     if slots not in layouts:
         layouts[slots] = per_slot(gains.g_linear.T, slots, fill=1.0)
     return layouts[slots]
+
+
+def _served_mw(gains: GainMatrix, serving: np.ndarray, power_cfg: PowerConfig) -> np.ndarray:
+    """Per-RB power in mW of each user on its link to its serving cell."""
+    return uplink_power.per_rb_mw(power_cfg, -gains.g[serving, np.arange(len(serving))])
 
 
 @dataclass
@@ -126,8 +156,22 @@ class NetworkState:
             subframe=allocate(serving, gains.n_cells, total_rbs, power_cfg.rbs_per_user),
             power_cfg=power_cfg,
             noise_rb_mw=noise_rb_mw,
-            per_rb_power_mw=uplink_power.per_rb_mw(power_cfg, -gains.g[serving, np.arange(len(serving))]),
+            per_rb_power_mw=_served_mw(gains, serving, power_cfg),
         )
+
+    def with_power(self, power_cfg: PowerConfig) -> "NetworkState":
+        """The same assignment and allocation at another operating point.
+
+        The allocation depends on the block size alone, so power_cfg must
+        keep this state's rbs_per_user. The serving and subframe arrays
+        are shared, not copied.
+        """
+        if power_cfg.rbs_per_user != self.power_cfg.rbs_per_user:
+            raise ValueError(
+                f"rbs_per_user {power_cfg.rbs_per_user} differs from the allocation's {self.power_cfg.rbs_per_user}"
+            )
+        mw = _served_mw(self.gains, self.serving, power_cfg)
+        return NetworkState(self.gains, self.serving, self.subframe, power_cfg, self.noise_rb_mw, mw)
 
     @property
     def slots(self) -> int:
@@ -180,7 +224,7 @@ class NetworkState:
 
 def select_rsrp(gains: GainMatrix) -> Assignment:
     """Attach every user to the strongest downlink reference signal, lowest cell on ties."""
-    return Assignment(c=np.argmax(gains.rs_power_dbm[:, None] + gains.g, axis=0))
+    return Assignment(c=_rsrp_cells(gains).copy())
 
 
 def select_pl(gains: GainMatrix) -> Assignment:
@@ -190,9 +234,7 @@ def select_pl(gains: GainMatrix) -> Assignment:
 
 def select_cre(gains: GainMatrix, cfg: StrategyConfig) -> Assignment:
     """RSRP selection with a constant range-expansion offset on picos."""
-    bias = np.where(gains.cell_tier == PICO, cfg.cre_bias_db, 0.0)
-    biased = gains.rs_power_dbm[:, None] + gains.g + bias[:, None]
-    return Assignment(c=np.argmax(biased, axis=0))
+    return Assignment(c=_strongest(gains, np.where(gains.cell_tier == PICO, cfg.cre_bias_db, 0.0)))
 
 
 def _block_metric(mask, rows, gain, rbs_per_user, noise_rb_mw, items=slice(None)):
@@ -202,28 +244,39 @@ def _block_metric(mask, rows, gain, rbs_per_user, noise_rb_mw, items=slice(None)
     mask is (..., U) 0/1 floats over a slot's U users, zero at the user
     itself, and rows is (..., U, C), those users' per-RB received power at
     every cell. Each item is a (1, U) @ (U, C) product, so a user's row
-    has the same bits in any batch.
+    has the same bits in any batch. The arithmetic runs in place on the
+    product, in the order of the formula.
     """
-    interference = np.matmul(mask[..., None, :], rows)[items][..., 0, :]
-    return rbs_per_user * (interference + noise_rb_mw) / gain
+    metric = np.matmul(mask[..., None, :], rows)[items][..., 0, :]
+    metric += noise_rb_mw
+    metric *= rbs_per_user
+    metric /= gain
+    return metric
 
 
-def _position_metrics(state: NetworkState, g_slot: np.ndarray, j: int, live: np.ndarray) -> np.ndarray:
+def _position_metrics(
+    state: NetworkState, g_slot: np.ndarray, j: int, live: np.ndarray, mask: np.ndarray | None = None
+) -> np.ndarray:
     """(len(live), cells) metric of the user at position j of each slot in live.
 
     live holds ascending slots with a user at j, and the product runs over
     the slot range they span, as views. Blocks are aligned and same-cell
     users never share one, so the co-set of the user at [s, j] on each of
     its RBs is every other user of slot s in its subframe: row s of the
-    mask, zero at column j. g_slot is _g_slot(state.gains, slots).
+    mask, zero at column j. g_slot is _g_slot(state.gains, slots). mask,
+    if given, is a float buffer of the subframe's shape that the mask is
+    built in; a search passes one for all its positions.
     """
-    lo, hi = live[0], live[-1] + 1
+    lo, hi = int(live[0]), int(live[-1]) + 1
     subframe = state.subframe[lo:hi]
-    mask = (subframe == subframe[:, j:j + 1]).astype(float)
+    mask = np.empty(subframe.shape) if mask is None else mask[lo:hi]
+    np.equal(subframe, subframe[:, j:j + 1], out=mask)
     mask[:, j] = 0.0
-    return _block_metric(
-        mask, state.rows[lo:hi], g_slot[live, j], state.power_cfg.rbs_per_user, state.noise_rb_mw, live - lo
-    )
+    if len(live) == hi - lo:
+        gain, items = g_slot[lo:hi, j], slice(None)
+    else:
+        gain, items = g_slot[live, j], live - lo
+    return _block_metric(mask, state.rows[lo:hi], gain, state.power_cfg.rbs_per_user, state.noise_rb_mw, items)
 
 
 def select_interference_based(
@@ -235,7 +288,9 @@ def select_interference_based(
 ) -> Assignment:
     """Asynchronous best-response search for the interference-based rule.
 
-    Starts from the rsrp assignment (the standards-default incumbent).
+    Starts from the rsrp assignment (the standards-default incumbent), a
+    copy of the rsrp cells kept on the gains, so the searches of a drop
+    compute that start once and never write into it.
     Users are visited in fixed index order; each moves to the cell
     minimizing its metric given the current state, and the move commits
     immediately (power and the slot's allocation refresh). A full pass
@@ -245,7 +300,9 @@ def select_interference_based(
     the positions j of the per-slot layout, one user per slot (users
     slots*j .. slots*j + slots - 1), scores a position's users in one
     batched call and commits its movers in index order: the same moves,
-    in the same per-slot order, as a visit of one user at a time.
+    in the same per-slot order, as a visit of one user at a time. The
+    search builds each position's co-block mask in one float buffer, and
+    a position where nobody moves commits nothing.
 
     A user is skipped if no user of its slot has moved since it last
     stayed put: users of other slots never enter its metric, and a row has
@@ -257,9 +314,12 @@ def select_interference_based(
     pass j + (max_passes - j) % p, not converged, all passes used, and
     the moves of each pass extended periodically.
     """
-    state = NetworkState.build(gains, select_rsrp(gains).c, power_cfg, noise_rb_mw, total_rbs)
+    # a copy: the search moves users in its state's serving vector
+    state = NetworkState.build(gains, _rsrp_cells(gains).copy(), power_cfg, noise_rb_mw, total_rbs)
     slots = state.slots
     g_slot = _g_slot(gains, slots)
+    mask = np.empty(state.subframe.shape)
+    batch = np.arange(slots)
     dirty = np.ones(gains.n_users, dtype=bool)
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
     seen = {state.serving.tobytes(): 0}
@@ -272,14 +332,16 @@ def select_interference_based(
             live = dirty[start:start + slots].nonzero()[0]
             if not len(live):
                 continue
+            dirty[start:start + slots] = False
             step = start + live
-            dirty[step] = False
-            metrics = _position_metrics(state, g_slot, j, live)
-            batch = np.arange(len(step))
+            metrics = _position_metrics(state, g_slot, j, live, mask)
+            index = batch[:len(live)]
             best = metrics.argmin(axis=1)
             current = state.serving[step]
-            own = metrics[batch, current]
-            moving = (best != current) & (metrics[batch, best] < own * (1.0 - MOVE_REL_THRESHOLD))
+            own = metrics[index, current]
+            moving = (best != current) & (metrics[index, best] < own * (1.0 - MOVE_REL_THRESHOLD))
+            if not moving.any():
+                continue
             for k, cell in zip(step[moving].tolist(), best[moving].tolist()):
                 state.move_user(k, cell)
                 dirty[k % slots::slots] = True

@@ -281,8 +281,29 @@ def scenario_to_ini(scenario: Scenario) -> str:
 # ---- drop execution --------------------------------------------------------
 
 
-def _all_user_sinr_db(state: NetworkState) -> np.ndarray:
-    """Wideband SINR (dB) of every user, one stacked product per block size.
+def _sinr_blocks(state: NetworkState) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of a state's assignment, grouped by their number of members.
+
+    One (members, links) pair per block size n: members (B, n) are the
+    users of B blocks, ascending inside a block, and links (B, n, n) holds
+    g_linear[serving[members[b, i]], members[b, k]], the gain from each
+    member to each member's serving cell. Both follow from the serving
+    vector alone, so the runs of one assignment at any alpha share them.
+    """
+    slots = state.slots
+    key = (state.subframe * slots + np.arange(slots)[:, None]).T.ravel()[:len(state.serving)]  # subframe * slots + slot
+    order = np.argsort(key, kind="stable")  # users by block, ascending inside a block
+    starts = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
+    sizes = np.diff(np.r_[starts, len(order)])
+    blocks = []
+    for n in np.unique(sizes).tolist():
+        members = order[starts[sizes == n][:, None] + np.arange(n)]  # (B, n)
+        blocks.append((members, state.gains.g_linear[state.serving[members][:, :, None], members[:, None, :]]))
+    return blocks
+
+
+def _sinr_db(blocks: list[tuple[np.ndarray, np.ndarray]], per_rb_power_mw: np.ndarray, noise_rb_mw: float) -> np.ndarray:
+    """Wideband SINR (dB) of every user of _sinr_blocks at the given per-RB powers.
 
     Within one (subframe, block) group the mutual interference matrix is
     a single small product. Each user's per-RB SINR is flat across its
@@ -293,21 +314,18 @@ def _all_user_sinr_db(state: NetworkState) -> np.ndarray:
     length alone, so every value equals that of a loop over the blocks,
     bit for bit; padding blocks to one width would regroup the sums.
     """
-    g_lin = state.gains.g_linear
-    serving = state.serving
-    p = state.per_rb_power_mw
-    slots = state.slots
-    key = (state.subframe * slots + np.arange(slots)[:, None]).T.ravel()[:len(serving)]  # subframe * slots + slot
-    order = np.argsort(key, kind="stable")  # users by block, ascending inside a block
-    starts = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
-    sizes = np.diff(np.r_[starts, len(order)])
-    gamma = np.empty(len(serving))
-    for n in np.unique(sizes).tolist():
-        members = order[starts[sizes == n][:, None] + np.arange(n)]  # (B, n)
-        rx = g_lin[serving[members][:, :, None], members[:, None, :]] * p[members][:, None, :]
+    gamma = np.empty(len(per_rb_power_mw))
+    for members, links in blocks:
+        rx = links * per_rb_power_mw[members][:, None, :]
         signal = np.diagonal(rx, axis1=1, axis2=2)
-        gamma[members] = signal / (rx.sum(axis=2) - signal + state.noise_rb_mw)
-    return np.array([10.0 * math.log10(x) for x in gamma.tolist()])
+        gamma[members] = signal / (rx.sum(axis=2) - signal + noise_rb_mw)
+    # 10 * log10 of each value, the log taken one value at a time by math.log10
+    return 10.0 * np.array(list(map(math.log10, gamma.tolist())))
+
+
+def _all_user_sinr_db(state: NetworkState) -> np.ndarray:
+    """Wideband SINR (dB) of every user of one state."""
+    return _sinr_db(_sinr_blocks(state), state.per_rb_power_mw, state.noise_rb_mw)
 
 
 def _baseline_assignment(strategy: StrategyConfig, gains: GainMatrix) -> Assignment:
@@ -354,6 +372,12 @@ def _stage(drop_index: int, stage: str):
 def run_drop(scenario: Scenario, drop_index: int) -> list[SinrRun]:
     """Simulate one drop: topology, gains, then one SinrRun per (strategy, alpha).
 
+    The runs share what depends only on an assignment: a baseline
+    strategy builds one state and one set of SINR blocks (_sinr_blocks)
+    for all its alphas, and each alpha adds only its powers, the block
+    products and the dB step. Each search run builds its own. At most one
+    set of blocks is kept at a time.
+
     A failure is raised as a DropError whose stage is placement, gain
     matrix, the selection of one strategy (and alpha, for the search), or
     the SINR of one (strategy, alpha) run.
@@ -383,13 +407,18 @@ def run_drop(scenario: Scenario, drop_index: int) -> list[SinrRun]:
     runs: list[SinrRun] = []
     for strategy in scenario.strategy_configs():
         label = strategy.label
-        if strategy.kind != "interference":
+        searched = strategy.kind == "interference"
+        # one assignment's SINR blocks: a baseline's alphas share them, a
+        # search's runs build their own; at most one set is kept
+        blocks = None
+        if not searched:
             with _stage(drop_index, f"selection {label}"):
                 baseline = _baseline_assignment(strategy, gains)
         for alpha in scenario.alphas:
             power_cfg = scenario.power_config(alpha)
             run_name = f"{label} α={alpha:g}"
-            if strategy.kind == "interference":
+            if searched:
+                blocks = None
                 with _stage(drop_index, f"selection {run_name}"):
                     assignment = select_interference_based(
                         gains, power_cfg, noise_mw, strategy, scenario.total_data_rbs
@@ -397,10 +426,14 @@ def run_drop(scenario: Scenario, drop_index: int) -> list[SinrRun]:
             else:
                 assignment = baseline
             with _stage(drop_index, f"SINR {run_name}"):
-                state = NetworkState.build(
-                    gains, assignment.c, power_cfg, noise_mw, scenario.total_data_rbs
-                )
-                sinr_db = _all_user_sinr_db(state)
+                if blocks is None:
+                    state = NetworkState.build(
+                        gains, assignment.c, power_cfg, noise_mw, scenario.total_data_rbs
+                    )
+                    blocks = _sinr_blocks(state)
+                else:
+                    state = state.with_power(power_cfg)
+                sinr_db = _sinr_db(blocks, state.per_rb_power_mw, noise_mw)
             runs.append(
                 SinrRun(
                     drop_index, label, alpha, power_cfg.p0_dbm, assignment.c, sinr_db, gains.cell_tier,
@@ -496,26 +529,35 @@ def write_outputs(scenario: Scenario, report: SinrReport):
 
 
 def _samples_csv(runs: list[SinrRun]) -> Iterator[str]:
-    """samples.csv rows, one string per run, formatted column by column."""
+    """samples.csv rows, one string per run, formatted by one template per run.
+
+    The template repeats the run's row, with the user, its cell and tier,
+    and its SINR as conversions, once per user; '%.6f' formats as '{:.6f}'.
+    """
     user_ids: list[str] = []
     for run in runs:
         n = len(run.sinr_db)
         user_ids.extend(str(u) for u in range(len(user_ids), n))
-        head, mid = f"{run.drop},", f",{run.strategy},{run.alpha:g},"
+        row = f"{run.drop},%s,{run.strategy.replace('%', '%%')},{run.alpha:g},%s%.6f\n"
         cells = [f"{c},{tier}," for c, tier in enumerate(run.cell_tier.tolist())]
-        rows = zip(user_ids, run.serving_cell.tolist(), run.sinr_db.tolist())
-        yield "".join([f"{head}{u}{mid}{cells[c]}{x:.6f}\n" for u, c, x in rows])
+        values: list = [None] * (3 * n)
+        values[0::3] = user_ids[:n]
+        values[1::3] = [cells[c] for c in run.serving_cell.tolist()]
+        values[2::3] = run.sinr_db.tolist()
+        yield row * n % tuple(values)
 
 
 def _cdf_csv(curves: list[tuple[str, float, np.ndarray, np.ndarray]]) -> Iterator[str]:
-    """cdf.csv rows, one string per (strategy, alpha) curve."""
+    """cdf.csv rows, one string per (strategy, alpha) curve, formatted by one template per curve."""
     fractions: dict[int, list[str]] = {}  # curves of one length share their fraction column
     for strategy, alpha, sinr_db, fraction in curves:
         n = len(sinr_db)
         if n not in fractions:
             fractions[n] = [f",{f:.8f}\n" for f in fraction.tolist()]
-        head = f"{strategy},{alpha:g},"
-        yield "".join([f"{head}{x:.6f}{f}" for x, f in zip(sinr_db.tolist(), fractions[n])])
+        values: list = [None] * (2 * n)
+        values[0::2] = sinr_db.tolist()
+        values[1::2] = fractions[n]
+        yield f"{strategy.replace('%', '%%')},{alpha:g},%.6f%s" * n % tuple(values)
 
 
 def percentile_line(row: dict) -> str:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from hetsim.cell_selection import MOVE_REL_THRESHOLD, Assignment, NetworkState, _block_metric, select_rsrp
+from hetsim.cell_selection import MOVE_REL_THRESHOLD, Assignment, NetworkState, _block_metric
 from hetsim.metrics import SUBCARRIERS_PER_RB, wideband_sinr
 from hetsim.uplink_power import PowerConfig
 
@@ -204,9 +204,10 @@ def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48, skip=True) -
     dirty users through metric_rows; the moves, the dirty marking (a move
     marks every user of the mover's slot), the cycle fast-forward and the
     bookkeeping are those of the search. With skip=False every user is
-    re-scored on every pass.
+    re-scored on every pass. Its rsrp start is computed afresh.
     """
-    state = NetworkState.build(gains, select_rsrp(gains).c, power_cfg, noise_rb_mw, total_rbs)
+    rsrp = np.argmax(gains.rs_power_dbm[:, None] + gains.g, axis=0)
+    state = NetworkState.build(gains, rsrp, power_cfg, noise_rb_mw, total_rbs)
     slots = state.slots
     dirty = np.ones(gains.n_users, dtype=bool)
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...

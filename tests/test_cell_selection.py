@@ -90,6 +90,25 @@ def test_cre_zero_equals_rsrp():
         assert np.array_equal(cre.c, select_rsrp(gains).c)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 6),
+    n_users=st.integers(0, 30),
+    bias=st.sampled_from([0.0, 3.0, 6.0, 16.0]),
+)
+def test_rsrp_and_cre_equal_the_argmax_over_cells(seed, n_cells, n_users, bias):
+    # whole-dB gains make ties, which go to the lowest cell
+    rng = np.random.default_rng(seed)
+    gains = random_gm(rng, n_cells, n_users)
+    gains = gm(np.round(gains.g / 8.0), gains.cell_tier)
+    rs, g = gains.rs_power_dbm[:, None], gains.g
+    offset = np.where(gains.cell_tier == "pico", bias, 0.0)[:, None]
+    assert select_rsrp(gains).c.tolist() == np.argmax(rs + g, axis=0).tolist()
+    cre = select_cre(gains, StrategyConfig(kind="cre", cre_bias_db=bias))
+    assert cre.c.tolist() == np.argmax(rs + g + offset, axis=0).tolist()
+
+
 def test_cre_monotone_in_bias():
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -780,11 +799,15 @@ def test_position_metrics_equal_metric_rows(seed, n_cells, slots, n_users, n_mov
     for _ in range(n_moves):
         state.move_user(int(rng.integers(0, n_users)), int(rng.integers(0, n_cells)))
     g_slot = per_slot(gains.g_linear.T, slots, fill=1.0)
+    # a search's mask buffer, shared by its positions and holding stale values
+    mask = np.full(state.subframe.shape, 7.0)
     for j, start in enumerate(range(0, n_users, slots)):
         present = np.arange(min(slots, n_users - start))
         live = np.sort(rng.choice(present, size=int(rng.integers(1, len(present) + 1)), replace=False))
-        metrics = _position_metrics(state, g_slot, j, live)
-        assert metrics.tobytes() == metric_rows(start + live, state).tobytes()
+        for users in (live, present):
+            expected = metric_rows(start + users, state).tobytes()
+            assert _position_metrics(state, g_slot, j, users).tobytes() == expected
+            assert _position_metrics(state, g_slot, j, users, mask).tobytes() == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetsim import harness, metrics
-from hetsim.cell_selection import VALID_KINDS, NetworkState, StrategyConfig, select_interference_based, select_rsrp
+from hetsim.cell_selection import (
+    VALID_KINDS,
+    NetworkState,
+    StrategyConfig,
+    _rsrp_cells,
+    select_interference_based,
+    select_rsrp,
+)
 from hetsim.cli import main as cli_main
 from hetsim.harness import (
     ConfigError,
@@ -17,6 +24,8 @@ from hetsim.harness import (
     Scenario,
     _all_user_sinr_db,
     _baseline_assignment,
+    _sinr_blocks,
+    _sinr_db,
     _summary_text,
     load_scenario,
     random_small_gains,
@@ -29,7 +38,7 @@ from hetsim.metrics import NoiseModel, SampleView, SinrReport, SinrRun, SinrSamp
 from hetsim.radio import compute_gain_matrix
 from hetsim.topology import build_layout, place_picos, place_users
 from hetsim.uplink_power import PowerConfig, open_loop_power
-from reference import block_members, blocks, user_blocks, user_wideband_sinr_db
+from reference import block_members, blocks, former_search, user_blocks, user_wideband_sinr_db
 
 # small but complete scenario: 57 picos, 171 users, every strategy
 TINY = replace(
@@ -575,6 +584,29 @@ def test_batched_sinr_equals_per_block_loop(drawn):
     assert np.array_equal(batched, per_user_sinr_db(state))
 
 
+@settings(max_examples=40, deadline=None)
+@given(sinr_states(), st.lists(st.sampled_from([0.0, 0.4, 0.6, 0.8, 1.0]), min_size=1, max_size=4, unique=True))
+def test_shared_sinr_blocks_equal_a_fresh_state_per_alpha(drawn, alphas):
+    # one serving vector's blocks, built once, give at every alpha the SINR
+    # and the capped links of a state built afresh at that alpha, bit for bit
+    _, state = drawn
+    shared = _sinr_blocks(state)
+    for alpha in alphas:
+        cfg = PowerConfig(crossing_p0(alpha), alpha)
+        at_alpha = state.with_power(cfg)
+        fresh = NetworkState.build(state.gains, state.serving.copy(), cfg, state.noise_rb_mw, 4 * state.slots)
+        sinr_db = _sinr_db(shared, at_alpha.per_rb_power_mw, state.noise_rb_mw)
+        assert sinr_db.tobytes() == _all_user_sinr_db(fresh).tobytes()
+        assert np.array_equal(at_alpha.capped, fresh.capped)
+
+
+def test_with_power_keeps_the_block_size():
+    state = NetworkState.build(random_small_gains(np.random.default_rng(2), 3, 8), np.zeros(8, dtype=int),
+                               PowerConfig(-90.0, 0.8), NoiseModel().per_rb_noise_mw)
+    with pytest.raises(ValueError, match="rbs_per_user"):
+        state.with_power(PowerConfig(-90.0, 1.0, rbs_per_user=2))
+
+
 def drop_inputs(scenario, drop_index):
     """A drop's layout, its placed nodes and its generator, ready for the gain matrix, as run_drop makes them."""
     rng = np.random.default_rng(np.random.SeedSequence(scenario.master_seed, spawn_key=(drop_index,)))
@@ -725,6 +757,70 @@ def test_capped_follows_a_moved_state():
     served = open_loop_power(cfg, -gains.g[state.serving, users]).capped
     assert np.array_equal(state.capped, served)
     assert served.sum() > before
+
+
+def former_drop_runs(scenario, drop_index):
+    """One drop's runs as run_drop made them before runs shared a drop's
+    work: a fresh rsrp start per search, one state and one set of SINR
+    blocks per run."""
+    gains = compute_gain_matrix(*drop_inputs(scenario, drop_index), scenario)
+    noise_mw = scenario.noise_model().per_rb_noise_mw
+    runs = []
+    for strategy in scenario.strategy_configs():
+        for alpha in scenario.alphas:
+            power_cfg = scenario.power_config(alpha)
+            if strategy.kind == "interference":
+                assignment = former_search(gains, power_cfg, noise_mw, strategy, scenario.total_data_rbs)
+            else:
+                assignment = _baseline_assignment(strategy, gains)
+            state = NetworkState.build(gains, assignment.c, power_cfg, noise_mw, scenario.total_data_rbs)
+            runs.append(SinrRun(
+                drop_index, strategy.label, alpha, power_cfg.p0_dbm, assignment.c, _all_user_sinr_db(state),
+                gains.cell_tier, converged=assignment.converged, passes_used=assignment.passes_used,
+                moves_total=sum(assignment.moves_per_pass), capped_users=int(state.capped.sum()),
+                cycle_period=assignment.cycle_period,
+            ))
+    return runs
+
+
+@pytest.mark.parametrize("drop_index", [0, 3])
+def test_drop_runs_equal_one_state_per_run(drop_index):
+    # at the acceptance operating points, where the cap differs by alpha
+    scenario = replace(Scenario(), p0_dbm=tuple(crossing_p0(a) for a in Scenario().alphas))
+    runs = run_drop(scenario, drop_index)
+    former = former_drop_runs(scenario, drop_index)
+    assert tallies(runs) == tallies(former)
+    for run, expected in zip(runs, former):
+        assert run.serving_cell.tobytes() == expected.serving_cell.tobytes()
+        assert run.sinr_db.tobytes() == expected.sinr_db.tobytes()
+
+
+def test_cached_rsrp_start_is_never_written(monkeypatch):
+    # the searches of a drop start from copies of the drop's rsrp cells,
+    # and select_rsrp hands out a copy too
+    drops = []
+
+    def keep_gains(*args):
+        drops.append(compute_gain_matrix(*args))
+        return drops[-1]
+
+    monkeypatch.setattr(harness, "compute_gain_matrix", keep_gains)
+    scenario = Scenario()
+    runs = run_drop(scenario, 0)
+    (gains,) = drops
+    rsrp = np.argmax(gains.rs_power_dbm[:, None] + gains.g, axis=0)
+    assert any(run.moves_total for run in runs)
+    assert np.array_equal(_rsrp_cells(gains), rsrp)
+    noise = scenario.noise_model().per_rb_noise_mw
+    for alpha in scenario.alphas:
+        result = select_interference_based(
+            gains, scenario.power_config(alpha), noise, StrategyConfig("interference"), scenario.total_data_rbs
+        )
+        assert sum(result.moves_per_pass)
+        assert np.array_equal(_rsrp_cells(gains), rsrp)
+    select_rsrp(gains).c[:] = 0
+    assert np.array_equal(_rsrp_cells(gains), rsrp)
+    assert np.array_equal(select_rsrp(gains).c, rsrp)
 
 
 def test_drop_allocation_peaks():
