@@ -162,9 +162,9 @@ class NetworkState:
     def with_power(self, power_cfg: PowerConfig) -> "NetworkState":
         """The same assignment and allocation at another operating point.
 
-        The allocation depends on the block size alone, so power_cfg must
-        keep this state's rbs_per_user. The serving and subframe arrays
-        are shared, not copied.
+        The allocation does not depend on P0 or alpha, only on the block
+        size, so power_cfg must keep this state's rbs_per_user. The
+        serving and subframe arrays are shared, not copied.
         """
         if power_cfg.rbs_per_user != self.power_cfg.rbs_per_user:
             raise ValueError(

@@ -319,7 +319,7 @@ def _sinr_db(blocks: list[tuple[np.ndarray, np.ndarray]], per_rb_power_mw: np.nd
         rx = links * per_rb_power_mw[members][:, None, :]
         signal = np.diagonal(rx, axis1=1, axis2=2)
         gamma[members] = signal / (rx.sum(axis=2) - signal + noise_rb_mw)
-    # 10 * log10 of each value, the log taken one value at a time by math.log10
+    # math.log10 one value at a time: np.log10 differs in the last bit on some values
     return 10.0 * np.array(list(map(math.log10, gamma.tolist())))
 
 
@@ -408,8 +408,6 @@ def run_drop(scenario: Scenario, drop_index: int) -> list[SinrRun]:
     for strategy in scenario.strategy_configs():
         label = strategy.label
         searched = strategy.kind == "interference"
-        # one assignment's SINR blocks: a baseline's alphas share them, a
-        # search's runs build their own; at most one set is kept
         blocks = None
         if not searched:
             with _stage(drop_index, f"selection {label}"):
