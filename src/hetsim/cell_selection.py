@@ -163,13 +163,10 @@ class NetworkState:
         """The same assignment and allocation at another operating point.
 
         The allocation does not depend on P0 or alpha, only on the block
-        size, so power_cfg must keep this state's rbs_per_user. The
-        serving and subframe arrays are shared, not copied.
+        size, so power_cfg must have this state's rbs_per_user; run_drop's
+        operating points all share the scenario's. The serving and
+        subframe arrays are shared, not copied.
         """
-        if power_cfg.rbs_per_user != self.power_cfg.rbs_per_user:
-            raise ValueError(
-                f"rbs_per_user {power_cfg.rbs_per_user} differs from the allocation's {self.power_cfg.rbs_per_user}"
-            )
         mw = _served_mw(self.gains, self.serving, power_cfg)
         return NetworkState(self.gains, self.serving, self.subframe, power_cfg, self.noise_rb_mw, mw)
 
@@ -254,29 +251,24 @@ def _block_metric(mask, rows, gain, rbs_per_user, noise_rb_mw, items=slice(None)
     return metric
 
 
-def _position_metrics(
-    state: NetworkState, g_slot: np.ndarray, j: int, live: np.ndarray, mask: np.ndarray | None = None
-) -> np.ndarray:
+def _position_metrics(state: NetworkState, g_slot: np.ndarray, j: int, live: np.ndarray) -> np.ndarray:
     """(len(live), cells) metric of the user at position j of each slot in live.
 
     live holds ascending slots with a user at j, and the product runs over
     the slot range they span, as views. Blocks are aligned and same-cell
     users never share one, so the co-set of the user at [s, j] on each of
     its RBs is every other user of slot s in its subframe: row s of the
-    mask, zero at column j. g_slot is _g_slot(state.gains, slots). mask,
-    if given, is a float buffer of the subframe's shape that the mask is
-    built in; a search passes one for all its positions.
+    mask, zero at column j, built as floats in one np.equal. g_slot is
+    _g_slot(state.gains, slots).
     """
     lo, hi = int(live[0]), int(live[-1]) + 1
     subframe = state.subframe[lo:hi]
-    mask = np.empty(subframe.shape) if mask is None else mask[lo:hi]
+    mask = np.empty(subframe.shape)
     np.equal(subframe, subframe[:, j:j + 1], out=mask)
     mask[:, j] = 0.0
-    if len(live) == hi - lo:
-        gain, items = g_slot[lo:hi, j], slice(None)
-    else:
-        gain, items = g_slot[live, j], live - lo
-    return _block_metric(mask, state.rows[lo:hi], gain, state.power_cfg.rbs_per_user, state.noise_rb_mw, items)
+    return _block_metric(
+        mask, state.rows[lo:hi], g_slot[live, j], state.power_cfg.rbs_per_user, state.noise_rb_mw, live - lo
+    )
 
 
 def select_interference_based(
@@ -300,9 +292,8 @@ def select_interference_based(
     the positions j of the per-slot layout, one user per slot (users
     slots*j .. slots*j + slots - 1), scores a position's users in one
     batched call and commits its movers in index order: the same moves,
-    in the same per-slot order, as a visit of one user at a time. The
-    search builds each position's co-block mask in one float buffer, and
-    a position where nobody moves commits nothing.
+    in the same per-slot order, as a visit of one user at a time. A
+    position where nobody moves commits nothing.
 
     A user is skipped if no user of its slot has moved since it last
     stayed put: users of other slots never enter its metric, and a row has
@@ -318,7 +309,6 @@ def select_interference_based(
     state = NetworkState.build(gains, _rsrp_cells(gains).copy(), power_cfg, noise_rb_mw, total_rbs)
     slots = state.slots
     g_slot = _g_slot(gains, slots)
-    mask = np.empty(state.subframe.shape)
     batch = np.arange(slots)
     dirty = np.ones(gains.n_users, dtype=bool)
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
@@ -334,7 +324,7 @@ def select_interference_based(
                 continue
             dirty[start:start + slots] = False
             step = start + live
-            metrics = _position_metrics(state, g_slot, j, live, mask)
+            metrics = _position_metrics(state, g_slot, j, live)
             index = batch[:len(live)]
             best = metrics.argmin(axis=1)
             current = state.serving[step]

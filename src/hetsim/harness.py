@@ -323,11 +323,6 @@ def _sinr_db(blocks: list[tuple[np.ndarray, np.ndarray]], per_rb_power_mw: np.nd
     return 10.0 * np.array(list(map(math.log10, gamma.tolist())))
 
 
-def _all_user_sinr_db(state: NetworkState) -> np.ndarray:
-    """Wideband SINR (dB) of every user of one state."""
-    return _sinr_db(_sinr_blocks(state), state.per_rb_power_mw, state.noise_rb_mw)
-
-
 def _baseline_assignment(strategy: StrategyConfig, gains: GainMatrix) -> Assignment:
     if strategy.kind == "rsrp":
         return select_rsrp(gains)

@@ -799,15 +799,12 @@ def test_position_metrics_equal_metric_rows(seed, n_cells, slots, n_users, n_mov
     for _ in range(n_moves):
         state.move_user(int(rng.integers(0, n_users)), int(rng.integers(0, n_cells)))
     g_slot = per_slot(gains.g_linear.T, slots, fill=1.0)
-    # a search's mask buffer, shared by its positions and holding stale values
-    mask = np.full(state.subframe.shape, 7.0)
     for j, start in enumerate(range(0, n_users, slots)):
         present = np.arange(min(slots, n_users - start))
         live = np.sort(rng.choice(present, size=int(rng.integers(1, len(present) + 1)), replace=False))
         for users in (live, present):
             expected = metric_rows(start + users, state).tobytes()
             assert _position_metrics(state, g_slot, j, users).tobytes() == expected
-            assert _position_metrics(state, g_slot, j, users, mask).tobytes() == expected
 
 
 @settings(max_examples=60, deadline=None)

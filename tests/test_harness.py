@@ -22,7 +22,6 @@ from hetsim.harness import (
     ConfigError,
     DropError,
     Scenario,
-    _all_user_sinr_db,
     _baseline_assignment,
     _sinr_blocks,
     _sinr_db,
@@ -512,12 +511,17 @@ def per_user_sinr_db(state):
     return out
 
 
+def all_user_sinr_db(state):
+    """Wideband SINR (dB) of every user of one state, its blocks built for it alone."""
+    return _sinr_db(_sinr_blocks(state), state.per_rb_power_mw, state.noise_rb_mw)
+
+
 def test_fast_sinr_path_matches_reference():
     # the per-block computation in the drop runner must reproduce the
     # per-user combiner bit for bit, and the per-RB reference path to
     # rounding (that path sums the interferers, not row minus own term)
     from hetsim.cell_selection import NetworkState
-    from hetsim.harness import _all_user_sinr_db, random_small_gains
+    from hetsim.harness import random_small_gains
     from hetsim.metrics import NoiseModel
     from hetsim.uplink_power import PowerConfig
 
@@ -528,7 +532,7 @@ def test_fast_sinr_path_matches_reference():
         serving = rng.integers(0, n_cells, size=n_users)
         for total_rbs in (4, 8, 48):
             state = NetworkState.build(gains, serving, PowerConfig(-90.0, 0.8), noise, total_rbs)
-            fast = _all_user_sinr_db(state)
+            fast = all_user_sinr_db(state)
             assert np.array_equal(fast, per_user_sinr_db(state))
             slow = [user_wideband_sinr_db(u, state) for u in range(n_users)]
             assert np.allclose(fast, slow, rtol=1e-12)
@@ -579,7 +583,7 @@ def test_batched_sinr_equals_per_block_loop(drawn):
     width, state = drawn
     sizes = [len(members) for _, members in blocks(state.subframe, len(state.serving))]
     assert max(sizes) >= width
-    batched = _all_user_sinr_db(state)
+    batched = all_user_sinr_db(state)
     assert np.array_equal(batched, per_block_sinr_db(state))
     assert np.array_equal(batched, per_user_sinr_db(state))
 
@@ -596,15 +600,8 @@ def test_shared_sinr_blocks_equal_a_fresh_state_per_alpha(drawn, alphas):
         at_alpha = state.with_power(cfg)
         fresh = NetworkState.build(state.gains, state.serving.copy(), cfg, state.noise_rb_mw, 4 * state.slots)
         sinr_db = _sinr_db(shared, at_alpha.per_rb_power_mw, state.noise_rb_mw)
-        assert sinr_db.tobytes() == _all_user_sinr_db(fresh).tobytes()
+        assert sinr_db.tobytes() == all_user_sinr_db(fresh).tobytes()
         assert np.array_equal(at_alpha.capped, fresh.capped)
-
-
-def test_with_power_keeps_the_block_size():
-    state = NetworkState.build(random_small_gains(np.random.default_rng(2), 3, 8), np.zeros(8, dtype=int),
-                               PowerConfig(-90.0, 0.8), NoiseModel().per_rb_noise_mw)
-    with pytest.raises(ValueError, match="rbs_per_user"):
-        state.with_power(PowerConfig(-90.0, 1.0, rbs_per_user=2))
 
 
 def drop_inputs(scenario, drop_index):
@@ -775,7 +772,7 @@ def former_drop_runs(scenario, drop_index):
                 assignment = _baseline_assignment(strategy, gains)
             state = NetworkState.build(gains, assignment.c, power_cfg, noise_mw, scenario.total_data_rbs)
             runs.append(SinrRun(
-                drop_index, strategy.label, alpha, power_cfg.p0_dbm, assignment.c, _all_user_sinr_db(state),
+                drop_index, strategy.label, alpha, power_cfg.p0_dbm, assignment.c, all_user_sinr_db(state),
                 gains.cell_tier, converged=assignment.converged, passes_used=assignment.passes_used,
                 moves_total=sum(assignment.moves_per_pass), capped_users=int(state.capped.sum()),
                 cycle_period=assignment.cycle_period,
