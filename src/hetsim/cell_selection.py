@@ -14,17 +14,21 @@ transmit power never enters its own metric, so candidate evaluation can
 keep every other power fixed. A user's RB slot (index mod slots) never
 changes, and only users of one slot share blocks, so the search is one
 independent game per slot. NetworkState therefore keeps the
-allocation, each user's subframe, and the received powers in
-scheduler's per-slot layout, and one kernel, _block_metric, scores any
-batch of users with one stacked product: the search feeds it the users
-at one position of every slot, and the brute-force oracle every user of
-every assignment at once. The search walks each pass position by
-position, scores a position's users together and commits its moves in
-index order. A move re-ranks only the mover's slot, in place, in one
-loop over the slot's later users, reads the mover's power from a
-per-(cell, user) open-loop table, and marks every user of its slot for
-re-evaluation; a search that returns to an earlier pass-end assignment
-is fast-forwarded along its cycle.
+allocation, each user's subframe, the received powers and the link
+gains in scheduler's per-slot layout, and one kernel, _block_metric,
+scores any batch of users with one stacked product: the search feeds it
+a span of slots at one position, and the brute-force oracle every user
+of every assignment at once. The search walks each pass position by
+position. A slot is live at a position if one of its users moved since
+the slot's user there was last scored, and every slot is live in the
+first pass; per-slot move stamps tell which. The slots between the
+first and the last live one are scored together, and the movers commit
+in index order. Scoring a clean slot in the span is harmless: its row
+has the bits it had when its user last stayed, so the user stays again.
+A move re-ranks only the mover's slot, in place, reads the mover's power
+from a per-(cell, user) open-loop table and stamps its slot; a search
+that returns to an earlier pass-end assignment is fast-forwarded along
+its cycle.
 """
 
 from __future__ import annotations
@@ -181,10 +185,15 @@ class NetworkState:
         return uplink_power.open_loop_power(self.power_cfg, -served).capped
 
     @cached_property
+    def g_slot(self) -> np.ndarray:
+        """(slots, users_per_slot, cells) link gain of every user at every cell, shared per drop."""
+        return _g_slot(self.gains, self.slots)
+
+    @cached_property
     def rows(self) -> np.ndarray:
         """(slots, users_per_slot, cells) per-RB received power of every user at every cell."""
         mw = per_slot(self.per_rb_power_mw, self.slots)
-        return _g_slot(self.gains, self.slots) * mw[:, :, None]
+        return self.g_slot * mw[:, :, None]
 
     @cached_property
     def power_table(self) -> np.ndarray:
@@ -196,8 +205,10 @@ class NetworkState:
 
         Only the mover's slot is re-ranked, in place: its later users of the
         old cell move one subframe earlier, those of the new cell one later,
-        and the mover takes its rank in the new cell. Only the mover's power
-        changes, read from power_table.
+        and the mover takes its rank in the new cell. When neither cell
+        serves a later user of the slot, no later rank changes and the loop
+        is skipped. Only the mover's power and row change; the power is read
+        from power_table and the row written in place.
         """
         slots = self.slots
         pos, slot = divmod(user, slots)
@@ -207,16 +218,18 @@ class NetworkState:
         self.serving[user] = cell
         cells = self.serving[slot::slots].tolist()
         row = self.subframe[slot]
-        for later, later_cell in enumerate(cells[pos + 1:], pos + 1):
-            if later_cell == old_cell:
-                row[later] -= 1
-            elif later_cell == cell:
-                row[later] += 1
+        later = cells[pos + 1:]
+        if old_cell in later or cell in later:
+            for rank, later_cell in enumerate(later, pos + 1):
+                if later_cell == old_cell:
+                    row[rank] -= 1
+                elif later_cell == cell:
+                    row[rank] += 1
         row[pos] = cells[:pos].count(cell)
 
         mw = self.power_table[cell, user]
         self.per_rb_power_mw[user] = mw
-        self.rows[slot, pos] = _g_slot(self.gains, slots)[slot, pos] * mw
+        np.multiply(self.g_slot[slot, pos], mw, out=self.rows[slot, pos])
 
 
 def select_rsrp(gains: GainMatrix) -> Assignment:
@@ -234,40 +247,38 @@ def select_cre(gains: GainMatrix, cfg: StrategyConfig) -> Assignment:
     return Assignment(c=_strongest(gains, np.where(gains.cell_tier == PICO, cfg.cre_bias_db, 0.0)))
 
 
-def _block_metric(mask, rows, gain, rbs_per_user, noise_rb_mw, items=slice(None)):
+def _block_metric(mask, rows, gain, rbs_per_user, noise_rb_mw):
     """rbs_per_user * (I + noise) / gain, the metric of users against every cell.
 
-    I is the interference (mask @ rows)[items], one stacked product:
-    mask is (..., U) 0/1 floats over a slot's U users, zero at the user
-    itself, and rows is (..., U, C), those users' per-RB received power at
-    every cell. Each item is a (1, U) @ (U, C) product, so a user's row
-    has the same bits in any batch. The arithmetic runs in place on the
-    product, in the order of the formula.
+    I is the interference mask @ rows, one stacked product: mask is
+    (..., U) 0/1 floats over a slot's U users, zero at the user itself,
+    and rows is (..., U, C), those users' per-RB received power at every
+    cell. Each item is a (1, U) @ (U, C) product, so a user's row has the
+    same bits in any batch. The arithmetic runs in place on the product,
+    in the order of the formula.
     """
-    metric = np.matmul(mask[..., None, :], rows)[items][..., 0, :]
+    metric = np.matmul(mask[..., None, :], rows)[..., 0, :]
     metric += noise_rb_mw
     metric *= rbs_per_user
     metric /= gain
     return metric
 
 
-def _position_metrics(state: NetworkState, g_slot: np.ndarray, j: int, live: np.ndarray) -> np.ndarray:
-    """(len(live), cells) metric of the user at position j of each slot in live.
+def _position_metrics(state: NetworkState, j: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, cells) metric of the user at position j of each slot lo .. hi - 1.
 
-    live holds ascending slots with a user at j, and the product runs over
-    the slot range they span, as views. Blocks are aligned and same-cell
-    users never share one, so the co-set of the user at [s, j] on each of
-    its RBs is every other user of slot s in its subframe: row s of the
-    mask, zero at column j, built as floats in one np.equal. g_slot is
-    _g_slot(state.gains, slots).
+    Every slot of the span must have a user at j. The product runs over
+    the span as views. Blocks are aligned and same-cell users never share
+    one, so the co-set of the user at [s, j] on each of its RBs is every
+    other user of slot s in its subframe: row s of the mask, zero at
+    column j, built as floats in one np.equal.
     """
-    lo, hi = int(live[0]), int(live[-1]) + 1
     subframe = state.subframe[lo:hi]
     mask = np.empty(subframe.shape)
     np.equal(subframe, subframe[:, j:j + 1], out=mask)
     mask[:, j] = 0.0
     return _block_metric(
-        mask, state.rows[lo:hi], g_slot[live, j], state.power_cfg.rbs_per_user, state.noise_rb_mw, live - lo
+        mask, state.rows[lo:hi], state.g_slot[lo:hi, j], state.power_cfg.rbs_per_user, state.noise_rb_mw
     )
 
 
@@ -290,27 +301,36 @@ def select_interference_based(
 
     Users in different RB slots never affect each other, so a pass walks
     the positions j of the per-slot layout, one user per slot (users
-    slots*j .. slots*j + slots - 1), scores a position's users in one
-    batched call and commits its movers in index order: the same moves,
-    in the same per-slot order, as a visit of one user at a time. A
-    position where nobody moves commits nothing.
+    slots*j .. slots*j + slots - 1), scores a span of a position's users
+    in one batched call and commits its movers in index order: the same
+    moves, in the same per-slot order, as a visit of one user at a time.
 
-    A user is skipped if no user of its slot has moved since it last
-    stayed put: users of other slots never enter its metric, and a row has
-    the same bits in any batch, so its metric vector, and so its choice,
-    would be the same. The state after a pass is a pure function of the
-    serving vector, so when a pass ends in the assignment an earlier pass
-    j ended in, every later pass repeats with period p. The search then
-    returns what a run of max_passes passes would: the assignment after
-    pass j + (max_passes - j) % p, not converged, all passes used, and
-    the moves of each pass extended periodically.
+    Every position of every pass gets a stamp, one more than the last,
+    and a move stamps its slot with the position's stamp. A slot is live
+    at a position when its last move came at or after its visit to that
+    position in the previous pass, and every slot is live in the first
+    pass: a slot that is not live has had no move since its user there
+    stayed put. A position with no live slot is skipped, and otherwise
+    the span from its first to its last live slot is scored. A clean slot
+    inside the span is scored too, harmlessly: users of other slots never
+    enter its metric, and a row has the same bits in any batch, so its
+    metric vector is the one its user stayed with, and it stays again.
+    A move needs a strict relative gain, so the incumbent cell never
+    passes the test, and no row moves to the cell it is in.
+
+    The state after a pass is a pure function of the serving vector, so
+    when a pass ends in the assignment an earlier pass j ended in, every
+    later pass repeats with period p. The search then returns what a run
+    of max_passes passes would: the assignment after pass
+    j + (max_passes - j) % p, not converged, all passes used, and the
+    moves of each pass extended periodically.
     """
     # a copy: the search moves users in its state's serving vector
     state = NetworkState.build(gains, _rsrp_cells(gains).copy(), power_cfg, noise_rb_mw, total_rbs)
-    slots = state.slots
-    g_slot = _g_slot(gains, slots)
+    slots, n_users = state.slots, gains.n_users
+    positions = -(-n_users // slots)         # per pass
     batch = np.arange(slots)
-    dirty = np.ones(gains.n_users, dtype=bool)
+    last = np.full(slots, -1)                # stamp of each slot's last move
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
     seen = {state.serving.tobytes(): 0}
     moves_per_pass: list[int] = []
@@ -318,24 +338,23 @@ def select_interference_based(
     cycle_start = period = None
     while len(moves_per_pass) < cfg.max_passes:
         moves = 0
-        for j, start in enumerate(range(0, gains.n_users, slots)):
-            live = dirty[start:start + slots].nonzero()[0]
+        stamp = len(moves_per_pass) * positions
+        for j, start in enumerate(range(0, n_users, slots)):
+            live = (last[:n_users - start] >= stamp + j - positions).nonzero()[0]
             if not len(live):
                 continue
-            dirty[start:start + slots] = False
-            step = start + live
-            metrics = _position_metrics(state, g_slot, j, live)
-            index = batch[:len(live)]
+            lo, hi = int(live[0]), int(live[-1]) + 1
+            metrics = _position_metrics(state, j, lo, hi)
+            index = batch[:hi - lo]
             best = metrics.argmin(axis=1)
-            current = state.serving[step]
-            own = metrics[index, current]
-            moving = (best != current) & (metrics[index, best] < own * (1.0 - MOVE_REL_THRESHOLD))
-            if not moving.any():
+            own = metrics[index, state.serving[start + lo:start + hi]]
+            moving = (metrics[index, best] < own * (1.0 - MOVE_REL_THRESHOLD)).nonzero()[0]
+            if not len(moving):
                 continue
-            for k, cell in zip(step[moving].tolist(), best[moving].tolist()):
-                state.move_user(k, cell)
-                dirty[k % slots::slots] = True
-                moves += 1
+            for i in moving.tolist():
+                state.move_user(start + lo + i, int(best[i]))
+            last[lo + moving] = stamp + j
+            moves += len(moving)
         moves_per_pass.append(moves)
         if moves == 0:
             converged = True

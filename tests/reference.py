@@ -167,17 +167,19 @@ def metric_rows(users: np.ndarray, state: NetworkState) -> np.ndarray:
     batch = np.arange(len(users))
     mask = subframe == subframe[batch, pos][:, None]
     mask[batch, pos] = False
+    gain = state.gains.g_linear[:, users].T
+    rbs, noise = state.power_cfg.rbs_per_user, state.noise_rb_mw
     if len(users) > 1 and (slot[1:] > slot[:-1]).all():
         # ascending slots (a search step): multiply the slot range in place
-        # instead of copying each user's slot, zero masks on the gaps
+        # instead of copying each user's slot, zero masks and unit gains on
+        # the gaps, whose rows are dropped
         offset = slot - slot[0]
         stacked = np.zeros((offset[-1] + 1, mask.shape[1]))
         stacked[offset] = mask
-        mask, rows, items = stacked, state.rows[slot[0]:slot[-1] + 1], offset
-    else:
-        mask, rows, items = mask.astype(float), state.rows[slot], slice(None)
-    gain = state.gains.g_linear[:, users].T
-    return _block_metric(mask, rows, gain, state.power_cfg.rbs_per_user, state.noise_rb_mw, items)
+        spanned = np.ones((offset[-1] + 1, gain.shape[1]))
+        spanned[offset] = gain
+        return _block_metric(stacked, state.rows[slot[0]:slot[-1] + 1], spanned, rbs, noise)[offset]
+    return _block_metric(mask.astype(float), state.rows[slot], gain, rbs, noise)
 
 
 def allocation_move(subframe, serving: np.ndarray, user: int, old_cell: int) -> np.ndarray:

@@ -1,9 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
+from hetsim import cell_selection
 from hetsim.cell_selection import (
     MOVE_REL_THRESHOLD,
     NetworkState,
@@ -19,7 +22,6 @@ from hetsim.cell_selection import (
 )
 from hetsim.metrics import NoiseModel
 from hetsim.radio import GainMatrix
-from hetsim.scheduler import per_slot
 from hetsim.uplink_power import PowerConfig, open_loop_power, per_rb_mw
 from reference import (
     adaptive_bias,
@@ -525,16 +527,15 @@ def test_cycling_drop_matches_reference(max_passes):
 def other_slot_rows(state, slot):
     """Bytes of the _position_metrics row of every user outside the slot, by user.
 
-    The search skips a user until a move lands in its slot, so these rows
-    must not change when a user of the slot moves.
+    Each position is scored over all its slots. The search skips a
+    position until a move lands in one of its slots, so these rows must
+    not change when a user of the slot moves.
     """
     slots, n_users = state.slots, len(state.serving)
-    g_slot = per_slot(state.gains.g_linear.T, slots, fill=1.0)
     rows = {}
     for j, start in enumerate(range(0, n_users, slots)):
-        live = np.array([s for s in range(min(slots, n_users - start)) if s != slot], dtype=int)
-        if len(live):
-            rows.update(zip((start + live).tolist(), (r.tobytes() for r in _position_metrics(state, g_slot, j, live))))
+        metrics = _position_metrics(state, j, 0, min(slots, n_users - start))
+        rows.update((start + s, r.tobytes()) for s, r in enumerate(metrics) if s != slot)
     return rows
 
 
@@ -637,7 +638,7 @@ def test_metric_rows_match_scalar_metric_at_acceptance_points(alpha):
     # user's own term loses precision there: at alpha = 0.4 its relative
     # error in the rsrp state reaches 8.7e-12 for user 172 and 3.5e-12 for
     # user 441. Both the reference rows and the search's position kernel,
-    # every slot of every position live, are held to the scalar metric.
+    # every slot of every position in its span, are held to the scalar metric.
     p0 = alpha * -90.0 + (1.0 - alpha) * (23.0 - 10.0 * np.log10(4))
     power = PowerConfig(p0, alpha)
     gains = acceptance_drop_gains(2)
@@ -647,9 +648,8 @@ def test_metric_rows_match_scalar_metric_at_acceptance_points(alpha):
         users = np.arange(gains.n_users)
         kernel = metric_rows(users, state)
         slots = state.slots
-        g_slot = per_slot(gains.g_linear.T, slots, fill=1.0)
         program = np.vstack([
-            _position_metrics(state, g_slot, j, np.arange(min(slots, gains.n_users - start)))
+            _position_metrics(state, j, 0, min(slots, gains.n_users - start))
             for j, start in enumerate(range(0, gains.n_users, slots))
         ])
         # the users whose own received power most dominates their block's
@@ -781,6 +781,37 @@ def test_skipping_clean_users_equals_rescoring_every_user(seed, n_cells, slots, 
         assert getattr(result, name) == getattr(every, name)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 5),
+    slots=st.integers(1, 12),
+    depth=st.integers(0, 4),
+    alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
+    max_passes=st.integers(1, 25),
+    twin=st.booleans(),
+    data=st.data(),
+)
+def test_move_stamps_score_the_span_of_the_dirty_users(seed, n_cells, slots, depth, alpha, max_passes, twin, data):
+    # the per-slot move stamps pick the positions the former per-user dirty
+    # flags scored, and at each one the span from its first to its last
+    # dirty user; a position the dirty rule skips is not scored
+    n_users = slots * depth + data.draw(st.integers(1, max(1, slots - 1)))
+    rng = np.random.default_rng(seed)
+    gains = random_gm(rng, n_cells, n_users)
+    if twin and n_cells > 1:
+        gains.g[-1] = gains.g[0]
+    power = PowerConfig(-90.0, alpha)
+    cfg = StrategyConfig(kind="interference", max_passes=max_passes)
+    with mock.patch.object(reference, "metric_rows", wraps=reference.metric_rows) as former:
+        former_search(gains, power, NOISE_MW, cfg, 4 * slots)
+    with mock.patch.object(cell_selection, "_position_metrics", wraps=_position_metrics) as search:
+        select_interference_based(gains, power, NOISE_MW, cfg, 4 * slots)
+    dirty = [c.args[0] for c in former.call_args_list]
+    expected = [(int(u[0]) // slots, int(u[0]) % slots, int(u[-1]) % slots + 1) for u in dirty]
+    assert [tuple(int(a) for a in c.args[1:]) for c in search.call_args_list] == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -791,19 +822,18 @@ def test_skipping_clean_users_equals_rescoring_every_user(seed, n_cells, slots, 
 )
 def test_position_metrics_equal_metric_rows(seed, n_cells, slots, n_users, n_moves):
     # every position of the per-slot layout, short slots included, scored
-    # for a random set of its slots: bit for bit the former per-user rows
+    # over a random span of its slots: every row of the span, bit for bit
+    # the former per-user row, since every span row feeds a decision
     rng = np.random.default_rng(seed)
     gains = random_gm(rng, n_cells, n_users)
     power = PowerConfig(-90.0, float(rng.choice([0.4, 0.6, 0.8, 1.0])))
     state = NetworkState.build(gains, rng.integers(0, n_cells, n_users), power, NOISE_MW, 4 * slots)
     for _ in range(n_moves):
         state.move_user(int(rng.integers(0, n_users)), int(rng.integers(0, n_cells)))
-    g_slot = per_slot(gains.g_linear.T, slots, fill=1.0)
     for j, start in enumerate(range(0, n_users, slots)):
-        present = np.arange(min(slots, n_users - start))
-        live = np.sort(rng.choice(present, size=int(rng.integers(1, len(present) + 1)), replace=False))
-        metrics = _position_metrics(state, g_slot, j, live)
-        assert metrics.tobytes() == metric_rows(start + live, state).tobytes()
+        lo, hi = np.sort(rng.choice(min(slots, n_users - start) + 1, size=2, replace=False))
+        metrics = _position_metrics(state, j, lo, hi)
+        assert metrics.tobytes() == metric_rows(start + np.arange(lo, hi), state).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
