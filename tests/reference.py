@@ -8,7 +8,8 @@ against these forms, and the acceptance suite builds its independent
 checks on them. The search as it was before it scored by pass position
 (metric_rows, allocation_move, former_search) is kept for the tests
 that compare the search and its in-place moves against it; former_search
-without skipping is the reference of the skip rule.
+is the reference of the search's move stamps, and without skipping the
+reference of the skip rule.
 """
 
 import math
@@ -203,8 +204,9 @@ def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48, skip=True) -
     """select_interference_based as it was before it scored by pass position.
 
     A pass walks in steps of one user per slot and scores each step's
-    dirty users through metric_rows; the moves, the dirty marking (a move
-    marks every user of the mover's slot), the cycle fast-forward and the
+    dirty users through metric_rows; a move marks every user of the
+    mover's slot dirty, the per-user rule that the search's per-slot move
+    stamps reproduce. The moves, the cycle fast-forward and the
     bookkeeping are those of the search. With skip=False every user is
     re-scored on every pass. Its rsrp start is computed afresh.
     """

@@ -527,9 +527,10 @@ def test_cycling_drop_matches_reference(max_passes):
 def other_slot_rows(state, slot):
     """Bytes of the _position_metrics row of every user outside the slot, by user.
 
-    Each position is scored over all its slots. The search skips a
-    position until a move lands in one of its slots, so these rows must
-    not change when a user of the slot moves.
+    Each position is scored over all its slots. The search scores a
+    clean row of another slot, trusting it to have the bits its user
+    stayed with, so these rows must not change when a user of the slot
+    moves.
     """
     slots, n_users = state.slots, len(state.serving)
     rows = {}
@@ -638,7 +639,7 @@ def test_metric_rows_match_scalar_metric_at_acceptance_points(alpha):
     # user's own term loses precision there: at alpha = 0.4 its relative
     # error in the rsrp state reaches 8.7e-12 for user 172 and 3.5e-12 for
     # user 441. Both the reference rows and the search's position kernel,
-    # every slot of every position in its span, are held to the scalar metric.
+    # each position scored over all its slots, are held to the scalar metric.
     p0 = alpha * -90.0 + (1.0 - alpha) * (23.0 - 10.0 * np.log10(4))
     power = PowerConfig(p0, alpha)
     gains = acceptance_drop_gains(2)
@@ -716,8 +717,7 @@ def test_acceptance_drop_equals_composed_slot_searches():
 # ---- the search by pass position against the former search --------------------
 
 
-@settings(max_examples=80, deadline=None)
-@given(
+SEARCH_INSTANCES = dict(
     seed=st.integers(0, 2**32 - 1),
     n_cells=st.integers(1, 5),
     slots=st.integers(1, 12),
@@ -727,16 +727,26 @@ def test_acceptance_drop_equals_composed_slot_searches():
     twin=st.booleans(),
     data=st.data(),
 )
-def test_search_equals_former_search(seed, n_cells, slots, depth, alpha, max_passes, twin, data):
-    # users fill depth positions and part of one more, so with two or more
-    # slots some slots are short. twin: the last cell repeats cell 0's gains
-    # exactly, so their metrics tie
+
+
+def search_instance(seed, n_cells, slots, depth, alpha, twin, data):
+    """Gains and power of a random search instance drawn from SEARCH_INSTANCES.
+
+    Users fill depth positions and part of one more, so with two or more
+    slots some slots are short. twin: the last cell repeats cell 0's gains
+    exactly, so their metrics tie.
+    """
     n_users = slots * depth + data.draw(st.integers(1, max(1, slots - 1)))
-    rng = np.random.default_rng(seed)
-    gains = random_gm(rng, n_cells, n_users)
+    gains = random_gm(np.random.default_rng(seed), n_cells, n_users)
     if twin and n_cells > 1:
         gains.g[-1] = gains.g[0]
-    power = PowerConfig(-90.0, alpha)
+    return gains, PowerConfig(-90.0, alpha)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**SEARCH_INSTANCES)
+def test_search_equals_former_search(seed, n_cells, slots, depth, alpha, max_passes, twin, data):
+    gains, power = search_instance(seed, n_cells, slots, depth, alpha, twin, data)
     cfg = StrategyConfig(kind="interference", max_passes=max_passes)
     result = select_interference_based(gains, power, NOISE_MW, cfg, 4 * slots)
     former = former_search(gains, power, NOISE_MW, cfg, 4 * slots)
@@ -769,7 +779,8 @@ def test_acceptance_drop_equals_former_search():
     max_passes=st.integers(1, 25),
 )
 def test_skipping_clean_users_equals_rescoring_every_user(seed, n_cells, slots, n_users, alpha, max_passes):
-    # the search skips a user until a move lands in its slot; a search that
+    # the search skips a position until a move lands in one of its slots,
+    # and a clean row it scores inside a span stays; a search that
     # re-scores every user on every pass makes the same moves
     gains = random_gm(np.random.default_rng(seed), n_cells, n_users)
     power = PowerConfig(-90.0, alpha)
@@ -782,26 +793,12 @@ def test_skipping_clean_users_equals_rescoring_every_user(seed, n_cells, slots, 
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_cells=st.integers(1, 5),
-    slots=st.integers(1, 12),
-    depth=st.integers(0, 4),
-    alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
-    max_passes=st.integers(1, 25),
-    twin=st.booleans(),
-    data=st.data(),
-)
+@given(**SEARCH_INSTANCES)
 def test_move_stamps_score_the_span_of_the_dirty_users(seed, n_cells, slots, depth, alpha, max_passes, twin, data):
     # the per-slot move stamps pick the positions the former per-user dirty
     # flags scored, and at each one the span from its first to its last
     # dirty user; a position the dirty rule skips is not scored
-    n_users = slots * depth + data.draw(st.integers(1, max(1, slots - 1)))
-    rng = np.random.default_rng(seed)
-    gains = random_gm(rng, n_cells, n_users)
-    if twin and n_cells > 1:
-        gains.g[-1] = gains.g[0]
-    power = PowerConfig(-90.0, alpha)
+    gains, power = search_instance(seed, n_cells, slots, depth, alpha, twin, data)
     cfg = StrategyConfig(kind="interference", max_passes=max_passes)
     with mock.patch.object(reference, "metric_rows", wraps=reference.metric_rows) as former:
         former_search(gains, power, NOISE_MW, cfg, 4 * slots)
