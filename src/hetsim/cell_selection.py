@@ -387,8 +387,6 @@ def select_interference_based(
 @dataclass(frozen=True)
 class OracleResult:
     stable: list[tuple[int, ...]]          # all unilaterally stable assignments
-    min_total: tuple[int, ...]             # assignment minimizing the metric sum
-    min_total_value: float
 
 
 def _assignment_metrics(
@@ -452,11 +450,5 @@ def brute_force_oracle(
 
     grid, metrics = _assignment_metrics(gains, power_cfg, noise_rb_mw, total_rbs)
     own = np.take_along_axis(metrics, grid[:, :, None], axis=2)[:, :, 0]
-    totals = own.sum(axis=1)
     unstable = (metrics.min(axis=2) < own * (1.0 - MOVE_REL_THRESHOLD)).any(axis=1)
-    best = int(np.argmin(totals))
-    return OracleResult(
-        stable=[tuple(row) for row in grid[~unstable].tolist()],
-        min_total=tuple(grid[best].tolist()),
-        min_total_value=float(totals[best]),
-    )
+    return OracleResult(stable=[tuple(row) for row in grid[~unstable].tolist()])

@@ -19,6 +19,10 @@ from hetsim.topology import Layout, NodeSet
 MACRO = "macro"
 PICO = "pico"
 
+# the path-loss laws need a link distance above zero, so a user on a
+# station is taken to lie this far from it
+MIN_LINK_DISTANCE_M = 1e-6
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -130,6 +134,8 @@ def compute_gain_matrix(
 
     Shadowing is drawn i.i.d. per link (one standard-normal matrix scaled
     by the tier sigma), so the matrix is bit-reproducible per rng state.
+    Path loss is evaluated at max(d, MIN_LINK_DISTANCE_M), so a user on a
+    station gets finite gains.
     """
     n_sec = layout.n_sectors
     n_pico = nodes.n_picos
@@ -152,11 +158,15 @@ def compute_gain_matrix(
     # g is assembled in place, in the order -pl - shadow + pattern + rx_gain -
     # penetration that fixes its bits
     g = np.empty((n_sec + n_pico, len(users)))
-    site_pl = path_loss_db(MACRO, np.sqrt(site_dist2, out=site_dist2), params)
+    site_d = np.sqrt(site_dist2, out=site_dist2)
+    np.maximum(site_d, MIN_LINK_DISTANCE_M, out=site_d)
+    site_pl = path_loss_db(MACRO, site_d, params)
     np.negative(site_pl[layout.sector_site], out=g[:n_sec])
     if n_pico:
         dist2, _ = _nearest_image(nodes.picos, users, layout.wrap_vectors)
-        np.negative(path_loss_db(PICO, np.sqrt(dist2, out=dist2), params), out=g[n_sec:])
+        d = np.sqrt(dist2, out=dist2)
+        np.maximum(d, MIN_LINK_DISTANCE_M, out=d)
+        np.negative(path_loss_db(PICO, d, params), out=g[n_sec:])
 
     sigma = np.where(tier == MACRO, params.macro_shadow_sigma_db, params.pico_shadow_sigma_db)
     shadow = rng.standard_normal(g.shape)

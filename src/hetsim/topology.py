@@ -21,9 +21,6 @@ SECTOR_BORESIGHTS_DEG = (30.0, 150.0, 270.0)
 # retry budget for every rejection-sampled object (pico, user)
 PLACEMENT_RETRY_BUDGET = 10_000
 
-# any draw closer than this to a base station is re-sampled
-_MIN_BS_SEPARATION_M = 1e-6
-
 
 class PlacementError(RuntimeError):
     """Raised when constrained placement exhausts its retry budget."""
@@ -245,29 +242,6 @@ class _Draws:
         return None
 
 
-# a station more than this apart in x is farther than _MIN_BS_SEPARATION_M
-# even after the coordinates' rounding
-_X_BAND_M = 1e-5
-
-
-def _off_stations(points: np.ndarray, stations: np.ndarray) -> np.ndarray:
-    """Which points (N, 2) lie farther than _MIN_BS_SEPARATION_M from every station.
-
-    The stations (S, 2) are sorted by x and end with a row at x = +inf.
-    A point is tested as min(dx*dx + dy*dy) > _MIN_BS_SEPARATION_M**2
-    over the stations only if a station lies within _X_BAND_M of it in x;
-    any other point is off every station.
-    """
-    x = points[:, 0]
-    # the first station from x - _X_BAND_M on, the +inf row if none
-    near = stations[np.searchsorted(stations[:, 0], x - _X_BAND_M), 0] <= x + _X_BAND_M
-    off = np.ones(len(points), dtype=bool)
-    if near.any():
-        dx, dy = stations[:, 0] - points[near, :1], stations[:, 1] - points[near, 1:]
-        off[near] = (dx * dx + dy * dy).min(axis=1) > _MIN_BS_SEPARATION_M**2
-    return off
-
-
 def _polar(center: np.ndarray, r: np.ndarray, rad: np.ndarray) -> np.ndarray:
     """Points (..., W, 2) at radii r and angles rad (W,) from center (..., 2)."""
     offsets = np.empty((len(r), 2))
@@ -352,8 +326,8 @@ def place_users(
     Seeded users are drawn uniformly in the seed_radius_m disc around
     their pico, re-sampled until they also fall inside the pico's host
     sector region (keeps per-sector counts exact). Remaining users are
-    uniform in the sector. Draws coinciding with a base station position
-    are re-sampled.
+    uniform in the sector. A user may lie on a station: the gain matrix
+    evaluates path loss at no less than radio.MIN_LINK_DISTANCE_M.
     """
     per_sector_picos = np.bincount(pico_sector, minlength=layout.n_sectors) if len(pico_sector) else np.zeros(layout.n_sectors, dtype=int)
     if users_per_sector < per_sector_picos.max(initial=0):
@@ -362,9 +336,6 @@ def place_users(
             f"in some sector ({per_sector_picos.max(initial=0)}); every pico needs a seed user"
         )
 
-    # sorted by x, as _off_stations reads them
-    stations = np.concatenate([layout.sites, picos, [[np.inf, np.inf]]])
-    stations = stations[np.argsort(stations[:, 0])]
     users = np.empty((layout.n_sectors * users_per_sector, 2))
     placed = 0
     with _Draws(rng) as draws:
@@ -383,10 +354,8 @@ def place_users(
                 uniform, inside = _sector_candidates(layout, sector, pairs)
                 points = np.concatenate([seeded, uniform[None]])
                 # a seed user has one budget: a draw outside the host sector
-                # or on a station costs one try
-                ok = np.concatenate([home, inside[None]])
-                clear = _off_stations(points.reshape(-1, 2), stations).reshape(ok.shape)
-                kinds = np.where(ok & clear, _PASS, _OUTER)
+                # costs one try
+                kinds = np.where(np.concatenate([home, inside[None]]), _PASS, _OUTER)
                 kinds[-1, ~inside] = _INNER
                 while placed < end:
                     row = min(placed - first, len(seeds))

@@ -38,6 +38,23 @@ def test_bench_refuses_a_wrong_or_failed_run(tmp_path, correct, failed):
         load_tool().bench(checkout, "parent", "oracle", 1, 0, 5)
 
 
+def test_bench_gives_a_traced_runs_layer_shares(tmp_path):
+    # each layer's seconds over the run's trace.wall_s; counters and the
+    # wall itself are no layers
+    metrics = {name: {"value": value, "unit": "s"} for name, value in [
+        ("trace.wall_s", 2.0), ("cell_selection.search.s", 0.5), ("harness.run_drop.self_s", 0.25),
+        ("cell_selection.search.runs", 40.0), ("item_s.p50", 0.1),
+    ]}
+    checkout = stub_checkout(tmp_path, {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics})
+    tool = load_tool()
+    traced = tool.bench(checkout, "change", "acc2", 1, 1, None)
+    assert traced["shares"] == {"cell_selection.search.s": 0.25, "harness.run_drop.self_s": 0.125}
+    assert "shares" not in tool.bench(checkout, "change", "acc2", 1, 0, 2)
+    runs = [traced, {"shares": {"cell_selection.search.s": 0.35, "harness.run_drop.self_s": 0.1}},
+            {"shares": {"cell_selection.search.s": 0.3, "harness.run_drop.self_s": 0.2}}]
+    assert tool.medians(runs, "shares") == {"cell_selection.search.s": 0.3, "harness.run_drop.self_s": 0.125}
+
+
 def run(side, seed, trace=0, **metrics):
     return {"side": side, "seed": seed, "trace": trace, "metrics": metrics}
 

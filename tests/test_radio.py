@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hetsim.radio import (
     DEFAULT_RADIO,
     MACRO,
+    MIN_LINK_DISTANCE_M,
     PICO,
     GainMatrix,
     RadioParams,
@@ -12,7 +13,7 @@ from hetsim.radio import (
     compute_gain_matrix,
     path_loss_db,
 )
-from hetsim.topology import NodeSet, build_layout
+from hetsim.topology import NodeSet, build_layout, wrap_distance
 from reference import rsrp_dbm
 
 NO_SHADOW = RadioParams(macro_shadow_sigma_db=0.0, pico_shadow_sigma_db=0.0)
@@ -257,3 +258,49 @@ def test_gain_matrix_matches_reference(seed, n_picos, n_uniform, n_seam, isd):
     assert np.array_equal(new.cell_tier, ref.cell_tier)
     assert np.array_equal(new.rs_power_dbm, ref.rs_power_dbm)
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_users_on_stations_get_the_path_loss_of_min_link_distance():
+    # with no shadowing, pattern, receive gain or penetration, g is the
+    # negated path loss alone
+    bare = RadioParams(macro_shadow_sigma_db=0.0, pico_shadow_sigma_db=0.0, antenna_max_atten_db=0.0,
+                       macro_rx_gain_db=0.0, pico_rx_gain_db=0.0, penetration_loss_db=0.0)
+    layout = build_layout(500.0)
+    pico = np.array([150.0, 180.0])
+    nodes = NodeSet(picos=pico[None], pico_sector=np.array([0]), users=np.array([layout.sites[3], pico]))
+    assert MIN_LINK_DISTANCE_M == 1e-6
+    for params in (DEFAULT_RADIO, bare):
+        assert np.isfinite(compute_gain_matrix(layout, nodes, np.random.default_rng(0), params).g).all()
+    g = compute_gain_matrix(layout, nodes, np.random.default_rng(0), bare).g
+    assert (g[9:12, 0] == -path_loss_db(MACRO, 1e-6)).all()  # the sectors of site 3
+    assert g[57, 1] == -path_loss_db(PICO, 1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_picos=st.integers(1, 8),
+    n_uniform=st.integers(0, 20),
+    n_near=st.integers(1, 20),
+    isd=st.sampled_from([200.0, 500.0, 1732.0]),
+)
+def test_gains_beyond_min_link_distance_keep_the_law_without_it(seed, n_picos, n_uniform, n_near, isd):
+    # users 1 um and 2 um from a station, in any direction, and uniform
+    # users: those whose every link is at least 1 um long get the bits of the
+    # reference, which evaluates the path loss at the distance itself
+    layout = build_layout(isd)
+    rng = np.random.default_rng(seed)
+    picos = rng.uniform(-2.5 * isd, 2.5 * isd, size=(n_picos, 2))
+    stations = np.concatenate([layout.sites, picos])
+    angle = rng.uniform(0.0, 2 * np.pi, size=(n_near, 1))
+    radius = rng.choice([1e-6, 2e-6], size=(n_near, 1))
+    near = stations[rng.integers(0, len(stations), size=n_near)]
+    near += radius * np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
+    users = np.concatenate([rng.uniform(-2.5 * isd, 2.5 * isd, size=(n_uniform, 2)), near])
+    nodes = NodeSet(picos=picos, pico_sector=np.zeros(n_picos, dtype=int), users=users)
+    # the link distances as the gain matrix computes them
+    far = (wrap_distance(stations, users, layout) >= MIN_LINK_DISTANCE_M).all(axis=0)
+    assert far[n_uniform:][radius[:, 0] == 2e-6].all()
+    ref = _reference_gain_matrix(layout, nodes, np.random.default_rng(seed + 1))
+    new = compute_gain_matrix(layout, nodes, np.random.default_rng(seed + 1))
+    assert new.g[:, far].tobytes() == ref.g[:, far].tobytes()

@@ -204,45 +204,6 @@ def test_picos_live_in_their_host_sector(layout):
         assert sector_of(picos[p], layout) == psec[p]
 
 
-def test_users_clear_of_station_positions(layout):
-    rng = np.random.default_rng(7)
-    picos, psec = place_picos(layout, 2, rng)
-    nodes = place_users(layout, picos, psec, 12, rng)
-    stations = np.concatenate([layout.sites, picos])
-    d2 = np.min(
-        np.sum((nodes.users[:, None, :] - stations[None, :, :]) ** 2, axis=2), axis=1
-    )
-    assert np.all(d2 > 0.0)
-
-
-def test_station_check_equals_brute_force(layout):
-    # the exact test runs only for points with a station within 1e-5 m in
-    # x; every point gets the answer of the test over all stations
-    rng = np.random.default_rng(11)
-    picos, _ = place_picos(layout, 2, rng)
-    stations = np.concatenate([layout.sites, picos])
-    at = stations[rng.integers(0, len(stations), size=60)]
-    angle = rng.uniform(0.0, 2 * np.pi, size=(60, 1))
-    around = np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
-    axes = np.repeat([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], 15, axis=0)
-    far_in_y = rng.choice([-1.0, 1.0], 60) * rng.uniform(2e-6, 300.0, 60)
-    # (points, whether they are off every station), then points 1 um away,
-    # on the threshold
-    known = [(at + r * around, r > 1e-6) for r in (0.0, 0.5e-6, 2e-6)] + [
-        (at + r * axes, r > 1e-6) for r in (0.5e-6, 2e-6, 0.99e-5, 1.01e-5)
-    ] + [
-        (at + np.stack([rng.uniform(-1e-5, 1e-5, 60), far_in_y], axis=1), True),
-        (rng.uniform(-1500.0, 1500.0, size=(200, 2)), True),
-    ]
-    points = np.concatenate([p for p, _ in known] + [at + 1e-6 * around, at + 1e-6 * axes])
-    dx, dy = stations[:, 0] - points[:, :1], stations[:, 1] - points[:, 1:]
-    brute = (dx * dx + dy * dy).min(axis=1) > 1e-12
-    by_x = np.concatenate([stations, [[np.inf, np.inf]]])
-    by_x = by_x[np.argsort(by_x[:, 0])]
-    assert topology._off_stations(points, by_x).tolist() == brute.tolist()
-    assert brute[:-120].tolist() == [off for p, off in known for _ in p]
-
-
 # ---- scalar placement reference ----------------------------------------------
 #
 # The placement loops as they were before the candidate checks were
@@ -317,11 +278,6 @@ def _ref_place_picos(layout, per_sector, rng, min_to_site_m=75.0, min_to_pico_m=
 
 
 def _ref_place_users(layout, picos, pico_sector, users_per_sector, rng, seed_radius_m=50.0):
-    bs_positions = np.concatenate([layout.sites, picos]) if len(picos) else layout.sites
-
-    def clear_of_stations(point):
-        return np.min(np.sum((bs_positions - point) ** 2, axis=1)) > 1e-6**2
-
     user_pos = []
     for sector in range(layout.n_sectors):
         pico_ids = np.flatnonzero(pico_sector == sector) if len(pico_sector) else np.array([], dtype=int)
@@ -331,22 +287,13 @@ def _ref_place_users(layout, picos, pico_sector, users_per_sector, rng, seed_rad
                 r = seed_radius_m * np.sqrt(rng.uniform())
                 phi = rng.uniform(0.0, 2 * np.pi)
                 point = center + r * np.array([np.cos(phi), np.sin(phi)])
-                if _ref_sector_of(point, layout) != sector:
-                    continue
-                if not clear_of_stations(point):
-                    continue
-                break
+                if _ref_sector_of(point, layout) == sector:
+                    break
             else:
                 raise PlacementError(f"seed user for pico {pid} exhausted retries")
             user_pos.append(point)
         for _ in range(users_per_sector - len(pico_ids)):
-            for _ in range(topology.PLACEMENT_RETRY_BUDGET):
-                point = _ref_sample_in_sector(layout, sector, rng)
-                if clear_of_stations(point):
-                    break
-            else:
-                raise PlacementError(f"user placement in sector {sector} exhausted retries")
-            user_pos.append(point)
+            user_pos.append(_ref_sample_in_sector(layout, sector, rng))
     return NodeSet(
         picos=picos,
         pico_sector=np.asarray(pico_sector, dtype=int),
@@ -573,15 +520,24 @@ _BUDGET_CASES = {
     "pico-outer-sites": ({**_ACC, "min_to_site_m": 500.0}, {1: 1, 3: 0, 7: 1}, "outer"),
     # the second pico of a sector can never keep 5 km from the first
     "pico-outer-picos": ({**_ACC, "min_to_pico_m": 5000.0}, {1: 1, 3: 3, 7: 1}, "outer"),
-    # a 0.1 um seed disc lies on its pico, a station: every seed try fails
-    "seed-user": ({**_ACC, "seed_radius_m": 1e-7}, {1: 0, 3: 0, 7: 0}, "outer"),
+    # sector 0's first pico lies in the last sector: every seed try fails
+    "seed-user": ({**_ACC}, {1: 0, 3: 0, 7: 0}, "outer"),
     # no picos: a uniform user's attempt misses the region budget times in a row
     "uniform-user": ({**_ACC, "picos": 0}, {1: 0, 3: 0, 7: 0}, "inner"),
     # budgets above every run of failures but below both first windows
-    # (24 pairs for the picos of a sector, 28 for its users); in 2 um seed
-    # discs a quarter of the seed draws lie on their pico and are drawn again
-    "success": ({**_ACC, "users": 3, "seed_radius_m": 2e-6}, {20: 0, 21: 0, 23: 0}, "placed"),
+    # (24 pairs for the picos of a sector, 28 for its users); the picos lie
+    # on an edge of their sector, so about half of the seed draws miss it
+    # and are drawn again
+    "success": ({**_ACC, "users": 3}, {20: 0, 21: 0, 23: 0}, "placed"),
 }
+
+
+def _on_sector_edge(layout, picos, psec):
+    """The picos turned about their site onto the counterclockwise edge of their sector's wedge."""
+    site = layout.sites[layout.sector_site[psec]]
+    r = np.hypot(*(picos - site).T)
+    edge = np.deg2rad(layout.sector_boresight_deg[psec] + 60.0)
+    return site + r[:, None] * np.stack([np.cos(edge), np.sin(edge)], axis=1), psec
 
 
 @pytest.mark.parametrize("case,budget,seed", [
@@ -595,9 +551,13 @@ def test_budget_below_window_matches_reference(case, budget, seed):
     params, _, ends = _BUDGET_CASES[case]
     place_picos_fns = (_ref_place_picos, place_picos)
     if case == "seed-user":
-        # the picos placed at the real budget, so that the seed users run out
+        # the picos placed at the real budget, so that the seed users run
+        # out; sector 0's first pico moved onto the last sector's last pico
         picos, psec = place_picos(build_layout(params["isd"]), params["picos"], np.random.default_rng(seed))
+        picos = np.concatenate([picos[-1:], picos[1:]])
         place_picos_fns = (lambda *args: (picos, psec),) * 2
+    if case == "success":
+        place_picos_fns = tuple(lambda *args, fn=fn: _on_sector_edge(args[0], *fn(*args)) for fn in place_picos_fns)
     with mock.patch.object(topology, "PLACEMENT_RETRY_BUDGET", budget):
         ref_out, ref_state = _outcome(place_picos_fns[0], _ref_place_users, params, seed)
         new_out, new_state = _outcome(place_picos_fns[1], place_users, params, seed)

@@ -10,9 +10,12 @@ sides). Per workload, PAIRS untraced pairs run, one run per side with the
 same seed (FIRST_SEED, FIRST_SEED + 1, ...), and the side that runs first
 alternates from pair to pair; then each side runs TRACED times traced at
 the workload's recorded seed, again alternating which side runs first.
-The file keeps every run's metrics; per (side, workload), the min,
-quartiles and median of each untraced metric and the median of each
-traced per-layer metric; per workload and end-to-end metric, the number
+The file keeps every run's metrics, and for a traced run the share of
+its `trace.wall_s` that each layer's seconds (`*.s`, `*.self_s`) take;
+per (side, workload), the min, quartiles and median of each untraced
+metric and the median of each traced per-layer metric and of each
+layer's share, since layer seconds drift with the host more than the
+shares of one run do; per workload and end-to-end metric, the number
 of pairs the change won; and the full git revisions and the CPU count.
 A run whose summary says `correct: false` or `failed > 0` stops the
 recording with an error that names its workload, side and seed.
@@ -104,6 +107,10 @@ def bench(checkout: str, side: str, workload: str, seconds: float, trace: int, s
             f"{workload} {side} seed {seed}: correct={summary['correct']} failed={summary['failed']}, not recorded"
         )
     summary["metrics"] = {name: m["value"] for name, m in summary["metrics"].items()}
+    if trace:
+        wall = summary["metrics"]["trace.wall_s"]
+        summary["shares"] = {name: value / wall for name, value in summary["metrics"].items()
+                             if name.endswith((".s", ".self_s"))}
     return summary
 
 
@@ -140,9 +147,9 @@ def stats(runs: list[dict]) -> dict:
     return out
 
 
-def medians(runs: list[dict]) -> dict:
-    """Median of every metric over runs."""
-    return {name: statistics.median(r["metrics"][name] for r in runs) for name in runs[0]["metrics"]}
+def medians(runs: list[dict], field: str = "metrics") -> dict:
+    """Median of every value under field (the metrics, or a traced run's shares) over runs."""
+    return {name: statistics.median(r[field][name] for r in runs) for name in runs[0][field]}
 
 
 def wins(runs: list[dict], better: dict[str, str]) -> dict:
@@ -192,11 +199,15 @@ def main(argv=None) -> int:
                     check_digest(firsts.setdefault((picos, users), density_runs[-1]), density_runs[-1])
                     print(f"density {picos}x{users} {side}: {density_runs[-1]}", file=sys.stderr)
 
+    def of(side, workload, trace):
+        return [r for r in runs if (r["side"], r["workload"], r["trace"]) == (side, workload, trace)]
+
     summary = {
         side: {
             workload: {
-                "untraced": stats([r for r in runs if (r["side"], r["workload"], r["trace"]) == (side, workload, 0)]),
-                "traced": medians([r for r in runs if (r["side"], r["workload"], r["trace"]) == (side, workload, 1)]),
+                "untraced": stats(of(side, workload, 0)),
+                "traced": medians(of(side, workload, 1)),
+                "traced_shares": medians(of(side, workload, 1), "shares"),
             }
             for workload in workloads
         }
