@@ -18,12 +18,13 @@ allocation, each user's subframe, the received powers and the link
 gains in scheduler's per-slot layout, and one kernel, _block_metric,
 scores any batch of users with one stacked product: the search feeds it
 a span of slots at one position, and the brute-force oracle every user
-of every assignment at once. The search walks each pass position by
-position. A slot is live at a position if one of its users moved since
-the slot's user there was last scored, and every slot is live in the
-first pass; per-slot move stamps tell which. The slots between the
-first and the last live one are scored together, and the movers commit
-in index order. Scoring a clean slot in the span is harmless: its row
+of every assignment at once. Its co-block sum, coblock_interference,
+is also the interference of the SINR that harness reports. The search
+walks each pass position by position. A slot is live at a position if
+one of its users moved since the slot's user there was last scored, and
+every slot is live in the first pass; per-slot move stamps tell which.
+The slots between the first and the last live one are scored together,
+and the movers commit in index order. Scoring a clean slot in the span is harmless: its row
 has the bits it had when its user last stayed, so the user stays again.
 A move re-ranks only the mover's slot, in place, reads the mover's power
 from a per-(cell, user) open-loop table and stamps its slot; a search
@@ -247,17 +248,24 @@ def select_cre(gains: GainMatrix, cfg: StrategyConfig) -> Assignment:
     return Assignment(c=_strongest(gains, np.where(gains.cell_tier == PICO, cfg.cre_bias_db, 0.0)))
 
 
+def coblock_interference(mask, rows):
+    """(..., C) per-RB interference on each user's block, mask @ rows in one stacked product.
+
+    mask is (..., U) 0/1 floats over a slot's U users, one where a user
+    shares the block, zero at the user itself, and rows is (..., U, C),
+    those users' per-RB received power at C cells. Each item is a
+    (1, U) @ (U, C) product, so a user's row has the same bits in any batch.
+    """
+    return np.matmul(mask[..., None, :], rows)[..., 0, :]
+
+
 def _block_metric(mask, rows, gain, rbs_per_user, noise_rb_mw):
     """rbs_per_user * (I + noise) / gain, the metric of users against every cell.
 
-    I is the interference mask @ rows, one stacked product: mask is
-    (..., U) 0/1 floats over a slot's U users, zero at the user itself,
-    and rows is (..., U, C), those users' per-RB received power at every
-    cell. Each item is a (1, U) @ (U, C) product, so a user's row has the
-    same bits in any batch. The arithmetic runs in place on the product,
-    in the order of the formula.
+    I is coblock_interference(mask, rows). The arithmetic runs in place
+    on the product, in the order of the formula.
     """
-    metric = np.matmul(mask[..., None, :], rows)[..., 0, :]
+    metric = coblock_interference(mask, rows)
     metric += noise_rb_mw
     metric *= rbs_per_user
     metric /= gain

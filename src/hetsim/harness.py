@@ -28,6 +28,7 @@ from hetsim.cell_selection import (
     StrategyConfig,
     VALID_KINDS,
     brute_force_oracle,
+    coblock_interference,
     select_cre,
     select_interference_based,
     select_pl,
@@ -36,7 +37,7 @@ from hetsim.cell_selection import (
 from hetsim.metrics import NoiseModel, SinrReport, SinrRun
 from hetsim.metrics import wideband_sinr  # noqa: F401 - kept bound here, hetbench traces harness.wideband_sinr
 from hetsim.radio import MACRO, PICO, GainMatrix, RadioParams, compute_gain_matrix
-from hetsim.scheduler import DATA_RBS
+from hetsim.scheduler import DATA_RBS, per_slot
 from hetsim.topology import build_layout, place_picos, place_users
 from hetsim.uplink_power import PowerConfig
 
@@ -281,46 +282,38 @@ def scenario_to_ini(scenario: Scenario) -> str:
 # ---- drop execution --------------------------------------------------------
 
 
-def _sinr_blocks(state: NetworkState) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The blocks of a state's assignment, grouped by their number of members.
+def _sinr_links(state: NetworkState) -> tuple[np.ndarray, np.ndarray]:
+    """The co-block masks and serving links of a state's assignment, per slot.
 
-    One (members, links) pair per block size n: members (B, n) are the
-    users of B blocks, ascending inside a block, and links (B, n, n) holds
-    g_linear[serving[members[b, i]], members[b, k]], the gain from each
-    member to each member's serving cell. Both follow from the serving
-    vector alone, so the runs of one assignment at any alpha share them.
+    mask[s, j] is the co-block mask of the user at [s, j] of the per-slot
+    layout: one at the other users of slot s in its subframe, zero at the
+    user itself. links[s, j, i] is the gain from the user at [s, i] to the
+    serving cell of the user at [s, j]. Padding sits in subframe -1, so no
+    user's mask reaches it. Both follow from the serving vector alone, so
+    the runs of one assignment at any alpha share them.
     """
-    slots = state.slots
-    key = (state.subframe * slots + np.arange(slots)[:, None]).T.ravel()[:len(state.serving)]  # subframe * slots + slot
-    order = np.argsort(key, kind="stable")  # users by block, ascending inside a block
-    starts = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
-    sizes = np.diff(np.r_[starts, len(order)])
-    blocks = []
-    for n in np.unique(sizes).tolist():
-        members = order[starts[sizes == n][:, None] + np.arange(n)]  # (B, n)
-        blocks.append((members, state.gains.g_linear[state.serving[members][:, :, None], members[:, None, :]]))
-    return blocks
+    slots, depth = state.subframe.shape
+    mask = np.empty((slots, depth, depth))
+    np.equal(state.subframe[:, :, None], state.subframe[:, None, :], out=mask)
+    mask[:, np.arange(depth), np.arange(depth)] = 0.0
+    serving = per_slot(state.serving, slots)
+    links = state.g_slot[np.arange(slots)[:, None, None], np.arange(depth), serving[:, :, None]]
+    return mask, links
 
 
-def _sinr_db(blocks: list[tuple[np.ndarray, np.ndarray]], per_rb_power_mw: np.ndarray, noise_rb_mw: float) -> np.ndarray:
-    """Wideband SINR (dB) of every user of _sinr_blocks at the given per-RB powers.
+def _sinr_db(mask: np.ndarray, links: np.ndarray, state: NetworkState) -> np.ndarray:
+    """Wideband SINR (dB) of every user of a state, from its _sinr_links.
 
-    Within one (subframe, block) group the mutual interference matrix is
-    a single small product. Each user's per-RB SINR is flat across its
-    RBs, and the MMSE combiner returns a constant row exactly, so the
-    wideband value is the per-RB one. Blocks with the same number of
-    members are computed as one (B, n, n) stack. Each row is still summed
-    on its own, and numpy's pairwise sum groups a row's terms by its
-    length alone, so every value equals that of a loop over the blocks,
-    bit for bit; padding blocks to one width would regroup the sums.
+    A user's per-RB SINR is p g / (I + noise) at its serving cell, where I
+    is coblock_interference over its slot's received power at that cell:
+    the serving column of the search's metric product, S * U * U work.
+    The SINR is flat across the user's RBs, and the MMSE combiner returns
+    a constant vector exactly, so the wideband value is the per-RB one.
     """
-    gamma = np.empty(len(per_rb_power_mw))
-    for members, links in blocks:
-        rx = links * per_rb_power_mw[members][:, None, :]
-        signal = np.diagonal(rx, axis1=1, axis2=2)
-        gamma[members] = signal / (rx.sum(axis=2) - signal + noise_rb_mw)
-    # math.log10 one value at a time: np.log10 differs in the last bit on some values
-    return 10.0 * np.array(list(map(math.log10, gamma.tolist())))
+    rx = links * per_slot(state.per_rb_power_mw, state.slots)[:, None, :]  # rx[s, j, i]: user i at j's cell
+    interference = coblock_interference(mask, rx[..., None])[..., 0]
+    gamma = np.diagonal(rx, axis1=1, axis2=2) / (interference + state.noise_rb_mw)
+    return 10.0 * np.log10(gamma.T.ravel()[:len(state.serving)])
 
 
 def _baseline_assignment(strategy: StrategyConfig, gains: GainMatrix) -> Assignment:
@@ -368,10 +361,10 @@ def run_drop(scenario: Scenario, drop_index: int) -> list[SinrRun]:
     """Simulate one drop: topology, gains, then one SinrRun per (strategy, alpha).
 
     The runs share what depends only on an assignment: a baseline
-    strategy builds one state and one set of SINR blocks (_sinr_blocks)
-    for all its alphas, and each alpha adds only its powers, the block
-    products and the dB step. Each search run builds its own. At most one
-    set of blocks is kept at a time.
+    strategy builds one state and one set of SINR masks and links
+    (_sinr_links) for all its alphas, and each alpha adds only its
+    powers, the co-block products and the dB step. Each search run builds
+    its own. At most one set of links is kept at a time.
 
     A failure is raised as a DropError whose stage is placement, gain
     matrix, the selection of one strategy (and alpha, for the search), or
@@ -403,7 +396,7 @@ def run_drop(scenario: Scenario, drop_index: int) -> list[SinrRun]:
     for strategy in scenario.strategy_configs():
         label = strategy.label
         searched = strategy.kind == "interference"
-        blocks = None
+        shared = None  # the _sinr_links of the current assignment
         if not searched:
             with _stage(drop_index, f"selection {label}"):
                 baseline = _baseline_assignment(strategy, gains)
@@ -411,7 +404,7 @@ def run_drop(scenario: Scenario, drop_index: int) -> list[SinrRun]:
             power_cfg = scenario.power_config(alpha)
             run_name = f"{label} α={alpha:g}"
             if searched:
-                blocks = None
+                shared = None
                 with _stage(drop_index, f"selection {run_name}"):
                     assignment = select_interference_based(
                         gains, power_cfg, noise_mw, strategy, scenario.total_data_rbs
@@ -419,14 +412,14 @@ def run_drop(scenario: Scenario, drop_index: int) -> list[SinrRun]:
             else:
                 assignment = baseline
             with _stage(drop_index, f"SINR {run_name}"):
-                if blocks is None:
+                if shared is None:
                     state = NetworkState.build(
                         gains, assignment.c, power_cfg, noise_mw, scenario.total_data_rbs
                     )
-                    blocks = _sinr_blocks(state)
+                    shared = _sinr_links(state)
                 else:
                     state = state.with_power(power_cfg)
-                sinr_db = _sinr_db(blocks, state.per_rb_power_mw, noise_mw)
+                sinr_db = _sinr_db(*shared, state)
             runs.append(
                 SinrRun(
                     drop_index, label, alpha, power_cfg.p0_dbm, assignment.c, sinr_db, gains.cell_tier,

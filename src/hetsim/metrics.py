@@ -1,8 +1,7 @@
 """Wideband SINR combining, the campaign's SINR report, percentiles and CDFs.
 
 A report holds each (drop, strategy, alpha) run as columns over its
-users; per-user SinrSample records are built only when its sample view
-is iterated.
+users; no per-user record is built.
 
 The wideband SINR of a user combines the per-subcarrier SINRs of its
 allocated blocks with the MMSE-combining effective value
@@ -12,14 +11,16 @@ allocated blocks with the MMSE-combining effective value
 which is the weighted mean of the gamma_n with weights 1/(1+gamma_n).
 It is evaluated in that weighted-mean form, anchored at the smallest
 input, so a constant vector reproduces itself exactly and the result
-stays inside [min, max] of the inputs.
+stays inside [min, max] of the inputs. No simulator path calls it: a
+user's per-RB SINR is flat across its block, and a constant vector
+combines to itself, so the drop runner reports the per-RB value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,17 +45,6 @@ class NoiseModel:
         return 10.0 ** (self.per_rb_noise_dbm / 10.0)
 
 
-class SinrSample(NamedTuple):
-    drop: int
-    user: int
-    strategy: str
-    alpha: float
-    p0_dbm: float
-    serving_cell: int
-    tier: str
-    sinr_db: float
-
-
 class SinrRun(NamedTuple):
     """One (drop, strategy, alpha) run: columns over its users 0..K-1 and
     the tallies of its selection; the defaults describe a run with no search."""
@@ -74,11 +64,7 @@ class SinrRun(NamedTuple):
 
 
 class SampleView:
-    """Read-only view of runs as one SinrSample per user and run.
-
-    Its length is counted from the columns; the samples are built only
-    while it is iterated.
-    """
+    """The samples of runs, one per user and run, counted from the columns."""
 
     __slots__ = ("_runs",)
 
@@ -87,21 +73,6 @@ class SampleView:
 
     def __len__(self) -> int:
         return sum(len(run.sinr_db) for run in self._runs)
-
-    def __iter__(self) -> Iterator[SinrSample]:
-        for run in self._runs:
-            columns = zip(
-                run.serving_cell.tolist(),
-                run.cell_tier[run.serving_cell].tolist(),
-                run.sinr_db.tolist(),
-            )
-            for user, (cell, tier, sinr_db) in enumerate(columns):
-                yield SinrSample(run.drop, user, run.strategy, run.alpha, run.p0_dbm, cell, tier, sinr_db)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (SampleView, list)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 def wideband_sinr(per_subcarrier: Iterable[float]) -> float:

@@ -89,14 +89,11 @@ def interference_runs(campaign, alpha):
     their percentiles next to those over all drops."""
     rep, runs = campaign
     runs = [r for r in runs if r.strategy == "interference" and r.alpha == alpha]
-    drops = {r.drop for r in runs if r.converged}
-    text = f"interference a={alpha:g} converged {len(drops)}/{len(runs)} runs"
-    if not drops:
+    converged = [r.sinr_db for r in runs if r.converged]
+    text = f"interference a={alpha:g} converged {len(converged)}/{len(runs)} runs"
+    if not converged:
         return text
-    conv = percentiles(
-        s.sinr_db for s in rep.samples
-        if s.strategy == "interference" and s.alpha == alpha and s.drop in drops
-    )
+    conv = percentiles(np.concatenate(converged))
     every = pct(rep, "interference", alpha)
     return (
         f"{text}, p5/p50/p90 converged-only {conv[5]:+.2f}/{conv[50]:+.2f}/{conv[90]:+.2f} "

@@ -9,7 +9,6 @@ from hetsim.metrics import (
     NoiseModel,
     SinrReport,
     SinrRun,
-    SinrSample,
     export_cdf,
     percentiles,
     wideband_sinr,
@@ -189,23 +188,9 @@ def test_percentiles_empty_error():
 # ---- report and CDF export --------------------------------------------------
 
 
-def sample(strategy, alpha, sinr, drop=0, user=0):
-    return SinrSample(
-        drop=drop, user=user, strategy=strategy, alpha=alpha, p0_dbm=-90.0,
-        serving_cell=0, tier="macro", sinr_db=sinr,
-    )
-
-
-def report_of(samples):
-    """A report holding each sample as a one-user run (the user id is not kept)."""
-    runs = [
-        SinrRun(
-            s.drop, s.strategy, s.alpha, s.p0_dbm, np.array([s.serving_cell]),
-            np.array([s.sinr_db]), np.full(s.serving_cell + 1, s.tier),
-        )
-        for s in samples
-    ]
-    return SinrReport(runs=runs)
+def sample(strategy, alpha, sinr):
+    """One sample as a one-user run."""
+    return SinrRun(0, strategy, alpha, -90.0, np.array([0]), np.array([sinr]), np.array(["macro"]))
 
 
 def cdf_rows(report):
@@ -218,17 +203,17 @@ def cdf_rows(report):
 
 
 def test_export_cdf_rank_rule():
-    report = report_of([sample("rsrp", 0.8, 1.0), sample("rsrp", 0.8, -1.0, user=1)])
+    report = SinrReport(runs=[sample("rsrp", 0.8, 1.0), sample("rsrp", 0.8, -1.0)])
     rows = cdf_rows(report)
     assert rows == [("rsrp", 0.8, -1.0, 0.5), ("rsrp", 0.8, 1.0, 1.0)]
 
 
 def test_export_cdf_empty():
-    assert cdf_rows(report_of([])) == []
+    assert cdf_rows(SinrReport(runs=[])) == []
 
 
 def test_export_cdf_ties():
-    report = report_of([sample("pl", 1.0, 2.5), sample("pl", 1.0, 2.5, user=1)])
+    report = SinrReport(runs=[sample("pl", 1.0, 2.5), sample("pl", 1.0, 2.5)])
     rows = cdf_rows(report)
     assert [r[3] for r in rows] == [0.5, 1.0]
     assert rows[0][2] == rows[1][2] == 2.5
@@ -247,7 +232,7 @@ def test_export_cdf_fractions_are_rank_over_n():
 def test_percentile_table_groups_in_order():
     samples = [sample("rsrp", 0.8, float(i)) for i in range(10)]
     samples += [sample("pl", 0.8, float(-i)) for i in range(10)]
-    report = report_of(samples)
+    report = SinrReport(runs=samples)
     table = report.percentile_table()
     assert [row["strategy"] for row in table] == ["rsrp", "pl"]
     assert table[0]["n"] == 10
@@ -260,16 +245,13 @@ def test_grouping_interleaved_samples_matches_per_group_scan():
     # groups in first-appearance order, as a scan per group would
     rng = np.random.default_rng(8)
     keys = [("rsrp", 0.4), ("interference", 1.0), ("rsrp", 1.0), ("pl", 0.4)]
-    samples = [
-        sample(*keys[k], float(v), user=i)
-        for i, (k, v) in enumerate(zip(rng.integers(0, 4, size=200), rng.normal(size=200)))
-    ]
-    report = report_of(samples)
+    samples = [sample(*keys[k], float(v)) for k, v in zip(rng.integers(0, 4, size=200), rng.normal(size=200))]
+    report = SinrReport(runs=samples)
     order = list(dict.fromkeys((s.strategy, s.alpha) for s in samples))
     grouped = report.grouped()
     assert list(grouped) == order
     for strategy, alpha in order:
-        scan = [s.sinr_db for s in samples if s.strategy == strategy and s.alpha == alpha]
+        scan = [s.sinr_db[0] for s in samples if s.strategy == strategy and s.alpha == alpha]
         assert grouped[(strategy, alpha)].tolist() == scan
     assert [(r["strategy"], r["alpha"]) for r in report.percentile_table()] == order
     assert [r[:2] for r in cdf_rows(report)] == [
