@@ -248,6 +248,28 @@ def select_cre(gains: GainMatrix, cfg: StrategyConfig) -> Assignment:
     return Assignment(c=_strongest(gains, np.where(gains.cell_tier == PICO, cfg.cre_bias_db, 0.0)))
 
 
+def coblock_mask(subframe, j=None):
+    """0/1 float co-block masks of a slot-major subframe layout (S, D).
+
+    Blocks are aligned and same-cell users never share one, so the co-set
+    of the user at [s, j] on each of its RBs is every other user of slot s
+    in its subframe. With j, the (S, D) mask of the user at position j of
+    every slot, zero at column j; without, the (S, D, D) masks of every
+    position, mask[s, j] zero at [s, j, j]. Padding sits in subframe -1,
+    so no user's mask reaches it.
+    """
+    slots, depth = subframe.shape
+    if j is not None:
+        mask = np.empty((slots, depth))
+        np.equal(subframe, subframe[:, j:j + 1], out=mask)
+        mask[:, j] = 0.0
+        return mask
+    mask = np.empty((slots, depth, depth))
+    np.equal(subframe[:, :, None], subframe[:, None, :], out=mask)
+    mask[:, np.arange(depth), np.arange(depth)] = 0.0
+    return mask
+
+
 def coblock_interference(mask, rows):
     """(..., C) per-RB interference on each user's block, mask @ rows in one stacked product.
 
@@ -276,17 +298,11 @@ def _position_metrics(state: NetworkState, j: int, lo: int, hi: int) -> np.ndarr
     """(hi - lo, cells) metric of the user at position j of each slot lo .. hi - 1.
 
     Every slot of the span must have a user at j. The product runs over
-    the span as views. Blocks are aligned and same-cell users never share
-    one, so the co-set of the user at [s, j] on each of its RBs is every
-    other user of slot s in its subframe: row s of the mask, zero at
-    column j, built as floats in one np.equal.
+    the span as views, with the coblock_mask of position j.
     """
-    subframe = state.subframe[lo:hi]
-    mask = np.empty(subframe.shape)
-    np.equal(subframe, subframe[:, j:j + 1], out=mask)
-    mask[:, j] = 0.0
     return _block_metric(
-        mask, state.rows[lo:hi], state.g_slot[lo:hi, j], state.power_cfg.rbs_per_user, state.noise_rb_mw
+        coblock_mask(state.subframe[lo:hi], j), state.rows[lo:hi], state.g_slot[lo:hi, j],
+        state.power_cfg.rbs_per_user, state.noise_rb_mw,
     )
 
 

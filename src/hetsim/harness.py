@@ -29,6 +29,7 @@ from hetsim.cell_selection import (
     VALID_KINDS,
     brute_force_oracle,
     coblock_interference,
+    coblock_mask,
     select_cre,
     select_interference_based,
     select_pl,
@@ -285,17 +286,13 @@ def scenario_to_ini(scenario: Scenario) -> str:
 def _sinr_links(state: NetworkState) -> tuple[np.ndarray, np.ndarray]:
     """The co-block masks and serving links of a state's assignment, per slot.
 
-    mask[s, j] is the co-block mask of the user at [s, j] of the per-slot
-    layout: one at the other users of slot s in its subframe, zero at the
-    user itself. links[s, j, i] is the gain from the user at [s, i] to the
-    serving cell of the user at [s, j]. Padding sits in subframe -1, so no
-    user's mask reaches it. Both follow from the serving vector alone, so
-    the runs of one assignment at any alpha share them.
+    mask[s, j] is the coblock_mask of the user at [s, j] of the per-slot
+    layout. links[s, j, i] is the gain from the user at [s, i] to the
+    serving cell of the user at [s, j]. Both follow from the serving
+    vector alone, so the runs of one assignment at any alpha share them.
     """
     slots, depth = state.subframe.shape
-    mask = np.empty((slots, depth, depth))
-    np.equal(state.subframe[:, :, None], state.subframe[:, None, :], out=mask)
-    mask[:, np.arange(depth), np.arange(depth)] = 0.0
+    mask = coblock_mask(state.subframe)
     serving = per_slot(state.serving, slots)
     links = state.g_slot[np.arange(slots)[:, None, None], np.arange(depth), serving[:, :, None]]
     return mask, links

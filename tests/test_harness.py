@@ -780,8 +780,12 @@ def test_outputs_equal_row_by_row_writers(tmp_path):
     )
     report, runs = run_campaign(scenario)
     samples = former_drop_samples(scenario, 0) + former_drop_samples(scenario, 1)
+    assert [
+        (r.drop, u, r.strategy, r.alpha, r.p0_dbm, int(c), str(r.cell_tier[c]), float(x))
+        for r in runs for u, (c, x) in enumerate(zip(r.serving_cell, r.sinr_db))
+    ] == samples
     assert len(report.samples) == len(samples)
-    assert {sample[3:5] for sample in samples} == {(0.6, -47.25), (1.0, -90.0)}
+    assert {(r.alpha, r.p0_dbm) for r in runs} == {(0.6, -47.25), (1.0, -90.0)}
     for name, text in former_outputs(scenario, samples, runs).items():
         assert (tmp_path / "out" / name).read_bytes() == text.encode("utf-8"), name
     # the attach columns of summary.txt count each run's users by the tier of their cell
