@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from hetsim import uplink_power
 from hetsim.radio import GainMatrix, PICO
-from hetsim.scheduler import DATA_RBS, allocate, per_slot
+from hetsim.scheduler import DATA_RBS, allocate, per_slot, slot_count
 from hetsim.uplink_power import PowerConfig
 
 VALID_KINDS = ("rsrp", "pl", "cre", "interference")
@@ -413,6 +413,36 @@ class OracleResult:
     stable: list[tuple[int, ...]]          # all unilaterally stable assignments
 
 
+@lru_cache(maxsize=8)
+def _assignment_tables(n_cells: int, n_users: int, slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only tables of every assignment of one instance shape.
+
+    Returns grid, (A, K) the serving cells of each assignment in
+    itertools.product order; mask, (A, K, U) the coblock_mask of every
+    user of every assignment over the U users of its slot; and gather,
+    (A, K, U) the row of each of those users in a flat (user, serving
+    cell) table of received power, where padding reads row
+    n_users * n_cells. A user's subframe is the number of lower-index
+    users of its slot and cell. The tables depend on the shape alone, so
+    they are built once per shape and shared; the cache holds the oracle
+    suite's six shapes.
+    """
+    grid = np.array(list(itertools.product(range(n_cells), repeat=n_users)), dtype=int).reshape(-1, n_users)
+    users = np.arange(n_users)
+    slot, pos = users % slots, users // slots
+    earlier = np.tril(slot[:, None] == slot[None, :], -1)
+    subframe = ((grid[:, :, None] == grid[:, None, :]) & earlier).sum(axis=2)          # (A, K)
+    # every assignment in the per-slot layout, (A, slots, depth), padding in subframe -1
+    layout = per_slot(subframe.T, slots, fill=-1).transpose(2, 0, 1)
+    depth = layout.shape[2]
+    mask = coblock_mask(layout.reshape(-1, depth)).reshape(layout.shape + (depth,))[:, slot, pos]
+    members = per_slot(users, slots, fill=n_users)[slot]                                # (K, U)
+    gather = members * n_cells + per_slot(grid.T, slots).transpose(2, 0, 1)[:, slot]
+    for table in (grid, mask, gather):
+        table.flags.writeable = False
+    return grid, mask, gather
+
+
 def _assignment_metrics(
     gains: GainMatrix,
     power_cfg: PowerConfig,
@@ -423,29 +453,22 @@ def _assignment_metrics(
 
     Returns grid, (A, K) the serving cells of each assignment in
     itertools.product order, and metrics, (A, K, n_cells) the metric of
-    every user of every assignment against every cell.
+    every user of every assignment against every cell. The grid and the
+    masks come from _assignment_tables, shared by every instance of the
+    shape; only the received powers, their gather and the kernel run per
+    instance. A band that the blocks do not tile raises allocate's
+    ValueError.
     """
     n_users, n_cells = gains.n_users, gains.n_cells
-    slots = total_rbs // power_cfg.rbs_per_user
-    grid = np.array(list(itertools.product(range(n_cells), repeat=n_users)), dtype=int).reshape(-1, n_users)
-    users = np.arange(n_users)
-    slot = users % slots
-    # subframe: the number of lower-index users of the same slot and cell
-    earlier = np.tril(slot[:, None] == slot[None, :], -1)
-    subframe = ((grid[:, :, None] == grid[:, None, :]) & earlier).sum(axis=2)
-    # each user's slot in the per-slot layout; a user n_users in subframe -1
-    # with zero received power pads short slots
-    members = per_slot(users, slots, fill=n_users)[slot]                      # (K, U)
-    padded = np.pad(subframe, ((0, 0), (0, 1)), constant_values=-1)
-    mask = padded[:, members] == subframe[:, :, None]                          # (A, K, U)
-    mask[:, users, users // slots] = False
-    # per-RB received power of user j at every cell when served by cell i
+    grid, mask, gather = _assignment_tables(n_cells, n_users, slot_count(total_rbs, power_cfg.rbs_per_user))
+    # per-RB received power of user j at every cell when served by cell i,
+    # at flat row j * n_cells + i; the last n_cells rows are zero
     mw = uplink_power.per_rb_mw(power_cfg, -gains.g)                           # (C, K)
     g_lin_t = gains.g_linear.T
     received = np.zeros((n_users + 1, n_cells, n_cells))
     received[:n_users] = g_lin_t[:, None, :] * mw.T[:, :, None]
-    rows = received[members, np.pad(grid, ((0, 0), (0, 1)))[:, members]]     # (A, K, U, C)
-    metrics = _block_metric(mask.astype(float), rows, g_lin_t, power_cfg.rbs_per_user, noise_rb_mw)
+    rows = received.reshape(-1, n_cells)[gather]                               # (A, K, U, C)
+    metrics = _block_metric(mask, rows, g_lin_t, power_cfg.rbs_per_user, noise_rb_mw)
     return grid, metrics
 
 
@@ -461,10 +484,15 @@ def brute_force_oracle(
     from the model's rules, not from the search's allocation path
     (allocate, NetworkState.build and move_user): a user's power follows
     from its own coupling loss to its cell alone, and its subframe is the
-    number of lower-index users of its slot in its cell. The metric is
-    the kernel the search uses, so each assignment's metric array has
-    the bits of the search's on a state of that assignment. Stability
-    uses the same strict-improvement margin as the iterative search.
+    number of lower-index users of its slot in its cell. The assignments
+    and their co-block masks (coblock_mask, the search's and the SINR's
+    rule) depend only on (cells, users, slots) and are built once per
+    shape (_assignment_tables). The metric is the kernel the search
+    uses, so each assignment's metric array has the bits of the search's
+    on a state of that assignment. Stability uses the same
+    strict-improvement margin as the iterative search. A total_rbs that
+    is not a multiple of the block size raises ValueError, as the
+    search does.
     """
     if gains.n_cells > ORACLE_MAX_CELLS or gains.n_users > ORACLE_MAX_USERS:
         raise ValueError(

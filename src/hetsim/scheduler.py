@@ -42,6 +42,16 @@ def per_slot(values: np.ndarray, slots: int, fill=0) -> np.ndarray:
     return np.ascontiguousarray(out.reshape((depth, slots) + values.shape[1:]).swapaxes(0, 1))
 
 
+def slot_count(total_rbs: int, rbs_per_user: int) -> int:
+    """Number of RB slots, the blocks of rbs_per_user RBs that fit the band side by side.
+
+    Raises ValueError unless the blocks tile the band exactly.
+    """
+    if total_rbs % rbs_per_user != 0:
+        raise ValueError("total_rbs must be a multiple of rbs_per_user")
+    return total_rbs // rbs_per_user
+
+
 def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = DATA_RBS, rbs_per_user: int = PowerConfig.rbs_per_user) -> np.ndarray:
     """Index-keyed block allocation; a pure function of the assignment.
 
@@ -53,9 +63,7 @@ def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = DATA_RBS, rbs_p
     serving = np.asarray(serving, dtype=int)
     if serving.size and (serving.min() < 0 or serving.max() >= n_cells):
         raise ValueError("serving contains cell indices outside [0, n_cells)")
-    if total_rbs % rbs_per_user != 0:
-        raise ValueError("total_rbs must be a multiple of rbs_per_user")
-    slots = total_rbs // rbs_per_user
+    slots = slot_count(total_rbs, rbs_per_user)
 
     n_users = len(serving)
     slot = np.arange(n_users) % slots

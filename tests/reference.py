@@ -9,15 +9,19 @@ checks on them. The search as it was before it scored by pass position
 (metric_rows, allocation_move, former_search) is kept for the tests
 that compare the search and its in-place moves against it; former_search
 is the reference of the search's move stamps, and without skipping the
-reference of the skip rule.
+reference of the skip rule. former_oracle_mask is the co-block mask
+that the brute-force oracle built per instance over padded subframes,
+before its shape tables took coblock_mask's.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from hetsim.cell_selection import MOVE_REL_THRESHOLD, Assignment, NetworkState, _block_metric
 from hetsim.metrics import SUBCARRIERS_PER_RB, wideband_sinr
+from hetsim.scheduler import per_slot
 from hetsim.uplink_power import PowerConfig
 
 _EMPTY = np.array([], dtype=int)
@@ -265,3 +269,26 @@ def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48, skip=True) -
         cycle_period=period,
         cycle_detected_at=detected,
     )
+
+
+# ---- the brute-force oracle's mask as it was built per instance -------------------
+
+
+def former_oracle_mask(n_cells: int, n_users: int, slots: int) -> np.ndarray:
+    """(A, K, U) 0/1 float co-block mask of every user of every assignment.
+
+    Assignments come in itertools.product order, and U is the users of a
+    slot. A user's subframe is the number of lower-index users of its
+    slot and cell; a user n_users in subframe -1 pads short slots, and
+    each user's own entry is cleared.
+    """
+    grid = np.array(list(itertools.product(range(n_cells), repeat=n_users)), dtype=int).reshape(-1, n_users)
+    users = np.arange(n_users)
+    slot = users % slots
+    earlier = np.tril(slot[:, None] == slot[None, :], -1)
+    subframe = ((grid[:, :, None] == grid[:, None, :]) & earlier).sum(axis=2)
+    members = per_slot(users, slots, fill=n_users)[slot]
+    padded = np.pad(subframe, ((0, 0), (0, 1)), constant_values=-1)
+    mask = padded[:, members] == subframe[:, :, None]
+    mask[:, users, users // slots] = False
+    return mask.astype(float)

@@ -79,6 +79,14 @@ def test_stats_of_four_values():
     assert load_tool().stats(runs) == {"items_per_s": {"min": 1.0, "q1": 1.25, "median": 2.5, "q3": 3.75}}
 
 
+def test_attempted_of_runs_read_from_the_summary_line(tmp_path):
+    tool = load_tool()
+    checkout = stub_checkout(tmp_path, {"correct": True, "attempted": 4800, "failed": 0, "metrics": METRICS})
+    runs = [tool.bench(checkout, "change", "oracle", 1, 0, 2)]
+    runs += [{"attempted": n} for n in (9600, 2400, 7200)]
+    assert tool.attempted(runs) == {"min": 2400, "median": 6000.0}
+
+
 def test_density_runs_one_campaign_from_the_checkout():
     root = os.path.dirname(os.path.dirname(TOOL))
     result = load_tool().density(root, 2, 12, drops=1)

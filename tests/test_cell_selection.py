@@ -18,6 +18,7 @@ from hetsim.cell_selection import (
     select_pl,
     select_rsrp,
     _assignment_metrics,
+    _assignment_tables,
     _position_metrics,
 )
 from hetsim.metrics import NoiseModel
@@ -27,6 +28,7 @@ from reference import (
     adaptive_bias,
     allocation_move,
     blocks,
+    former_oracle_mask,
     former_search,
     interference_metric,
     metric_rows,
@@ -386,6 +388,44 @@ def test_oracle_equals_per_assignment_reference(seed, n_cells, n_users, alpha, t
     assert [tuple(row) for row in grid.tolist()] == list(itertools.product(range(n_cells), repeat=n_users))
     assert metrics.shape == arrays.shape
     assert metrics.tobytes() == arrays.tobytes()
+
+
+def test_oracle_tables_equal_the_former_padded_mask():
+    for n_cells, n_users, total_rbs in itertools.product(range(1, 5), range(1, 7), (4, 8, 12)):
+        slots = total_rbs // PowerConfig.rbs_per_user
+        grid, mask, gather = _assignment_tables(n_cells, n_users, slots)
+        former = former_oracle_mask(n_cells, n_users, slots)
+        assert mask.shape == former.shape == gather.shape and mask.dtype == former.dtype
+        assert mask.tobytes() == former.tobytes()
+
+
+def test_oracle_tables_are_shared_and_read_only():
+    rng = np.random.default_rng(11)
+    power = PowerConfig(-90.0, 0.8)
+    tables = _assignment_tables(3, 5, 1)
+    first = _assignment_metrics(random_gm(rng, 3, 5), power, NOISE_MW, 4)
+    second = _assignment_metrics(random_gm(rng, 3, 5), power, NOISE_MW, 4)
+    assert first[0] is second[0] is tables[0]
+    assert all(a is b for a, b in zip(_assignment_tables(3, 5, 1), tables))
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
+    # the cache is bounded, and holds the oracle suite's six shapes
+    assert 6 <= _assignment_tables.cache_parameters()["maxsize"] < 64
+
+
+@pytest.mark.parametrize("total_rbs", [6, 2])
+def test_oracle_rejects_a_band_the_blocks_do_not_tile(total_rbs):
+    # 4-RB blocks: the search's allocate refuses these bands, and so does
+    # the oracle, before it builds any table
+    gains = random_gm(np.random.default_rng(12), 2, 3)
+    power = PowerConfig(-90.0, 0.8)
+    built = _assignment_tables.cache_info().misses
+    with pytest.raises(ValueError, match="total_rbs must be a multiple of rbs_per_user"):
+        brute_force_oracle(gains, power, NOISE_MW, total_rbs)
+    assert _assignment_tables.cache_info().misses == built
+    with pytest.raises(ValueError, match="total_rbs must be a multiple of rbs_per_user"):
+        select_interference_based(gains, power, NOISE_MW, StrategyConfig(kind="interference"), total_rbs)
 
 
 def test_oracle_size_guard():

@@ -13,8 +13,9 @@ the workload's recorded seed, again alternating which side runs first.
 The file keeps every run's metrics, and for a traced run the share of
 its `trace.wall_s` that each layer's seconds (`*.s`, `*.self_s`) take;
 per (side, workload), the min, quartiles and median of each untraced
-metric and the median of each traced per-layer metric and of each
-layer's share, since layer seconds drift with the host more than the
+metric, the min and median of the items its untraced runs attempted
+(a metric such as peak RSS grows with the units a run completes), and
+the median of each traced per-layer metric and of each layer's share, since layer seconds drift with the host more than the
 shares of one run do; per workload and end-to-end metric, the number
 of pairs the change won; and the full git revisions and the CPU count.
 A run whose summary says `correct: false` or `failed > 0` stops the
@@ -147,6 +148,12 @@ def stats(runs: list[dict]) -> dict:
     return out
 
 
+def attempted(runs: list[dict]) -> dict:
+    """Min and median of the items the runs attempted."""
+    values = [r["attempted"] for r in runs]
+    return {"min": min(values), "median": statistics.median(values)}
+
+
 def medians(runs: list[dict], field: str = "metrics") -> dict:
     """Median of every value under field (the metrics, or a traced run's shares) over runs."""
     return {name: statistics.median(r[field][name] for r in runs) for name in runs[0][field]}
@@ -206,6 +213,7 @@ def main(argv=None) -> int:
         side: {
             workload: {
                 "untraced": stats(of(side, workload, 0)),
+                "attempted": attempted(of(side, workload, 0)),
                 "traced": medians(of(side, workload, 1)),
                 "traced_shares": medians(of(side, workload, 1), "shares"),
             }
