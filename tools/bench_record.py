@@ -15,8 +15,9 @@ its `trace.wall_s` that each layer's seconds (`*.s`, `*.self_s`) take;
 per (side, workload), the min, quartiles and median of each untraced
 metric, the min and median of the items its untraced runs attempted
 (a metric such as peak RSS grows with the units a run completes), and
-the median of each traced per-layer metric and of each layer's share, since layer seconds drift with the host more than the
-shares of one run do; per workload and end-to-end metric, the number
+the median of each traced per-layer metric and of each layer's share,
+since layer seconds drift with the host more than the shares of one
+run do; per workload and end-to-end metric, the number
 of pairs the change won; and the full git revisions and the CPU count.
 A run whose summary says `correct: false` or `failed > 0` stops the
 recording with an error that names its workload, side and seed.
