@@ -121,9 +121,40 @@ def _g_slot(gains: GainMatrix, slots: int) -> np.ndarray:
     return layouts[slots]
 
 
+def _power_table(gains: GainMatrix, power_cfg: PowerConfig) -> np.ndarray:
+    """(C, K) per-RB open-loop power in mW of every user at every cell.
+
+    Kept on the gains object for one operating point at a time, as
+    _rsrp_cells is: a search, its moves and the oracle of the same
+    instance share it. The table of another operating point is dropped
+    before the next is built, so a drop never holds two.
+    """
+    table = _held_table(gains, power_cfg)
+    if table is None:
+        gains.__dict__.pop("_power_table", None)
+        table = uplink_power.per_rb_mw(power_cfg, -gains.g)
+        gains.__dict__["_power_table"] = (power_cfg, table)
+    return table
+
+
+def _held_table(gains: GainMatrix, power_cfg: PowerConfig) -> np.ndarray | None:
+    """The _power_table that gains holds if it is of power_cfg, else None."""
+    held = gains.__dict__.get("_power_table")
+    return held[1] if held is not None and held[0] == power_cfg else None
+
+
 def _served_mw(gains: GainMatrix, serving: np.ndarray, power_cfg: PowerConfig) -> np.ndarray:
-    """Per-RB power in mW of each user on its link to its serving cell."""
-    return uplink_power.per_rb_mw(power_cfg, -gains.g[serving, np.arange(len(serving))])
+    """Per-RB power in mW of each user on its link to its serving cell.
+
+    Gathered from the held _power_table when it is of power_cfg, and
+    otherwise the law on the served links alone; the entries have the
+    same bits either way.
+    """
+    users = np.arange(len(serving))
+    table = _held_table(gains, power_cfg)
+    if table is not None:
+        return table[serving, users]
+    return uplink_power.per_rb_mw(power_cfg, -gains.g[serving, users])
 
 
 @dataclass
@@ -133,8 +164,8 @@ class NetworkState:
     subframe is the allocation, in the per-slot layout of scheduler.allocate,
     and rows[s, j] is the per-RB received power at every cell of the user at
     subframe[s, j] (zero rows pad short slots). The rows are built on first
-    use, and power_table on the first move: a state built only for SINR
-    never needs them.
+    use, and power_table is fetched on the first move: a state built only
+    for SINR never needs them.
     """
 
     gains: GainMatrix
@@ -198,8 +229,8 @@ class NetworkState:
 
     @cached_property
     def power_table(self) -> np.ndarray:
-        """(cells, K) per-RB open-loop power in mW of every user at every cell."""
-        return uplink_power.per_rb_mw(self.power_cfg, -self.gains.g)
+        """(cells, K) per-RB open-loop power in mW of every user at every cell, the held _power_table."""
+        return _power_table(self.gains, self.power_cfg)
 
     def move_user(self, user: int, cell: int) -> None:
         """Commit a serving-cell change; a move to the current cell changes nothing.
@@ -317,7 +348,10 @@ def select_interference_based(
 
     Starts from the rsrp assignment (the standards-default incumbent), a
     copy of the rsrp cells kept on the gains, so the searches of a drop
-    compute that start once and never write into it.
+    compute that start once and never write into it. The power table of
+    power_cfg is taken first and held on the gains (_power_table), so
+    the start state, the moves and an oracle of the same instance
+    evaluate the power law once.
     Users are visited in fixed index order; each moves to the cell
     minimizing its metric given the current state, and the move commits
     immediately (power and the slot's allocation refresh). A full pass
@@ -349,6 +383,8 @@ def select_interference_based(
     j + (max_passes - j) % p, not converged, all passes used, and the
     moves of each pass extended periodically.
     """
+    # the start state gathers its powers from the held table, and the moves read it
+    _power_table(gains, power_cfg)
     # a copy: the search moves users in its state's serving vector
     state = NetworkState.build(gains, _rsrp_cells(gains).copy(), power_cfg, noise_rb_mw, total_rbs)
     slots, n_users = state.slots, gains.n_users
@@ -414,14 +450,16 @@ class OracleResult:
 
 
 @lru_cache(maxsize=8)
-def _assignment_tables(n_cells: int, n_users: int, slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _assignment_tables(n_cells: int, n_users: int, slots: int) -> tuple[np.ndarray, ...]:
     """The read-only tables of every assignment of one instance shape.
 
     Returns grid, (A, K) the serving cells of each assignment in
-    itertools.product order; mask, (A, K, U) the coblock_mask of every
-    user of every assignment over the U users of its slot; and gather,
-    (A, K, U) the row of each of those users in a flat (user, serving
-    cell) table of received power, where padding reads row
+    itertools.product order; own, (A, K) the flat index
+    (a * K + k) * n_cells + grid[a, k] of each user's own-cell entry in
+    an (A, K, n_cells) metric array; mask, (A, K, U) the coblock_mask of
+    every user of every assignment over the U users of its slot; and
+    gather, (A, K, U) the row of each of those users in a flat (user,
+    serving cell) table of received power, where padding reads row
     n_users * n_cells. A user's subframe is the number of lower-index
     users of its slot and cell. The tables depend on the shape alone, so
     they are built once per shape and shared; the cache holds the oracle
@@ -438,9 +476,10 @@ def _assignment_tables(n_cells: int, n_users: int, slots: int) -> tuple[np.ndarr
     mask = coblock_mask(layout.reshape(-1, depth)).reshape(layout.shape + (depth,))[:, slot, pos]
     members = per_slot(users, slots, fill=n_users)[slot]                                # (K, U)
     gather = members * n_cells + per_slot(grid.T, slots).transpose(2, 0, 1)[:, slot]
-    for table in (grid, mask, gather):
+    own = np.arange(grid.size).reshape(grid.shape) * n_cells + grid
+    for table in (grid, own, mask, gather):
         table.flags.writeable = False
-    return grid, mask, gather
+    return grid, own, mask, gather
 
 
 def _assignment_metrics(
@@ -452,24 +491,26 @@ def _assignment_metrics(
     """Every assignment of the users to cells and its metric array.
 
     Returns grid, (A, K) the serving cells of each assignment in
-    itertools.product order, and metrics, (A, K, n_cells) the metric of
-    every user of every assignment against every cell. The grid and the
-    masks come from _assignment_tables, shared by every instance of the
-    shape; only the received powers, their gather and the kernel run per
-    instance. A band that the blocks do not tile raises allocate's
-    ValueError.
+    itertools.product order; own, (A, K) the flat index of each user's
+    own-cell entry in metrics; and metrics, (A, K, n_cells) the metric
+    of every user of every assignment against every cell. The grid, the
+    own-index and the masks come from _assignment_tables, shared by
+    every instance of the shape, and the powers from the held
+    _power_table, shared with the search of the instance; only the
+    received powers, their gather and the kernel run per instance. A
+    band that the blocks do not tile raises allocate's ValueError.
     """
     n_users, n_cells = gains.n_users, gains.n_cells
-    grid, mask, gather = _assignment_tables(n_cells, n_users, slot_count(total_rbs, power_cfg.rbs_per_user))
+    grid, own, mask, gather = _assignment_tables(n_cells, n_users, slot_count(total_rbs, power_cfg.rbs_per_user))
     # per-RB received power of user j at every cell when served by cell i,
     # at flat row j * n_cells + i; the last n_cells rows are zero
-    mw = uplink_power.per_rb_mw(power_cfg, -gains.g)                           # (C, K)
+    mw = _power_table(gains, power_cfg)                                        # (C, K)
     g_lin_t = gains.g_linear.T
     received = np.zeros((n_users + 1, n_cells, n_cells))
     received[:n_users] = g_lin_t[:, None, :] * mw.T[:, :, None]
     rows = received.reshape(-1, n_cells)[gather]                               # (A, K, U, C)
     metrics = _block_metric(mask, rows, g_lin_t, power_cfg.rbs_per_user, noise_rb_mw)
-    return grid, metrics
+    return grid, own, metrics
 
 
 def brute_force_oracle(
@@ -487,9 +528,12 @@ def brute_force_oracle(
     number of lower-index users of its slot in its cell. The assignments
     and their co-block masks (coblock_mask, the search's and the SINR's
     rule) depend only on (cells, users, slots) and are built once per
-    shape (_assignment_tables). The metric is the kernel the search
-    uses, so each assignment's metric array has the bits of the search's
-    on a state of that assignment. Stability uses the same
+    shape (_assignment_tables), with the flat index of each user's
+    own-cell metric, so the stability step is one take. The powers are
+    read from the held _power_table, which a search of the instance at
+    the same operating point has already built. The metric is the kernel
+    the search uses, so each assignment's metric array has the bits of
+    the search's on a state of that assignment. Stability uses the same
     strict-improvement margin as the iterative search. A total_rbs that
     is not a multiple of the block size raises ValueError, as the
     search does.
@@ -500,7 +544,7 @@ def brute_force_oracle(
             f"got {gains.n_cells} x {gains.n_users}"
         )
 
-    grid, metrics = _assignment_metrics(gains, power_cfg, noise_rb_mw, total_rbs)
-    own = np.take_along_axis(metrics, grid[:, :, None], axis=2)[:, :, 0]
+    grid, own_index, metrics = _assignment_metrics(gains, power_cfg, noise_rb_mw, total_rbs)
+    own = metrics.reshape(-1).take(own_index)
     unstable = (metrics.min(axis=2) < own * (1.0 - MOVE_REL_THRESHOLD)).any(axis=1)
     return OracleResult(stable=[tuple(row) for row in grid[~unstable].tolist()])

@@ -591,8 +591,10 @@ def _summary_text(scenario: Scenario, table: list[dict], runs: list[SinrRun]) ->
 def random_small_gains(rng: np.random.Generator, n_cells: int, n_users: int) -> GainMatrix:
     """Synthetic gain matrix for oracle-sized instances (cell 0 is macro)."""
     g = rng.uniform(-130.0, -80.0, size=(n_cells, n_users))
-    tier = np.array([MACRO] + [MACRO if rng.uniform() < 0.5 else PICO for _ in range(n_cells - 1)])
-    rs = np.where(tier == MACRO, RadioParams.macro_rs_power_dbm, RadioParams.pico_rs_power_dbm)
+    macro = np.ones(n_cells, dtype=bool)
+    macro[1:] = rng.uniform(size=n_cells - 1) < 0.5
+    tier = np.where(macro, MACRO, PICO)
+    rs = np.where(macro, RadioParams.macro_rs_power_dbm, RadioParams.pico_rs_power_dbm)
     return GainMatrix(g=g, cell_tier=tier, rs_power_dbm=rs)
 
 
@@ -606,7 +608,7 @@ def oracle_instances(count: int, seed: int = 0):
         n_cells = int(rng.integers(2, 4))
         n_users = int(rng.integers(3, 6))
         gains = random_small_gains(rng, n_cells, n_users)
-        alpha = float(rng.choice([0.4, 0.6, 0.8, 1.0]))
+        alpha = (0.4, 0.6, 0.8, 1.0)[rng.integers(0, 4)]
         yield gains, PowerConfig(p0_dbm=-90.0, alpha=alpha)
 
 

@@ -45,8 +45,10 @@ def per_slot(values: np.ndarray, slots: int, fill=0) -> np.ndarray:
 def slot_count(total_rbs: int, rbs_per_user: int) -> int:
     """Number of RB slots, the blocks of rbs_per_user RBs that fit the band side by side.
 
-    Raises ValueError unless the blocks tile the band exactly.
+    Raises ValueError unless the band is positive and the blocks tile it exactly.
     """
+    if total_rbs <= 0:
+        raise ValueError(f"total_rbs must be positive, got {total_rbs}")
     if total_rbs % rbs_per_user != 0:
         raise ValueError("total_rbs must be a multiple of rbs_per_user")
     return total_rbs // rbs_per_user
@@ -69,12 +71,14 @@ def allocate(serving: np.ndarray, n_cells: int, total_rbs: int = DATA_RBS, rbs_p
     slot = np.arange(n_users) % slots
     user_subframe = np.zeros(n_users, dtype=int)
     if n_users:
-        # rank users inside each (cell, slot) group in ascending index order
-        order = np.lexsort((np.arange(n_users), slot, serving))
-        cell_sorted = serving[order]
-        slot_sorted = slot[order]
-        new_group = np.r_[True, (cell_sorted[1:] != cell_sorted[:-1]) | (slot_sorted[1:] != slot_sorted[:-1])]
-        group_start = np.maximum.accumulate(np.where(new_group, np.arange(n_users), 0))
-        user_subframe[order] = np.arange(n_users) - group_start
+        # rank users inside each (cell, slot) group in ascending index order:
+        # a stable sort of the group key keeps a group's users in index order
+        key = serving * slots + slot
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        index = np.arange(n_users)
+        starts = np.zeros(n_users, dtype=int)
+        np.multiply(key[1:] != key[:-1], index[1:], out=starts[1:])
+        user_subframe[order] = index - np.maximum.accumulate(starts)
 
     return per_slot(user_subframe, slots, fill=-1)

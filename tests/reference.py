@@ -11,7 +11,10 @@ that compare the search and its in-place moves against it; former_search
 is the reference of the search's move stamps, and without skipping the
 reference of the skip rule. former_oracle_mask is the co-block mask
 that the brute-force oracle built per instance over padded subframes,
-before its shape tables took coblock_mask's.
+before its shape tables took coblock_mask's. former_oracle_instances and
+former_random_small_gains draw the oracle suite's instances as harness
+did before it drew the tiers in one call and alpha by index; the tests
+require the same instances and the same generator state from both.
 """
 
 import itertools
@@ -21,6 +24,7 @@ import numpy as np
 
 from hetsim.cell_selection import MOVE_REL_THRESHOLD, Assignment, NetworkState, _block_metric
 from hetsim.metrics import SUBCARRIERS_PER_RB, wideband_sinr
+from hetsim.radio import MACRO, PICO, GainMatrix, RadioParams
 from hetsim.scheduler import per_slot
 from hetsim.uplink_power import PowerConfig
 
@@ -292,3 +296,25 @@ def former_oracle_mask(n_cells: int, n_users: int, slots: int) -> np.ndarray:
     mask = padded[:, members] == subframe[:, :, None]
     mask[:, users, users // slots] = False
     return mask.astype(float)
+
+
+# ---- the oracle suite's instances, as first drawn ----------------------------------
+
+
+def former_random_small_gains(rng: np.random.Generator, n_cells: int, n_users: int) -> GainMatrix:
+    """harness.random_small_gains with one uniform draw per pico-or-macro tier."""
+    g = rng.uniform(-130.0, -80.0, size=(n_cells, n_users))
+    tier = np.array([MACRO] + [MACRO if rng.uniform() < 0.5 else PICO for _ in range(n_cells - 1)])
+    rs = np.where(tier == MACRO, RadioParams.macro_rs_power_dbm, RadioParams.pico_rs_power_dbm)
+    return GainMatrix(g=g, cell_tier=tier, rs_power_dbm=rs)
+
+
+def former_oracle_instances(count: int, seed: int = 0):
+    """harness.oracle_instances with alpha drawn by rng.choice."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_cells = int(rng.integers(2, 4))
+        n_users = int(rng.integers(3, 6))
+        gains = former_random_small_gains(rng, n_cells, n_users)
+        alpha = float(rng.choice([0.4, 0.6, 0.8, 1.0]))
+        yield gains, PowerConfig(p0_dbm=-90.0, alpha=alpha)

@@ -84,7 +84,21 @@ def test_attempted_of_runs_read_from_the_summary_line(tmp_path):
     checkout = stub_checkout(tmp_path, {"correct": True, "attempted": 4800, "failed": 0, "metrics": METRICS})
     runs = [tool.bench(checkout, "change", "oracle", 1, 0, 2)]
     runs += [{"attempted": n} for n in (9600, 2400, 7200)]
-    assert tool.attempted(runs) == {"min": 2400, "median": 6000.0}
+    assert tool.attempted(runs, 2400) == {"min": 2400, "median": 6000.0, "units_median": 2.5}
+
+
+def test_items_per_unit_are_the_benchmarks(monkeypatch):
+    # peak RSS is read against the units a run completes, so a unit must
+    # hold as many items as hetbench runs in one
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(TOOL)))
+    import hetbench.workloads as workloads
+    from hetsim.harness import load_scenario
+
+    acc2 = workloads.WORKLOADS["acc2"]
+    assert load_tool().ITEMS_PER_UNIT == {
+        "acc2": load_scenario(os.path.join(workloads.SCENARIO_DIR, acc2.config)).drops,
+        "oracle": workloads.WORKLOADS["oracle"].instances,
+    }
 
 
 def test_density_runs_one_campaign_from_the_checkout():

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -23,6 +25,7 @@ from hetsim.cell_selection import (
 )
 from hetsim.metrics import NoiseModel
 from hetsim.radio import GainMatrix
+from hetsim.scheduler import allocate
 from hetsim.uplink_power import PowerConfig, open_loop_power, per_rb_mw
 from reference import (
     adaptive_bias,
@@ -384,7 +387,7 @@ def test_oracle_equals_per_assignment_reference(seed, n_cells, n_users, alpha, t
     expected, arrays = reference_brute_force_oracle(gains, power, NOISE_MW, total_rbs)
     result = brute_force_oracle(gains, power, NOISE_MW, total_rbs)
     assert result.stable == expected.stable
-    grid, metrics = _assignment_metrics(gains, power, NOISE_MW, total_rbs)
+    grid, _, metrics = _assignment_metrics(gains, power, NOISE_MW, total_rbs)
     assert [tuple(row) for row in grid.tolist()] == list(itertools.product(range(n_cells), repeat=n_users))
     assert metrics.shape == arrays.shape
     assert metrics.tobytes() == arrays.tobytes()
@@ -393,7 +396,7 @@ def test_oracle_equals_per_assignment_reference(seed, n_cells, n_users, alpha, t
 def test_oracle_tables_equal_the_former_padded_mask():
     for n_cells, n_users, total_rbs in itertools.product(range(1, 5), range(1, 7), (4, 8, 12)):
         slots = total_rbs // PowerConfig.rbs_per_user
-        grid, mask, gather = _assignment_tables(n_cells, n_users, slots)
+        _, _, mask, gather = _assignment_tables(n_cells, n_users, slots)
         former = former_oracle_mask(n_cells, n_users, slots)
         assert mask.shape == former.shape == gather.shape and mask.dtype == former.dtype
         assert mask.tobytes() == former.tobytes()
@@ -405,13 +408,54 @@ def test_oracle_tables_are_shared_and_read_only():
     tables = _assignment_tables(3, 5, 1)
     first = _assignment_metrics(random_gm(rng, 3, 5), power, NOISE_MW, 4)
     second = _assignment_metrics(random_gm(rng, 3, 5), power, NOISE_MW, 4)
-    assert first[0] is second[0] is tables[0]
+    assert first[0] is second[0] is tables[0] and first[1] is second[1] is tables[1]
     assert all(a is b for a, b in zip(_assignment_tables(3, 5, 1), tables))
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
     # the cache is bounded, and holds the oracle suite's six shapes
     assert 6 <= _assignment_tables.cache_parameters()["maxsize"] < 64
+
+
+def assert_own_index_takes_own_metrics(gains, power, total_rbs):
+    grid, own, metrics = _assignment_metrics(gains, power, NOISE_MW, total_rbs)
+    along = np.take_along_axis(metrics, grid[:, :, None], axis=2)[:, :, 0]
+    assert own.shape == grid.shape and not own.flags.writeable
+    assert metrics.reshape(-1).take(own).tobytes() == along.tobytes()
+
+
+def test_own_index_takes_each_users_own_metric_on_the_suite_shapes():
+    rng = np.random.default_rng(13)
+    for n_cells, n_users in itertools.product((2, 3), (3, 4, 5)):
+        assert_own_index_takes_own_metrics(random_gm(rng, n_cells, n_users), PowerConfig(-90.0, 0.8), 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 4),
+    n_users=st.integers(1, 6),
+    slots=st.integers(1, 3),
+    alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
+)
+def test_own_index_takes_each_users_own_metric(seed, n_cells, n_users, slots, alpha):
+    gains = random_gm(np.random.default_rng(seed), n_cells, n_users)
+    assert_own_index_takes_own_metrics(gains, PowerConfig(-90.0, alpha), 4 * slots)
+
+
+@pytest.mark.parametrize("total_rbs", [0, -4])
+def test_a_band_that_is_not_positive_is_refused(total_rbs):
+    # before, 0 died in per_slot with ZeroDivisionError and -4 in the
+    # oracle with numpy's reshape error
+    gains = random_gm(np.random.default_rng(12), 2, 3)
+    power = PowerConfig(-90.0, 0.8)
+    refused = pytest.raises(ValueError, match=f"total_rbs must be positive, got {total_rbs}")
+    with refused:
+        allocate(np.zeros(3, dtype=int), 2, total_rbs)
+    with refused:
+        select_interference_based(gains, power, NOISE_MW, StrategyConfig(kind="interference"), total_rbs)
+    with refused:
+        brute_force_oracle(gains, power, NOISE_MW, total_rbs)
 
 
 @pytest.mark.parametrize("total_rbs", [6, 2])
@@ -925,7 +969,24 @@ def test_power_table_equals_per_user_calls(alpha):
     g = rng.uniform(-160.0, -60.0, size=(7, 40))
     cfg = PowerConfig(alpha * -90.0 + (1.0 - alpha) * (23.0 - 10.0 * np.log10(4)), alpha)
     gains = GainMatrix(g=g, cell_tier=np.array(["macro"] * 7), rs_power_dbm=np.full(7, 46.0))
-    mw = NetworkState.build(gains, np.zeros(40, dtype=int), cfg, NOISE_MW).power_table
+    serving = rng.integers(0, 7, 40)
+    # without a held table, a state's powers are the law on its served links
+    unheld = NetworkState.build(gains, serving.copy(), cfg, NOISE_MW).per_rb_power_mw
+    mw = cell_selection._power_table(gains, cfg)
+    state = NetworkState.build(gains, serving.copy(), cfg, NOISE_MW)
+    assert state.power_table is mw
+    # the table the oracle reads, on a gains object of oracle size
+    small = GainMatrix(g=g[:3, :5].copy(), cell_tier=gains.cell_tier[:3], rs_power_dbm=gains.rs_power_dbm[:3])
+    read = []
+    power_table = cell_selection._power_table
+
+    def record(*args):
+        read.append(power_table(*args))
+        return read[-1]
+
+    with mock.patch.object(cell_selection, "_power_table", side_effect=record):
+        _assignment_metrics(small, cfg, NOISE_MW, 4)
+    assert len(read) == 1
     capped = open_loop_power(cfg, -g).capped
     assert capped.any() and not capped.all()
     for cell, user in itertools.product(range(7), range(40)):
@@ -933,3 +994,35 @@ def test_power_table_equals_per_user_calls(alpha):
         assert mw[cell, user].tobytes() == (10.0 ** (np.array([one.per_rb_dbm]) / 10.0)).tobytes()
         sliced_mw = per_rb_mw(cfg, -g[cell, user:user + 1])
         assert sliced_mw.tobytes() == mw[cell, user:user + 1].tobytes()
+        if serving[user] == cell:
+            assert state.per_rb_power_mw[user:user + 1].tobytes() == sliced_mw.tobytes()
+            assert unheld[user:user + 1].tobytes() == sliced_mw.tobytes()
+        if cell < 3 and user < 5:
+            assert read[0][cell, user:user + 1].tobytes() == sliced_mw.tobytes()
+
+
+def test_gains_hold_one_power_table_at_a_time():
+    gains = random_gm(np.random.default_rng(14), 3, 5)
+    first, second = PowerConfig(-90.0, 0.8), PowerConfig(-90.0, 1.0)
+    table = cell_selection._power_table(gains, first)
+    assert cell_selection._power_table(gains, PowerConfig(-90.0, 0.8)) is table
+    # the search, its moves and the oracle of one operating point read the held table
+    with mock.patch.object(cell_selection.uplink_power, "per_rb_mw", wraps=per_rb_mw) as law:
+        select_interference_based(gains, first, NOISE_MW, StrategyConfig(kind="interference"), 4)
+        brute_force_oracle(gains, first, NOISE_MW, 4)
+    assert law.call_count == 0
+    # another operating point replaces the table, dropping the old one first
+    held_while_building = []
+
+    def build(cfg, pl):
+        held_while_building.append(gains.__dict__.get("_power_table"))
+        return per_rb_mw(cfg, pl)
+
+    old = weakref.ref(table)
+    del table
+    with mock.patch.object(cell_selection.uplink_power, "per_rb_mw", side_effect=build):
+        replaced = cell_selection._power_table(gains, second)
+    assert held_while_building == [None]
+    gc.collect()
+    assert old() is None
+    assert gains.__dict__["_power_table"][0] == second and gains.__dict__["_power_table"][1] is replaced

@@ -40,7 +40,7 @@ from hetsim.metrics import NoiseModel, SinrReport, SinrRun, percentiles
 from hetsim.radio import GainMatrix, compute_gain_matrix
 from hetsim.topology import build_layout, place_picos, place_users
 from hetsim.uplink_power import PowerConfig, open_loop_power
-from reference import blocks, former_search, user_wideband_sinr_db
+from reference import blocks, former_oracle_instances, former_search, user_wideband_sinr_db
 
 # small but complete scenario: 57 picos, 171 users, every strategy
 TINY = replace(
@@ -963,6 +963,31 @@ def test_oracle_suite_smoke():
     assert result.instances == 10
     assert result.containment_failures == 0
     assert result.converged + len(result.non_converged_instances) == 10
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_oracle_instances_equal_the_former_draws(seed, monkeypatch):
+    # the tiers drawn in one call and alpha drawn by index consume the
+    # generator as one draw per tier and rng.choice did: the same
+    # instances, and the same generator state after 3,000 of them
+    default_rng = np.random.default_rng
+    generators = []
+
+    def capture(s):
+        generators.append(default_rng(s))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", capture)
+    pairs = list(zip(harness.oracle_instances(3000, seed), former_oracle_instances(3000, seed), strict=True))
+    assert len(pairs) == 3000 and len(generators) == 2
+    for (gains, power), (former, former_power) in pairs:
+        assert gains.g.tobytes() == former.g.tobytes()
+        assert gains.cell_tier.dtype == former.cell_tier.dtype
+        assert gains.cell_tier.tolist() == former.cell_tier.tolist()
+        assert gains.rs_power_dbm.dtype == former.rs_power_dbm.dtype
+        assert gains.rs_power_dbm.tobytes() == former.rs_power_dbm.tobytes()
+        assert power == former_power and type(power.alpha) is float
+    assert generators[0].bit_generator.state == generators[1].bit_generator.state
 
 
 def test_infeasible_placement_carries_drop_context():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetsim.scheduler import allocate, per_slot
 from reference import block_members, blocks, cochannel_interferers, rb_range, subframes_per_epoch, user_blocks
@@ -86,6 +87,27 @@ def test_allocate_input_validation():
         allocate(np.array([0, 3]), n_cells=3)
     with pytest.raises(ValueError):
         allocate(np.array([0]), n_cells=1, total_rbs=48, rbs_per_user=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n_users=st.integers(0, 60),
+    slots=st.integers(1, 12),
+    n_cells=st.integers(1, 20),
+)
+def test_allocate_equals_the_rank_rule(data, n_users, slots, n_cells):
+    # the oracle's rule: a user's subframe is the number of lower-index
+    # users of its slot in its cell; padding reads -1
+    serving = data.draw(st.lists(st.integers(0, n_cells - 1), min_size=n_users, max_size=n_users))
+    expected = np.full((slots, -(-n_users // slots)), -1)
+    for k, cell in enumerate(serving):
+        expected[k % slots, k // slots] = sum(
+            serving[j] == cell for j in range(k % slots, k, slots)
+        )
+    subframe = allocate(np.array(serving, dtype=int), n_cells, total_rbs=4 * slots, rbs_per_user=4)
+    assert subframe.shape == expected.shape and subframe.dtype == expected.dtype
+    assert subframe.tolist() == expected.tolist()
 
 
 def test_interferers_single_cell_empty():

@@ -14,7 +14,8 @@ The file keeps every run's metrics, and for a traced run the share of
 its `trace.wall_s` that each layer's seconds (`*.s`, `*.self_s`) take;
 per (side, workload), the min, quartiles and median of each untraced
 metric, the min and median of the items its untraced runs attempted
-(a metric such as peak RSS grows with the units a run completes), and
+and the median units they completed (attempted over ITEMS_PER_UNIT; a
+metric such as peak RSS grows with the units a run completes), and
 the median of each traced per-layer metric and of each layer's share,
 since layer seconds drift with the host more than the shares of one
 run do; per workload and end-to-end metric, the number
@@ -52,6 +53,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10       # untraced pairs per workload, enough to test a gain claim
 FIRST_SEED = 2   # away from the recorded seeds (1 and 0), whose outputs are gated
 TRACED = 3       # traced runs per side: one traced run's layer times drift with the host
+# items of one hetbench unit: acc2.cfg's drops, and the oracle's instances
+ITEMS_PER_UNIT = {"acc2": 10, "oracle": 2400}
 
 SHAPES = [(picos, users) for users in (12, 24) for picos in (2, 6, 10)]  # per sector
 DENSITY_DROPS = 20
@@ -149,10 +152,11 @@ def stats(runs: list[dict]) -> dict:
     return out
 
 
-def attempted(runs: list[dict]) -> dict:
-    """Min and median of the items the runs attempted."""
+def attempted(runs: list[dict], items_per_unit: int) -> dict:
+    """Min and median of the items the runs attempted, and the median units they completed."""
     values = [r["attempted"] for r in runs]
-    return {"min": min(values), "median": statistics.median(values)}
+    median = statistics.median(values)
+    return {"min": min(values), "median": median, "units_median": median / items_per_unit}
 
 
 def medians(runs: list[dict], field: str = "metrics") -> dict:
@@ -214,7 +218,7 @@ def main(argv=None) -> int:
         side: {
             workload: {
                 "untraced": stats(of(side, workload, 0)),
-                "attempted": attempted(of(side, workload, 0)),
+                "attempted": attempted(of(side, workload, 0), ITEMS_PER_UNIT[workload]),
                 "traced": medians(of(side, workload, 1)),
                 "traced_shares": medians(of(side, workload, 1), "shares"),
             }
