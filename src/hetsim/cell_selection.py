@@ -17,15 +17,19 @@ independent game per slot. NetworkState therefore keeps the
 allocation, each user's subframe, the received powers and the link
 gains in scheduler's per-slot layout, and one kernel, _block_metric,
 scores any batch of users with one stacked product: the search feeds it
-a span of slots at one position, and the brute-force oracle every user
-of every assignment at once. Its co-block sum, coblock_interference,
-is also the interference of the SINR that harness reports. The search
+a span of slots at one position or a stretch of one slot's positions,
+and the brute-force oracle every slot of every assignment at once. Its
+co-block sum, coblock_interference, is also the interference of the
+SINR that harness reports. The search
 walks each pass position by position. A slot is live at a position if
 one of its users moved since the slot's user there was last scored, and
 every slot is live in the first pass; per-slot move stamps tell which.
 The slots between the first and the last live one are scored together,
 and the movers commit in index order. Scoring a clean slot in the span is harmless: its row
 has the bits it had when its user last stayed, so the user stays again.
+A slot that is live alone stays the only live one for the rest of the
+pass, so its remaining live positions are scored in one call and its
+first mover commits.
 A move re-ranks only the mover's slot, in place, reads the mover's power
 from a per-(cell, user) open-loop table and stamps its slot; a search
 that returns to an earlier pass-end assignment is fast-forwarded along
@@ -127,14 +131,25 @@ def _power_table(gains: GainMatrix, power_cfg: PowerConfig) -> np.ndarray:
     Kept on the gains object for one operating point at a time, as
     _rsrp_cells is: a search, its moves and the oracle of the same
     instance share it. The table of another operating point is dropped
-    before the next is built, so a drop never holds two.
+    before the next is built, so a drop never holds two, and run_drop
+    drops each when its search returns (release_power_table).
     """
     table = _held_table(gains, power_cfg)
     if table is None:
-        gains.__dict__.pop("_power_table", None)
+        release_power_table(gains)
         table = uplink_power.per_rb_mw(power_cfg, -gains.g)
         gains.__dict__["_power_table"] = (power_cfg, table)
     return table
+
+
+def release_power_table(gains: GainMatrix) -> None:
+    """Drop the _power_table that gains holds, if any.
+
+    run_drop calls it when a search returns, so the table does not live
+    through that run's SINR: a state built without it evaluates the law
+    on its served links, which gives the same bits.
+    """
+    gains.__dict__.pop("_power_table", None)
 
 
 def _held_table(gains: GainMatrix, power_cfg: PowerConfig) -> np.ndarray | None:
@@ -280,24 +295,27 @@ def select_cre(gains: GainMatrix, cfg: StrategyConfig) -> Assignment:
 
 
 def coblock_mask(subframe, j=None):
-    """0/1 float co-block masks of a slot-major subframe layout (S, D).
+    """0/1 float co-block masks of a subframe layout (..., D), D positions a slot.
 
     Blocks are aligned and same-cell users never share one, so the co-set
     of the user at [s, j] on each of its RBs is every other user of slot s
-    in its subframe. With j, the (S, D) mask of the user at position j of
-    every slot, zero at column j; without, the (S, D, D) masks of every
-    position, mask[s, j] zero at [s, j, j]. Padding sits in subframe -1,
-    so no user's mask reaches it.
+    in its subframe. With an int j, the (..., D) mask of the user at
+    position j of every slot, zero at column j. With a range j, the
+    (..., len(j), D) masks of those positions, each zero at its own
+    column; without j, those of every position, (..., D, D), mask[s, j]
+    zero at [s, j, j]. Padding sits in subframe -1, so no user's mask
+    reaches it.
     """
-    slots, depth = subframe.shape
-    if j is not None:
-        mask = np.empty((slots, depth))
-        np.equal(subframe, subframe[:, j:j + 1], out=mask)
-        mask[:, j] = 0.0
+    depth = subframe.shape[-1]
+    if j is not None and not isinstance(j, range):
+        mask = np.empty(subframe.shape)
+        np.equal(subframe, subframe[..., j:j + 1], out=mask)
+        mask[..., j] = 0.0
         return mask
-    mask = np.empty((slots, depth, depth))
-    np.equal(subframe[:, :, None], subframe[:, None, :], out=mask)
-    mask[:, np.arange(depth), np.arange(depth)] = 0.0
+    at = range(depth) if j is None else j
+    mask = np.empty(subframe.shape[:-1] + (len(at), depth))
+    np.equal(subframe[..., at.start:at.stop, None], subframe[..., None, :], out=mask)
+    mask[..., np.arange(len(at)), np.arange(at.start, at.stop)] = 0.0
     return mask
 
 
@@ -335,6 +353,31 @@ def _position_metrics(state: NetworkState, j: int, lo: int, hi: int) -> np.ndarr
         coblock_mask(state.subframe[lo:hi], j), state.rows[lo:hi], state.g_slot[lo:hi, j],
         state.power_cfg.rbs_per_user, state.noise_rb_mw,
     )
+
+
+def _stretch_metrics(state: NetworkState, s: int, j0: int, j1: int) -> np.ndarray:
+    """(j1 - j0, cells) metric of the users at positions j0 .. j1 - 1 of slot s.
+
+    The masks of the stretch meet the slot's rows, broadcast, so each row
+    is its own (1, D) @ (D, C) product and has the bits of that user's
+    _position_metrics row; one (r, D) @ (D, C) matrix product would not.
+    """
+    return _block_metric(
+        coblock_mask(state.subframe[s], range(j0, j1)), state.rows[s], state.g_slot[s, j0:j1],
+        state.power_cfg.rbs_per_user, state.noise_rb_mw,
+    )
+
+
+def _movers(metrics: np.ndarray, own_cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best cell, and the rows whose best beats the own cell's metric.
+
+    A move needs a strict relative gain, so the own cell never passes the
+    test, and no row moves to the cell it is in.
+    """
+    rows = np.arange(len(metrics))
+    best = metrics.argmin(axis=1)
+    own = metrics[rows, own_cells]
+    return best, (metrics[rows, best] < own * (1.0 - MOVE_REL_THRESHOLD)).nonzero()[0]
 
 
 def select_interference_based(
@@ -376,6 +419,15 @@ def select_interference_based(
     A move needs a strict relative gain, so the incumbent cell never
     passes the test, and no row moves to the cell it is in.
 
+    When slot s alone is live at position j, no other slot can become
+    live later in the pass: the liveness threshold only rises, and only a
+    slot's own move stamps it. So s's positions from j to the end of its
+    live stretch (its last user, or the last position its last move keeps
+    live) are scored in one call (_stretch_metrics), whose rows have the
+    bits of one call per position. The first mover commits, the rows
+    after it are dropped, and the walk resumes at the next position; a
+    stretch without a mover ends the pass.
+
     The state after a pass is a pure function of the serving vector, so
     when a pass ends in the assignment an earlier pass j ended in, every
     later pass repeats with period p. The search then returns what a run
@@ -389,7 +441,6 @@ def select_interference_based(
     state = NetworkState.build(gains, _rsrp_cells(gains).copy(), power_cfg, noise_rb_mw, total_rbs)
     slots, n_users = state.slots, gains.n_users
     positions = -(-n_users // slots)         # per pass
-    batch = np.arange(slots)
     last = np.full(slots, -1)                # stamp of each slot's last move
     pass_ends = [state.serving.copy()]       # assignment after pass 0, 1, ...
     seen = {state.serving.tobytes(): 0}
@@ -399,22 +450,34 @@ def select_interference_based(
     while len(moves_per_pass) < cfg.max_passes:
         moves = 0
         stamp = len(moves_per_pass) * positions
-        for j, start in enumerate(range(0, n_users, slots)):
+        j = 0
+        while j < positions:
+            start = j * slots
             live = (last[:n_users - start] >= stamp + j - positions).nonzero()[0]
             if not len(live):
+                j += 1
                 continue
             lo, hi = int(live[0]), int(live[-1]) + 1
-            metrics = _position_metrics(state, j, lo, hi)
-            index = batch[:hi - lo]
-            best = metrics.argmin(axis=1)
-            own = metrics[index, state.serving[start + lo:start + hi]]
-            moving = (metrics[index, best] < own * (1.0 - MOVE_REL_THRESHOLD)).nonzero()[0]
-            if not len(moving):
+            if hi > lo + 1:
+                best, moving = _movers(_position_metrics(state, j, lo, hi), state.serving[start + lo:start + hi])
+                if len(moving):
+                    for i in moving.tolist():
+                        state.move_user(start + lo + i, int(best[i]))
+                    last[lo + moving] = stamp + j
+                    moves += len(moving)
+                j += 1
                 continue
-            for i in moving.tolist():
-                state.move_user(start + lo + i, int(best[i]))
-            last[lo + moving] = stamp + j
-            moves += len(moving)
+            # slot lo alone is live, now and at most through its stretch's end
+            end = min((n_users - 1 - lo) // slots + 1, int(last[lo]) - stamp + positions + 1)
+            metrics = _stretch_metrics(state, lo, j, end)
+            best, moving = _movers(metrics, state.serving[start + lo:lo + end * slots:slots])
+            if not len(moving):
+                break                        # no slot is live at a later position
+            i = int(moving[0])
+            state.move_user(start + lo + i * slots, int(best[i]))
+            last[lo] = stamp + j + i
+            moves += 1
+            j += i + 1
         moves_per_pass.append(moves)
         if moves == 0:
             converged = True
@@ -454,29 +517,27 @@ def _assignment_tables(n_cells: int, n_users: int, slots: int) -> tuple[np.ndarr
     """The read-only tables of every assignment of one instance shape.
 
     Returns grid, (A, K) the serving cells of each assignment in
-    itertools.product order; own, (A, K) the flat index
-    (a * K + k) * n_cells + grid[a, k] of each user's own-cell entry in
-    an (A, K, n_cells) metric array; mask, (A, K, U) the coblock_mask of
-    every user of every assignment over the U users of its slot; and
-    gather, (A, K, U) the row of each of those users in a flat (user,
-    serving cell) table of received power, where padding reads row
-    n_users * n_cells. A user's subframe is the number of lower-index
-    users of its slot and cell. The tables depend on the shape alone, so
-    they are built once per shape and shared; the cache holds the oracle
-    suite's six shapes.
+    itertools.product order, and three tables in the per-slot layout
+    (A, S, D) of each assignment: own, (A, S, D) the flat index
+    ((a * S + s) * D + d) * n_cells + cell of each position's own-cell
+    entry in an (A, S, D, n_cells) metric array; mask, (A, S, D, D) the
+    coblock_mask of every position; and gather, (A, S, D) the row of each
+    position's user in a flat (user, serving cell) table of received
+    power. A padding position reads row n_users * n_cells and cell 0. A
+    user's subframe is the number of lower-index users of its slot and
+    cell. The tables depend on the shape alone, so they are built once
+    per shape and shared; the cache holds the oracle suite's six shapes.
     """
     grid = np.array(list(itertools.product(range(n_cells), repeat=n_users)), dtype=int).reshape(-1, n_users)
     users = np.arange(n_users)
-    slot, pos = users % slots, users // slots
+    slot = users % slots
     earlier = np.tril(slot[:, None] == slot[None, :], -1)
     subframe = ((grid[:, :, None] == grid[:, None, :]) & earlier).sum(axis=2)          # (A, K)
     # every assignment in the per-slot layout, (A, slots, depth), padding in subframe -1
-    layout = per_slot(subframe.T, slots, fill=-1).transpose(2, 0, 1)
-    depth = layout.shape[2]
-    mask = coblock_mask(layout.reshape(-1, depth)).reshape(layout.shape + (depth,))[:, slot, pos]
-    members = per_slot(users, slots, fill=n_users)[slot]                                # (K, U)
-    gather = members * n_cells + per_slot(grid.T, slots).transpose(2, 0, 1)[:, slot]
-    own = np.arange(grid.size).reshape(grid.shape) * n_cells + grid
+    mask = coblock_mask(per_slot(subframe.T, slots, fill=-1).transpose(2, 0, 1))
+    cells = per_slot(grid.T, slots).transpose(2, 0, 1)
+    gather = per_slot(users, slots, fill=n_users) * n_cells + cells
+    own = np.arange(cells.size).reshape(cells.shape) * n_cells + cells
     for table in (grid, own, mask, gather):
         table.flags.writeable = False
     return grid, own, mask, gather
@@ -487,29 +548,33 @@ def _assignment_metrics(
     power_cfg: PowerConfig,
     noise_rb_mw: float,
     total_rbs: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every assignment of the users to cells and its metric array.
 
     Returns grid, (A, K) the serving cells of each assignment in
-    itertools.product order; own, (A, K) the flat index of each user's
-    own-cell entry in metrics; and metrics, (A, K, n_cells) the metric
-    of every user of every assignment against every cell. The grid, the
-    own-index and the masks come from _assignment_tables, shared by
-    every instance of the shape, and the powers from the held
-    _power_table, shared with the search of the instance; only the
-    received powers, their gather and the kernel run per instance. A
-    band that the blocks do not tile raises allocate's ValueError.
+    itertools.product order; own, (A, S, D) the flat index of each
+    position's own-cell entry in metrics; and metrics, (A, S, D, n_cells)
+    the metric of every user of every assignment against every cell in
+    the per-slot layout, user k at [:, k % S, k // S]. A padding position
+    has no co-block user and unit gains, so its entries are all the noise
+    term and it never moves. The grid, the own-index, the masks and the
+    row index come from _assignment_tables, shared by every instance of
+    the shape, and the powers from the held _power_table, shared with the
+    search of the instance. Per instance, each assignment's slot rows are
+    gathered once, (A, S, D, C), and the kernel broadcasts them over the
+    positions of their slot, with the gains from _g_slot. A band that the
+    blocks do not tile raises allocate's ValueError.
     """
     n_users, n_cells = gains.n_users, gains.n_cells
-    grid, own, mask, gather = _assignment_tables(n_cells, n_users, slot_count(total_rbs, power_cfg.rbs_per_user))
+    slots = slot_count(total_rbs, power_cfg.rbs_per_user)
+    grid, own, mask, gather = _assignment_tables(n_cells, n_users, slots)
     # per-RB received power of user j at every cell when served by cell i,
     # at flat row j * n_cells + i; the last n_cells rows are zero
     mw = _power_table(gains, power_cfg)                                        # (C, K)
-    g_lin_t = gains.g_linear.T
     received = np.zeros((n_users + 1, n_cells, n_cells))
-    received[:n_users] = g_lin_t[:, None, :] * mw.T[:, :, None]
-    rows = received.reshape(-1, n_cells)[gather]                               # (A, K, U, C)
-    metrics = _block_metric(mask, rows, g_lin_t, power_cfg.rbs_per_user, noise_rb_mw)
+    received[:n_users] = gains.g_linear.T[:, None, :] * mw.T[:, :, None]
+    rows = received.reshape(-1, n_cells)[gather]                               # (A, S, D, C)
+    metrics = _block_metric(mask, rows[:, :, None], _g_slot(gains, slots), power_cfg.rbs_per_user, noise_rb_mw)
     return grid, own, metrics
 
 
@@ -525,18 +590,19 @@ def brute_force_oracle(
     from the model's rules, not from the search's allocation path
     (allocate, NetworkState.build and move_user): a user's power follows
     from its own coupling loss to its cell alone, and its subframe is the
-    number of lower-index users of its slot in its cell. The assignments
-    and their co-block masks (coblock_mask, the search's and the SINR's
-    rule) depend only on (cells, users, slots) and are built once per
-    shape (_assignment_tables), with the flat index of each user's
-    own-cell metric, so the stability step is one take. The powers are
-    read from the held _power_table, which a search of the instance at
-    the same operating point has already built. The metric is the kernel
-    the search uses, so each assignment's metric array has the bits of
-    the search's on a state of that assignment. Stability uses the same
-    strict-improvement margin as the iterative search. A total_rbs that
-    is not a multiple of the block size raises ValueError, as the
-    search does.
+    number of lower-index users of its slot in its cell. The assignments,
+    their co-block masks (coblock_mask, the search's and the SINR's rule)
+    and the per-slot row index depend only on (cells, users, slots) and
+    are built once per shape (_assignment_tables), with the flat index of
+    each position's own-cell metric, so the own metrics are one take. The
+    powers are read from the held _power_table, which a search of the
+    instance at the same operating point has already built. The metric is
+    the kernel the search uses, so each assignment's metric array has the
+    bits of the search's on a state of that assignment. The minimum over
+    cells is taken by elementwise np.minimum, exact as .min is, and
+    stability uses the same strict-improvement margin as the iterative
+    search. A total_rbs that is not a multiple of the block size raises
+    ValueError, as the search does.
     """
     if gains.n_cells > ORACLE_MAX_CELLS or gains.n_users > ORACLE_MAX_USERS:
         raise ValueError(
@@ -545,6 +611,9 @@ def brute_force_oracle(
         )
 
     grid, own_index, metrics = _assignment_metrics(gains, power_cfg, noise_rb_mw, total_rbs)
+    low = metrics[..., 0]
+    for cell in range(1, gains.n_cells):
+        low = np.minimum(low, metrics[..., cell])
     own = metrics.reshape(-1).take(own_index)
-    unstable = (metrics.min(axis=2) < own * (1.0 - MOVE_REL_THRESHOLD)).any(axis=1)
+    unstable = (low < own * (1.0 - MOVE_REL_THRESHOLD)).reshape(len(grid), -1).any(axis=1)
     return OracleResult(stable=[tuple(row) for row in grid[~unstable].tolist()])

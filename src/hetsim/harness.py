@@ -30,6 +30,7 @@ from hetsim.cell_selection import (
     brute_force_oracle,
     coblock_interference,
     coblock_mask,
+    release_power_table,
     select_cre,
     select_interference_based,
     select_pl,
@@ -361,7 +362,9 @@ def run_drop(scenario: Scenario, drop_index: int) -> list[SinrRun]:
     strategy builds one state and one set of SINR masks and links
     (_sinr_links) for all its alphas, and each alpha adds only its
     powers, the co-block products and the dB step. Each search run builds
-    its own. At most one set of links is kept at a time.
+    its own, after it has released the search's power table, so the table
+    does not live through the run's SINR. At most one set of links is kept
+    at a time.
 
     A failure is raised as a DropError whose stage is placement, gain
     matrix, the selection of one strategy (and alpha, for the search), or
@@ -406,6 +409,7 @@ def run_drop(scenario: Scenario, drop_index: int) -> list[SinrRun]:
                     assignment = select_interference_based(
                         gains, power_cfg, noise_mw, strategy, scenario.total_data_rbs
                     )
+                    release_power_table(gains)
             else:
                 assignment = baseline
             with _stage(drop_index, f"SINR {run_name}"):

@@ -11,7 +11,9 @@ that compare the search and its in-place moves against it; former_search
 is the reference of the search's move stamps, and without skipping the
 reference of the skip rule. former_oracle_mask is the co-block mask
 that the brute-force oracle built per instance over padded subframes,
-before its shape tables took coblock_mask's. former_oracle_instances and
+before its shape tables took coblock_mask's, and former_oracle_gather
+the (A, K, U) row index it gathered every user's slot rows by, before
+it gathered each slot's rows once. former_oracle_instances and
 former_random_small_gains draw the oracle suite's instances as harness
 did before it drew the tiers in one call and alpha by index; the tests
 require the same instances and the same generator state from both.
@@ -208,7 +210,7 @@ def allocation_move(subframe, serving: np.ndarray, user: int, old_cell: int) -> 
     return moved
 
 
-def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48, skip=True) -> Assignment:
+def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48, skip=True, steps=None) -> Assignment:
     """select_interference_based as it was before it scored by pass position.
 
     A pass walks in steps of one user per slot and scores each step's
@@ -216,7 +218,9 @@ def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48, skip=True) -
     mover's slot dirty, the per-user rule that the search's per-slot move
     stamps reproduce. The moves, the cycle fast-forward and the
     bookkeeping are those of the search. With skip=False every user is
-    re-scored on every pass. Its rsrp start is computed afresh.
+    re-scored on every pass. Its rsrp start is computed afresh. A list
+    steps receives, for each scored step, its users, a copy of the dirty
+    flags left once they are cleared, and the users that move.
     """
     rsrp = np.argmax(gains.rs_power_dbm[:, None] + gains.g, axis=0)
     state = NetworkState.build(gains, rsrp, power_cfg, noise_rb_mw, total_rbs)
@@ -242,6 +246,8 @@ def former_search(gains, power_cfg, noise_rb_mw, cfg, total_rbs=48, skip=True) -
             current = state.serving[step]
             own = metrics[batch, current]
             moving = (best != current) & (metrics[batch, best] < own * (1.0 - MOVE_REL_THRESHOLD))
+            if steps is not None:
+                steps.append((step, dirty.copy(), step[moving]))
             for k, cell in zip(step[moving].tolist(), best[moving].tolist()):
                 state.move_user(k, cell)
                 dirty[k % slots::slots] = True
@@ -296,6 +302,21 @@ def former_oracle_mask(n_cells: int, n_users: int, slots: int) -> np.ndarray:
     mask = padded[:, members] == subframe[:, :, None]
     mask[:, users, users // slots] = False
     return mask.astype(float)
+
+
+def former_oracle_gather(n_cells: int, n_users: int, slots: int) -> np.ndarray:
+    """(A, K, U) row of each of a user's slot users in a flat (user, serving cell) table.
+
+    Assignments come in itertools.product order, and U is the users of a
+    slot: entry [a, k, u] is member u of user k's slot, times n_cells,
+    plus its serving cell in assignment a. A padding member reads row
+    n_users * n_cells, a zero row of received power.
+    """
+    grid = np.array(list(itertools.product(range(n_cells), repeat=n_users)), dtype=int).reshape(-1, n_users)
+    users = np.arange(n_users)
+    slot = users % slots
+    members = per_slot(users, slots, fill=n_users)[slot]
+    return members * n_cells + per_slot(grid.T, slots).transpose(2, 0, 1)[:, slot]
 
 
 # ---- the oracle suite's instances, as first drawn ----------------------------------

@@ -1,8 +1,13 @@
 import importlib.util
 import json
 import os
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+
+from hetsim import cell_selection
+from hetsim.harness import Scenario, run_campaign
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "bench_record.py")
 
@@ -107,9 +112,23 @@ def test_density_runs_one_campaign_from_the_checkout():
     assert set(result["metrics"]) == {"s_per_drop", "peak_mb"}
     assert result["metrics"]["s_per_drop"] > 0 and result["metrics"]["peak_mb"] > 0
     # the same campaign again gives the same outputs, and another shape others
-    assert load_tool().density(root, 2, 12, drops=1)["digest"] == result["digest"]
+    again = load_tool().density(root, 2, 12, drops=1)
+    assert again["digest"] == result["digest"] and again["scoring"] == result["scoring"]
     assert load_tool().density(root, 6, 12, drops=1)["digest"] != result["digest"]
     assert len(result["digest"]) == 64
+    # the scoring counts are the kernel's calls and the rows they return
+    kernel = cell_selection._block_metric
+    scoring = {"calls": 0, "rows": 0}
+
+    def counted(*args):
+        metric = kernel(*args)
+        scoring["calls"] += 1
+        scoring["rows"] += len(metric.reshape(-1, metric.shape[-1]))
+        return metric
+
+    with mock.patch.object(cell_selection, "_block_metric", counted):
+        run_campaign(replace(Scenario(), picos_per_sector=2, users_per_sector=12, drops=1))
+    assert result["scoring"] == scoring and 0 < scoring["calls"] < scoring["rows"]
 
 
 def test_density_runs_one_blas_thread(tmp_path, monkeypatch):

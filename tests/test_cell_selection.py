@@ -22,6 +22,7 @@ from hetsim.cell_selection import (
     _assignment_metrics,
     _assignment_tables,
     _position_metrics,
+    _stretch_metrics,
 )
 from hetsim.metrics import NoiseModel
 from hetsim.radio import GainMatrix
@@ -31,6 +32,7 @@ from reference import (
     adaptive_bias,
     allocation_move,
     blocks,
+    former_oracle_gather,
     former_oracle_mask,
     former_search,
     interference_metric,
@@ -389,39 +391,74 @@ def test_oracle_equals_per_assignment_reference(seed, n_cells, n_users, alpha, t
     assert result.stable == expected.stable
     grid, _, metrics = _assignment_metrics(gains, power, NOISE_MW, total_rbs)
     assert [tuple(row) for row in grid.tolist()] == list(itertools.product(range(n_cells), repeat=n_users))
-    assert metrics.shape == arrays.shape
-    assert metrics.tobytes() == arrays.tobytes()
+    by_user = per_user(metrics, n_users)
+    assert by_user.shape == arrays.shape
+    assert by_user.tobytes() == arrays.tobytes()
+
+
+def per_user(table, n_users):
+    """An (A, S, D, ...) per-slot oracle table by user, (A, K, ...)."""
+    users = np.arange(n_users)
+    slots = table.shape[1]
+    return table[:, users % slots, users // slots]
+
+
+def oracle_shapes():
+    """Every (n_cells, n_users, slots) of 1-4 cells, 1-6 users and total_rbs 4, 8, 12."""
+    for n_cells, n_users, total_rbs in itertools.product(range(1, 5), range(1, 7), (4, 8, 12)):
+        yield n_cells, n_users, total_rbs // PowerConfig.rbs_per_user
 
 
 def test_oracle_tables_equal_the_former_padded_mask():
-    for n_cells, n_users, total_rbs in itertools.product(range(1, 5), range(1, 7), (4, 8, 12)):
-        slots = total_rbs // PowerConfig.rbs_per_user
-        _, _, mask, gather = _assignment_tables(n_cells, n_users, slots)
+    # the per-slot masks, read by user, are the former (A, K, U) ones
+    for n_cells, n_users, slots in oracle_shapes():
+        _, _, mask, _ = _assignment_tables(n_cells, n_users, slots)
         former = former_oracle_mask(n_cells, n_users, slots)
-        assert mask.shape == former.shape == gather.shape and mask.dtype == former.dtype
-        assert mask.tobytes() == former.tobytes()
+        assert per_user(mask, n_users).shape == former.shape and mask.dtype == former.dtype
+        assert per_user(mask, n_users).tobytes() == former.tobytes()
+
+
+def test_per_slot_row_index_reproduces_the_former_gather():
+    # each assignment's slot rows, gathered once by the (A, S, D) index,
+    # are, at each user's slot, that user's (U, C) rows of the former
+    # (A, K, U) gather, bit for bit, padding's zero row included
+    rng = np.random.default_rng(15)
+    for n_cells, n_users, slots in oracle_shapes():
+        _, _, _, gather = _assignment_tables(n_cells, n_users, slots)
+        received = np.zeros(((n_users + 1) * n_cells, n_cells))
+        received[:n_users * n_cells] = rng.uniform(0.0, 1.0, (n_users * n_cells, n_cells))
+        rows = received[gather]
+        former = received[former_oracle_gather(n_cells, n_users, slots)]
+        assert rows.shape == (n_cells ** n_users, slots, -(-n_users // slots), n_cells)
+        assert rows[:, np.arange(n_users) % slots].tobytes() == former.tobytes()
 
 
 def test_oracle_tables_are_shared_and_read_only():
     rng = np.random.default_rng(11)
     power = PowerConfig(-90.0, 0.8)
-    tables = _assignment_tables(3, 5, 1)
-    first = _assignment_metrics(random_gm(rng, 3, 5), power, NOISE_MW, 4)
-    second = _assignment_metrics(random_gm(rng, 3, 5), power, NOISE_MW, 4)
-    assert first[0] is second[0] is tables[0] and first[1] is second[1] is tables[1]
-    assert all(a is b for a, b in zip(_assignment_tables(3, 5, 1), tables))
-    for table in tables:
-        with pytest.raises(ValueError, match="read-only"):
-            table[(0,) * table.ndim] = 0
+    for slots in (1, 2):
+        tables = _assignment_tables(3, 5, slots)
+        first = _assignment_metrics(random_gm(rng, 3, 5), power, NOISE_MW, 4 * slots)
+        second = _assignment_metrics(random_gm(rng, 3, 5), power, NOISE_MW, 4 * slots)
+        assert first[0] is second[0] is tables[0] and first[1] is second[1] is tables[1]
+        assert all(a is b for a, b in zip(_assignment_tables(3, 5, slots), tables))
+        # the grid by user; the own-index, the masks and the row index by slot position
+        depth = -(-5 // slots)
+        shapes = [(243, 5), (243, slots, depth), (243, slots, depth, depth), (243, slots, depth)]
+        assert [table.shape for table in tables] == shapes
+        assert first[2].shape == (243, slots, depth, 3)
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 0
     # the cache is bounded, and holds the oracle suite's six shapes
     assert 6 <= _assignment_tables.cache_parameters()["maxsize"] < 64
 
 
 def assert_own_index_takes_own_metrics(gains, power, total_rbs):
     grid, own, metrics = _assignment_metrics(gains, power, NOISE_MW, total_rbs)
-    along = np.take_along_axis(metrics, grid[:, :, None], axis=2)[:, :, 0]
-    assert own.shape == grid.shape and not own.flags.writeable
-    assert metrics.reshape(-1).take(own).tobytes() == along.tobytes()
+    along = np.take_along_axis(per_user(metrics, gains.n_users), grid[:, :, None], axis=2)[:, :, 0]
+    assert own.shape == metrics.shape[:-1] and not own.flags.writeable
+    assert per_user(metrics.reshape(-1).take(own), gains.n_users).tobytes() == along.tobytes()
 
 
 def test_own_index_takes_each_users_own_metric_on_the_suite_shapes():
@@ -441,6 +478,30 @@ def test_own_index_takes_each_users_own_metric_on_the_suite_shapes():
 def test_own_index_takes_each_users_own_metric(seed, n_cells, n_users, slots, alpha):
     gains = random_gm(np.random.default_rng(seed), n_cells, n_users)
     assert_own_index_takes_own_metrics(gains, PowerConfig(-90.0, alpha), 4 * slots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 4),
+    n_users=st.integers(1, 6),
+    slots=st.integers(1, 3),
+    alpha=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
+    twins=st.integers(0, 3),
+)
+def test_elementwise_minimum_gives_the_stable_sets_of_min(seed, n_cells, n_users, slots, alpha, twins):
+    # the oracle's minimum over cells, taken by np.minimum one cell at a
+    # time, gives the stable sets of .min(axis=-1); the last twins cells
+    # repeat cell 0's gains exactly, so their metrics tie bit for bit
+    gains = random_gm(np.random.default_rng(seed), n_cells, n_users)
+    for twin in range(max(1, n_cells - twins), n_cells):
+        gains.g[twin] = gains.g[0]
+    power = PowerConfig(-90.0, alpha)
+    grid, own, metrics = _assignment_metrics(gains, power, NOISE_MW, 4 * slots)
+    own_metric = metrics.reshape(-1).take(own)
+    unstable = (metrics.min(axis=-1) < own_metric * (1.0 - MOVE_REL_THRESHOLD)).reshape(len(grid), -1).any(axis=1)
+    expected = [tuple(row) for row in grid[~unstable].tolist()]
+    assert brute_force_oracle(gains, power, NOISE_MW, 4 * slots).stable == expected
 
 
 @pytest.mark.parametrize("total_rbs", [0, -4])
@@ -870,23 +931,52 @@ def test_skipping_clean_users_equals_rescoring_every_user(seed, n_cells, slots, 
 @given(**SEARCH_INSTANCES)
 def test_move_stamps_score_the_span_of_the_dirty_users(seed, n_cells, slots, depth, alpha, max_passes, twin, data):
     # the per-slot move stamps pick the positions the former per-user dirty
-    # flags scored, and at each one the span from its first to its last
-    # dirty user; a position the dirty rule skips is not scored
+    # flags scored. Where they hold users of several slots, the span from
+    # the first to the last dirty user is one _position_metrics call. Where
+    # they hold one user, of slot s at position j, one _stretch_metrics call
+    # scores s from j through its last dirty position after j, and it
+    # covers the former's later steps of s in that pass until one of them
+    # moves. A position the dirty rule skips is not scored
     gains, power = search_instance(seed, n_cells, slots, depth, alpha, twin, data)
     cfg = StrategyConfig(kind="interference", max_passes=max_passes)
-    with mock.patch.object(reference, "metric_rows", wraps=reference.metric_rows) as former:
-        former_search(gains, power, NOISE_MW, cfg, 4 * slots)
-    with mock.patch.object(cell_selection, "_position_metrics", wraps=_position_metrics) as search:
+    steps = []
+    former_search(gains, power, NOISE_MW, cfg, 4 * slots, steps=steps)
+    expected = []
+    covered = None       # (slot, end) of the stretch call that scores the former's steps
+    previous = slots     # the last step's first user; a lower one starts a new pass
+    for users, dirty, movers in steps:
+        first = int(users[0])
+        pos, slot = divmod(first, slots)
+        if first <= previous:
+            covered = None
+        previous = first
+        if len(users) > 1:
+            expected.append(("span", pos, slot, int(users[-1]) % slots + 1))
+        elif covered is None or covered[0] != slot or pos >= covered[1]:
+            later = np.flatnonzero(dirty[first + slots::slots])
+            end = pos + 1 + (int(later[-1]) + 1 if len(later) else 0)
+            expected.append(("stretch", slot, pos, end))
+            covered = (slot, end)
+        if len(movers):
+            covered = None
+    calls = []
+
+    def record(kind, metrics):
+        def call(state, *args):
+            calls.append((kind, *(int(a) for a in args)))
+            return metrics(state, *args)
+        return call
+
+    with mock.patch.object(cell_selection, "_position_metrics", record("span", _position_metrics)), \
+            mock.patch.object(cell_selection, "_stretch_metrics", record("stretch", _stretch_metrics)):
         select_interference_based(gains, power, NOISE_MW, cfg, 4 * slots)
-    dirty = [c.args[0] for c in former.call_args_list]
-    expected = [(int(u[0]) // slots, int(u[0]) % slots, int(u[-1]) % slots + 1) for u in dirty]
-    assert [tuple(int(a) for a in c.args[1:]) for c in search.call_args_list] == expected
+    assert calls == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_cells=st.integers(1, 5),
+    n_cells=st.integers(1, 10),
     slots=st.integers(1, 12),
     n_users=st.integers(1, 60),
     n_moves=st.integers(0, 12),
@@ -894,7 +984,10 @@ def test_move_stamps_score_the_span_of_the_dirty_users(seed, n_cells, slots, dep
 def test_position_metrics_equal_metric_rows(seed, n_cells, slots, n_users, n_moves):
     # every position of the per-slot layout, short slots included, scored
     # over a random span of its slots: every row of the span, bit for bit
-    # the former per-user row, since every span row feeds a decision
+    # the former per-user row, since every span row feeds a decision. And
+    # every slot, short ones included, scored over a random stretch j0 < j1
+    # of its positions: every row, bit for bit its position's one-slot span
+    # row, as the search decides on either
     rng = np.random.default_rng(seed)
     gains = random_gm(rng, n_cells, n_users)
     power = PowerConfig(-90.0, float(rng.choice([0.4, 0.6, 0.8, 1.0])))
@@ -905,6 +998,12 @@ def test_position_metrics_equal_metric_rows(seed, n_cells, slots, n_users, n_mov
         lo, hi = np.sort(rng.choice(min(slots, n_users - start) + 1, size=2, replace=False))
         metrics = _position_metrics(state, j, lo, hi)
         assert metrics.tobytes() == metric_rows(start + np.arange(lo, hi), state).tobytes()
+    for s in range(min(slots, n_users)):
+        j0, j1 = np.sort(rng.choice(len(range(s, n_users, slots)) + 1, size=2, replace=False))
+        stretch = _stretch_metrics(state, s, int(j0), int(j1))
+        assert stretch.shape == (j1 - j0, n_cells)
+        rows = [_position_metrics(state, j, s, s + 1) for j in range(j0, j1)]
+        assert stretch.tobytes() == np.concatenate(rows).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -81,6 +81,28 @@ def test_run_drop_deterministic(tiny_result):
     assert tallies(again) == tallies(tiny_result)
 
 
+def test_run_drop_releases_each_search_power_table(monkeypatch, tiny_result):
+    # no run's SINR holds a power table: the search's is released when the
+    # search returns. Held through the SINR, it gives the same bits
+    held = []
+    sinr_db = harness._sinr_db
+
+    def spy(*args):
+        held.append("_power_table" in args[-1].gains.__dict__)
+        return sinr_db(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_sinr_db", spy)
+        released = run_drop(TINY, 0)
+    assert held == [False] * len(TINY.strategies)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_sinr_db", spy)
+        m.setattr(harness, "release_power_table", lambda gains: None)
+        kept = run_drop(TINY, 0)
+    assert held[-1] is True
+    assert columns(released) == columns(kept) == columns(tiny_result)
+
+
 def test_run_drop_sample_count(tiny_result):
     users = 57 * TINY.users_per_sector
     assert len(SinrReport(runs=tiny_result).samples) == users * len(TINY.strategies) * len(TINY.alphas)

@@ -31,9 +31,13 @@ runs in a fresh interpreter with one BLAS thread, as hetbench runs, so
 its peak RSS is its own. Each campaign also gives a sha256 of its runs'
 serving cells and SINR bytes; a shape whose campaigns' digests differ,
 between the sides or between repeats, stops the recording with an error,
-so a sweep speedup also shows that the outputs did not change. The file
-keeps every campaign's seconds per drop, peak RSS and digest, and per
-(side, shape) the min, quartiles and median of the first two.
+so a sweep speedup also shows that the outputs did not change. Each
+campaign also counts the search's scoring calls and the metric rows they
+score, by wrapping cell_selection._block_metric, the kernel both sides
+score with (its rows are the leading dimensions of what it returns).
+The file keeps every campaign's seconds per drop, peak RSS, scoring
+counts and digest, and per (side, shape) the min, quartiles and median
+of the first two and the median of the counts.
 """
 
 from __future__ import annotations
@@ -65,9 +69,18 @@ DENSITY_REPEATS = 3
 DENSITY_RUN = """
 import hashlib, json, resource, sys, time
 from dataclasses import replace
+from hetsim import cell_selection
 from hetsim.harness import Scenario, run_campaign
 picos, users, drops = map(int, sys.argv[1:])
 scenario = replace(Scenario(), picos_per_sector=picos, users_per_sector=users, drops=drops)
+kernel = cell_selection._block_metric
+scoring = {"calls": 0, "rows": 0}
+def counted(*args):
+    metric = kernel(*args)
+    scoring["calls"] += 1
+    scoring["rows"] += metric.size // metric.shape[-1]
+    return metric
+cell_selection._block_metric = counted
 start = time.perf_counter()
 _, runs = run_campaign(scenario)
 seconds = time.perf_counter() - start
@@ -76,7 +89,8 @@ digest = hashlib.sha256()
 for run in runs:
     digest.update(run.serving_cell.astype("<i8").tobytes())
     digest.update(run.sinr_db.astype("<f8").tobytes())
-print(json.dumps({"metrics": {"s_per_drop": seconds / drops, "peak_mb": peak_mb}, "digest": digest.hexdigest()}))
+print(json.dumps({"metrics": {"s_per_drop": seconds / drops, "peak_mb": peak_mb}, "scoring": scoring,
+                  "digest": digest.hexdigest()}))
 """
 
 
@@ -122,8 +136,9 @@ def bench(checkout: str, side: str, workload: str, seconds: float, trace: int, s
 def density(checkout: str, picos: int, users: int, drops: int = DENSITY_DROPS) -> dict:
     """One campaign of the shape, run from the checkout's src/ with one BLAS thread.
 
-    Its seconds per drop and peak RSS (MB) are under metrics, and the
-    sha256 of its runs' serving cells and SINR under digest.
+    Its seconds per drop and peak RSS (MB) are under metrics, the search's
+    scoring calls and rows under scoring, and the sha256 of its runs'
+    serving cells and SINR under digest.
     """
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), OPENBLAS_NUM_THREADS="1")
     cmd = [sys.executable, "-c", DENSITY_RUN, str(picos), str(users), str(drops)]
@@ -214,6 +229,9 @@ def main(argv=None) -> int:
     def of(side, workload, trace):
         return [r for r in runs if (r["side"], r["workload"], r["trace"]) == (side, workload, trace)]
 
+    def of_shape(side, picos, users):
+        return [r for r in density_runs if (r["side"], r["picos"], r["users"]) == (side, picos, users)]
+
     summary = {
         side: {
             workload: {
@@ -245,9 +263,11 @@ def main(argv=None) -> int:
             "drops": DENSITY_DROPS,
             "repeats": DENSITY_REPEATS,
             "summary": {
-                side: {f"{picos}x{users}": stats([r for r in density_runs
-                                                  if (r["side"], r["picos"], r["users"]) == (side, picos, users)])
-                       for picos, users in SHAPES}
+                side: {f"{picos}x{users}": stats(of_shape(side, picos, users)) for picos, users in SHAPES}
+                for side in ("parent", "change")
+            },
+            "scoring": {
+                side: {f"{picos}x{users}": medians(of_shape(side, picos, users), "scoring") for picos, users in SHAPES}
                 for side in ("parent", "change")
             },
             "runs": density_runs,
