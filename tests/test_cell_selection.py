@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from hetsim import cell_selection
@@ -981,13 +981,16 @@ def test_move_stamps_score_the_span_of_the_dirty_users(seed, n_cells, slots, dep
     n_users=st.integers(1, 60),
     n_moves=st.integers(0, 12),
 )
+@example(seed=0, n_cells=10, slots=1, n_users=60, n_moves=0)
 def test_position_metrics_equal_metric_rows(seed, n_cells, slots, n_users, n_moves):
     # every position of the per-slot layout, short slots included, scored
     # over a random span of its slots: every row of the span, bit for bit
     # the former per-user row, since every span row feeds a decision. And
-    # every slot, short ones included, scored over a random stretch j0 < j1
+    # every slot, short ones included, scored over every stretch j0 < j1
     # of its positions: every row, bit for bit its position's one-slot span
-    # row, as the search decides on either
+    # row, as the search decides on either. In the example, ten cells in
+    # one slot give most users several co-block users, where an
+    # (r, D) @ (D, C) matrix product sums in another order
     rng = np.random.default_rng(seed)
     gains = random_gm(rng, n_cells, n_users)
     power = PowerConfig(-90.0, float(rng.choice([0.4, 0.6, 0.8, 1.0])))
@@ -999,11 +1002,11 @@ def test_position_metrics_equal_metric_rows(seed, n_cells, slots, n_users, n_mov
         metrics = _position_metrics(state, j, lo, hi)
         assert metrics.tobytes() == metric_rows(start + np.arange(lo, hi), state).tobytes()
     for s in range(min(slots, n_users)):
-        j0, j1 = np.sort(rng.choice(len(range(s, n_users, slots)) + 1, size=2, replace=False))
-        stretch = _stretch_metrics(state, s, int(j0), int(j1))
-        assert stretch.shape == (j1 - j0, n_cells)
-        rows = [_position_metrics(state, j, s, s + 1) for j in range(j0, j1)]
-        assert stretch.tobytes() == np.concatenate(rows).tobytes()
+        rows = [_position_metrics(state, j, s, s + 1) for j in range(len(range(s, n_users, slots)))]
+        for j0, j1 in itertools.combinations(range(len(rows) + 1), 2):
+            stretch = _stretch_metrics(state, s, j0, j1)
+            assert stretch.shape == (j1 - j0, n_cells)
+            assert stretch.tobytes() == np.concatenate(rows[j0:j1]).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
