@@ -14,26 +14,13 @@ transmit power never enters its own metric, so candidate evaluation can
 keep every other power fixed. A user's RB slot (index mod slots) never
 changes, and only users of one slot share blocks, so the search is one
 independent game per slot. NetworkState therefore keeps the
-allocation, each user's subframe, the received powers and the link
-gains in scheduler's per-slot layout, and one kernel, _block_metric,
-scores any batch of users with one stacked product: the search feeds it
-a span of slots at one position or a stretch of one slot's positions,
-and the brute-force oracle every slot of every assignment at once. Its
-co-block sum, coblock_interference, is also the interference of the
-SINR that harness reports. The search
-walks each pass position by position. A slot is live at a position if
-one of its users moved since the slot's user there was last scored, and
-every slot is live in the first pass; per-slot move stamps tell which.
-The slots between the first and the last live one are scored together,
-and the movers commit in index order. Scoring a clean slot in the span is harmless: its row
-has the bits it had when its user last stayed, so the user stays again.
-A slot that is live alone stays the only live one for the rest of the
-pass, so its remaining live positions are scored in one call and its
-first mover commits.
-A move re-ranks only the mover's slot, in place, reads the mover's power
-from a per-(cell, user) open-loop table and stamps its slot; a search
-that returns to an earlier pass-end assignment is fast-forwarded along
-its cycle.
+allocation, the received powers and the link gains in scheduler's
+per-slot layout, and one kernel, _block_metric, scores any batch of
+users with one stacked product, for the search and for the brute-force
+oracle. Its co-block sum, coblock_interference, is also the
+interference of the SINR that harness reports. select_interference_based
+states the search's contract; the README ("The best-response search")
+gives the full account of its walk.
 """
 
 from __future__ import annotations
@@ -116,12 +103,16 @@ def _g_slot(gains: GainMatrix, slots: int) -> np.ndarray:
     """gains.g_linear.T in the per-slot layout, (slots, users per slot, C).
 
     Built once per slot count and kept on the gains object, so the
-    searches of a drop share it. Padding rows hold 1.0, finite gains that
-    no live user reads.
+    searches of a drop share it. It is converted from the dB gains in
+    place, with g_linear's x / 10.0 and np.power(10.0, x), so it has
+    g_linear's bits and a drop never holds g_linear as well. Padding rows
+    hold 0 dB, a gain of 1.0 that no live user reads.
     """
     layouts = gains.__dict__.setdefault("_g_slot", {})
     if slots not in layouts:
-        layouts[slots] = per_slot(gains.g_linear.T, slots, fill=1.0)
+        g = per_slot(gains.g.T, slots, fill=0.0)   # a new array: the conversion never writes gains.g
+        g /= 10.0
+        layouts[slots] = np.power(10.0, g, out=g)
     return layouts[slots]
 
 
@@ -389,51 +380,31 @@ def select_interference_based(
 ) -> Assignment:
     """Asynchronous best-response search for the interference-based rule.
 
-    Starts from the rsrp assignment (the standards-default incumbent), a
-    copy of the rsrp cells kept on the gains, so the searches of a drop
-    compute that start once and never write into it. The power table of
-    power_cfg is taken first and held on the gains (_power_table), so
-    the start state, the moves and an oracle of the same instance
-    evaluate the power law once.
-    Users are visited in fixed index order; each moves to the cell
-    minimizing its metric given the current state, and the move commits
-    immediately (power and the slot's allocation refresh). A full pass
-    without moves means convergence; ties prefer the incumbent cell.
+    Starts from a copy of the rsrp assignment (the standards-default
+    incumbent), which the gains keep, so the searches of a drop compute
+    it once. The power table of power_cfg is taken first and held on the
+    gains (_power_table), shared by the start state, the moves and an
+    oracle of the same instance.
 
-    Users in different RB slots never affect each other, so a pass walks
-    the positions j of the per-slot layout, one user per slot (users
-    slots*j .. slots*j + slots - 1), scores a span of a position's users
-    in one batched call and commits its movers in index order: the same
-    moves, in the same per-slot order, as a visit of one user at a time.
+    Users are visited in index order; each moves to the cell minimizing
+    its metric given the current state, and the move commits at once. A
+    move needs a strict relative gain (MOVE_REL_THRESHOLD), so ties keep
+    the incumbent. A pass without moves means convergence.
 
-    Every position of every pass gets a stamp, one more than the last,
-    and a move stamps its slot with the position's stamp. A slot is live
-    at a position when its last move came at or after its visit to that
-    position in the previous pass, and every slot is live in the first
-    pass: a slot that is not live has had no move since its user there
-    stayed put. A position with no live slot is skipped, and otherwise
-    the span from its first to its last live slot is scored. A clean slot
-    inside the span is scored too, harmlessly: users of other slots never
-    enter its metric, and a row has the same bits in any batch, so its
-    metric vector is the one its user stayed with, and it stays again.
-    A move needs a strict relative gain, so the incumbent cell never
-    passes the test, and no row moves to the cell it is in.
+    A user is scored only while its slot is live, that is when a user of
+    its slot has moved since it last stayed put. Users of other slots
+    never enter its metric, and a row has the same bits in any batch, so
+    skipping a clean user, or scoring it in a batch, makes the same moves
+    as visiting every user one at a time.
 
-    When slot s alone is live at position j, no other slot can become
-    live later in the pass: the liveness threshold only rises, and only a
-    slot's own move stamps it. So s's positions from j to the end of its
-    live stretch (its last user, or the last position its last move keeps
-    live) are scored in one call (_stretch_metrics), whose rows have the
-    bits of one call per position. The first mover commits, the rows
-    after it are dropped, and the walk resumes at the next position; a
-    stretch without a mover ends the pass.
-
-    The state after a pass is a pure function of the serving vector, so
-    when a pass ends in the assignment an earlier pass j ended in, every
-    later pass repeats with period p. The search then returns what a run
-    of max_passes passes would: the assignment after pass
+    When a pass ends in the assignment an earlier pass j ended in, every
+    later pass repeats with period p, and the search returns what
+    max_passes passes would: the assignment after pass
     j + (max_passes - j) % p, not converged, all passes used, and the
     moves of each pass extended periodically.
+
+    The README ("The best-response search") describes the walk: the
+    positions, the spans of live slots and the lone slot's stretch.
     """
     # the start state gathers its powers from the held table, and the moves read it
     _power_table(gains, power_cfg)

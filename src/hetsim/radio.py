@@ -70,7 +70,12 @@ class GainMatrix:
 
     @cached_property
     def g_linear(self) -> np.ndarray:
-        """Linear-scale gains, cached after the first access."""
+        """Linear-scale gains, cached after the first access.
+
+        A drop never reads it: the search and the SINR take their gains
+        from cell_selection._g_slot, which has these bits. The brute-force
+        oracle and the tests' references read it.
+        """
         return 10.0 ** (self.g / 10.0)
 
 

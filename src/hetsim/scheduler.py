@@ -32,14 +32,18 @@ def per_slot(values: np.ndarray, slots: int, fill=0) -> np.ndarray:
     """A (K, ...) per-user array in the per-slot layout, (slots, ceil(K / slots), ...).
 
     User k sits at [k % slots, k // slots]; slots shorter than the
-    longest are padded with fill.
+    longest are padded with fill. Each value is copied once, into a new
+    C-contiguous array that never shares memory with values.
     """
     values = np.asarray(values)
-    n_users = len(values)
-    depth = -(-n_users // slots)
-    out = np.full((depth * slots,) + values.shape[1:], fill, dtype=values.dtype)
-    out[:n_users] = values
-    return np.ascontiguousarray(out.reshape((depth, slots) + values.shape[1:]).swapaxes(0, 1))
+    n_users, tail = len(values), values.shape[1:]
+    full, short = divmod(n_users, slots)     # positions every slot fills, users past them
+    out = np.empty((slots, full + (short > 0)) + tail, dtype=values.dtype)
+    out[:, :full] = values[:full * slots].reshape((full, slots) + tail).swapaxes(0, 1)
+    if short:
+        out[:short, full] = values[full * slots:]
+        out[short:, full] = fill
+    return out
 
 
 def slot_count(total_rbs: int, rbs_per_user: int) -> int:

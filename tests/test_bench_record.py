@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 from dataclasses import replace
 from unittest import mock
 
@@ -127,8 +128,17 @@ def test_density_runs_one_campaign_from_the_checkout():
         return metric
 
     with mock.patch.object(cell_selection, "_block_metric", counted):
-        run_campaign(replace(Scenario(), picos_per_sector=2, users_per_sector=12, drops=1))
+        _, runs = run_campaign(replace(Scenario(), picos_per_sector=2, users_per_sector=12, drops=1))
     assert result["scoring"] == scoring and 0 < scoring["calls"] < scoring["rows"]
+    # and the search tallies those of the campaign's searches
+    searches = [run for run in runs if run.strategy == "interference"]
+    assert result["search"] == {
+        "runs": len(searches),
+        "converged": sum(run.converged for run in searches),
+        "passes": sum(run.passes_used for run in searches),
+        "moves": sum(run.moves_total for run in searches),
+    }
+    assert 0 < result["search"]["runs"] <= result["search"]["passes"]
 
 
 def test_density_runs_one_blas_thread(tmp_path, monkeypatch):
@@ -147,3 +157,72 @@ def test_check_digest_refuses_changed_outputs():
     tool.check_digest(density_run("parent", "ab"), density_run("change", "ab"))
     with pytest.raises(RuntimeError, match="density 6x24: change outputs sha256 cd != parent ab"):
         tool.check_digest(density_run("parent", "ab"), density_run("change", "cd"))
+
+
+# a stub campaign: each run of a checkout prints the next digest of its
+# digests file, as DENSITY_RUN prints the digest of a campaign's outputs
+STUB_RUN = """
+import json
+with open("digests", encoding="utf-8") as fh:
+    digests = fh.read().split()
+with open("digests", "w", encoding="utf-8") as fh:
+    fh.write(" ".join(digests[1:]))
+print(json.dumps({"metrics": {"s_per_drop": 0.5, "peak_mb": 40.0}, "scoring": {"calls": 3, "rows": 9},
+                  "search": {"runs": 2, "converged": 1, "passes": 7, "moves": 5}, "digest": digests[0]}))
+"""
+
+
+def stub_sweep(tmp_path, digests):
+    """The tool with one density shape, two repeats and STUB_RUN, and checkouts printing digests."""
+    tool = load_tool()
+    tool.DENSITY_RUN, tool.SHAPES, tool.DENSITY_REPEATS = STUB_RUN, [(6, 24)], 2
+    dirs = {}
+    for side, printed in digests.items():
+        (tmp_path / side).mkdir(parents=True)
+        (tmp_path / side / "digests").write_text(" ".join(printed), encoding="utf-8")
+        dirs[side] = str(tmp_path / side)
+    return tool, dirs
+
+
+def test_density_sweep_refuses_changed_outputs_by_default(tmp_path):
+    tool, dirs = stub_sweep(tmp_path, {"parent": ["ab", "ab"], "change": ["cd", "cd"]})
+    with pytest.raises(RuntimeError, match="density 6x24: change outputs sha256 cd != parent ab"):
+        tool.density_sweep(dirs)
+    tool, dirs = stub_sweep(tmp_path / "same", {"parent": ["ab", "ab"], "change": ["ab", "ab"]})
+    assert [(r["side"], r["digest"]) for r in tool.density_sweep(dirs)] == [
+        ("parent", "ab"), ("change", "ab"), ("change", "ab"), ("parent", "ab"),
+    ]
+
+
+def test_density_sweep_records_a_declared_output_change(tmp_path):
+    tool, dirs = stub_sweep(tmp_path, {"parent": ["ab", "ab"], "change": ["cd", "cd"]})
+    runs = tool.density_sweep(dirs, outputs_change="landing rule")
+    assert [(r["side"], r["digest"]) for r in runs] == [
+        ("parent", "ab"), ("change", "cd"), ("change", "cd"), ("parent", "ab"),
+    ]
+
+
+@pytest.mark.parametrize("reason", [None, "landing rule"])
+def test_density_sweep_refuses_outputs_that_differ_between_repeats(tmp_path, reason):
+    tool, dirs = stub_sweep(tmp_path, {"parent": ["ab", "ab"], "change": ["ab", "ef"]})
+    with pytest.raises(RuntimeError, match="density 6x24: change outputs sha256 ef != change ab"):
+        tool.density_sweep(dirs, outputs_change=reason)
+
+
+def test_main_records_both_digests_and_the_reason(tmp_path, monkeypatch):
+    # the whole recording, with the revisions exported from the stub
+    # checkouts and every hetbench run stubbed to one correct summary
+    tool, dirs = stub_sweep(tmp_path, {"parent": ["ab", "ab"], "change": ["cd", "cd"]})
+    metrics = {"items_per_s": 8.0, "item_s.p50": 0.1, "setup_s": 0.1, "peak_rss_mb": 40.0, "trace.wall_s": 1.0}
+    monkeypatch.setattr(tool, "PAIRS", 2)
+    monkeypatch.setattr(tool, "TRACED", 1)
+    monkeypatch.setattr(tool, "export", lambda rev, into: shutil.copytree(dirs[rev], into) and rev)
+    monkeypatch.setattr(tool, "bench", lambda checkout, side, workload, seconds, trace, seed: {
+        "correct": True, "attempted": 10, "failed": 0, "metrics": dict(metrics), "shares": {"a.s": 0.5}})
+    out = tmp_path / "bench.json"
+    tool.main(["--parent", "parent", "--change", "change", "--out", str(out), "--outputs-change", "landing rule"])
+    density = json.loads(out.read_text(encoding="utf-8"))["density"]
+    assert density["outputs_change"] == "landing rule"
+    assert density["digests"] == {"6x24": {"parent": "ab", "change": "cd"}}
+    assert density["outputs_changed"] == ["6x24"]
+    assert density["search"]["change"]["6x24"] == {"runs": 2, "converged": 1, "passes": 7, "moves": 5}

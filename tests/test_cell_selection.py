@@ -26,7 +26,7 @@ from hetsim.cell_selection import (
 )
 from hetsim.metrics import NoiseModel
 from hetsim.radio import GainMatrix
-from hetsim.scheduler import allocate
+from hetsim.scheduler import allocate, per_slot
 from hetsim.uplink_power import PowerConfig, open_loop_power, per_rb_mw
 from reference import (
     adaptive_bias,
@@ -750,6 +750,35 @@ def test_metric_rows_batch_equals_single_calls(seed, n_cells, slots, n_users, da
     single = np.vstack([metric_rows(np.array([u]), state) for u in users])
     assert batch.shape == (len(users), n_cells)
     assert np.array_equal(batch, single)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(1, 6),
+    slots=st.integers(1, 12),
+    depth=st.integers(1, 6),
+    short=st.booleans(),
+    order=st.sampled_from("CF"),
+)
+@example(seed=0, n_cells=3, slots=1, depth=4, short=False, order="F")
+def test_per_slot_gains_have_the_bits_of_g_linear(seed, n_cells, slots, depth, short, order):
+    # converted from the dB gains in place, the per-slot gains equal the
+    # per-slot layout of g_linear byte for byte, padding included, and
+    # gains.g is left as it was. With one slot and an F-ordered g, the
+    # transposed layout is contiguous already: per_slot must still copy it
+    rng = np.random.default_rng(seed)
+    n_users = slots * depth - (int(rng.integers(1, slots)) if short and slots > 1 else 0)
+    g = np.asarray(rng.uniform(-160.0, -40.0, size=(n_cells, n_users)), order=order)
+    gains = gm(g, ["macro"] * n_cells)
+    before = gains.g.copy()
+    g_slot = cell_selection._g_slot(gains, slots)
+    assert "g_linear" not in gains.__dict__
+    assert np.array_equal(gains.g, before)
+    expected = per_slot(gains.g_linear.T, slots, fill=1.0)
+    assert g_slot.shape == expected.shape == (slots, depth, n_cells)
+    assert g_slot.tobytes() == expected.tobytes()
+    assert cell_selection._g_slot(gains, slots) is g_slot  # kept per slot count
 
 
 def acceptance_drop_gains(drop, picos_per_sector=2, users_per_sector=12, master_seed=1):

@@ -81,6 +81,21 @@ def test_run_drop_deterministic(tiny_result):
     assert tallies(again) == tallies(tiny_result)
 
 
+def test_run_drop_never_computes_the_linear_gains(monkeypatch, tiny_result):
+    # the search and the SINR read the per-slot gains, converted from the
+    # dB gains, so no drop holds a linear-gain copy of the gain matrix
+    made = []
+
+    def capture(*args, **kwargs):
+        made.append(compute_gain_matrix(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "compute_gain_matrix", capture)
+    assert columns(run_drop(TINY, 0)) == columns(tiny_result)
+    assert len(made) == 1 and "_g_slot" in made[0].__dict__
+    assert "g_linear" not in made[0].__dict__
+
+
 def test_run_drop_releases_each_search_power_table(monkeypatch, tiny_result):
     # no run's SINR holds a power table: the search's is released when the
     # search returns. Held through the SINR, it gives the same bits

@@ -168,3 +168,28 @@ def test_per_slot_layout():
     subframe = allocate(np.array([0, 0, 0, 1, 0]), n_cells=2, total_rbs=8)
     assert subframe.tolist() == [[0, 1, 2], [0, 0, -1]]
     assert user_blocks(subframe, 5)[0].tolist() == [0, 0, 1, 0, 2]
+
+
+@pytest.mark.parametrize("shape, slots, order", [
+    ((5,), 1, "C"),          # one slot
+    ((4, 3), 1, "C"),        # one slot: the layout of a C-ordered input is contiguous already
+    ((4, 3), 1, "F"),
+    ((3, 7), 7, "C"),        # one user per slot
+    ((6, 3), 2, "F"),        # full slots
+    ((7, 3), 3, "F"),        # short slots, padded
+    ((7, 3), 3, "C"),
+    ((0, 3), 4, "C"),        # no users
+])
+def test_per_slot_returns_a_new_c_contiguous_array(shape, slots, order):
+    values = np.asarray(np.arange(np.prod(shape), dtype=float).reshape(shape), order=order)
+    before = values.copy()
+    out = per_slot(values, slots, fill=-1.0)
+    assert out.flags.c_contiguous and not np.shares_memory(out, values)
+    depth = -(-shape[0] // slots)
+    assert out.shape == (slots, depth) + shape[1:]
+    for k in range(shape[0]):
+        assert np.array_equal(out[k % slots, k // slots], values[k])
+    padded = [(s, depth - 1) for s in range(shape[0] - (depth - 1) * slots, slots)] if depth else []
+    assert all((out[pos] == -1.0).all() for pos in padded)
+    out += 1.0  # writing into the result leaves the input as it was
+    assert np.array_equal(values, before)

@@ -1,6 +1,7 @@
 """Record hetbench runs of a parent and a change revision in one JSON file.
 
     python3 tools/bench_record.py --parent <rev> --change <rev> --out BENCH_<n>.json
+        [--outputs-change "<reason>"]
 
 Run from the repository root. Each revision is exported with `git archive`
 into a temporary directory, so only committed files are measured, and
@@ -29,15 +30,20 @@ output files) at each pico and user density of SHAPES, DENSITY_REPEATS
 times per side, again alternating which side runs first. Each campaign
 runs in a fresh interpreter with one BLAS thread, as hetbench runs, so
 its peak RSS is its own. Each campaign also gives a sha256 of its runs'
-serving cells and SINR bytes; a shape whose campaigns' digests differ,
-between the sides or between repeats, stops the recording with an error,
-so a sweep speedup also shows that the outputs did not change. Each
-campaign also counts the search's scoring calls and the metric rows they
-score, by wrapping cell_selection._block_metric, the kernel both sides
-score with (its rows are the leading dimensions of what it returns).
-The file keeps every campaign's seconds per drop, peak RSS, scoring
-counts and digest, and per (side, shape) the min, quartiles and median
-of the first two and the median of the counts.
+serving cells and SINR bytes. A shape whose campaigns' digests differ
+between repeats of one side stops the recording with an error. By
+default so does one whose digests differ between the sides, so a sweep
+speedup also shows that the outputs did not change; a speed or memory
+claim needs this mode. A change that alters the outputs on purpose is
+recorded with --outputs-change "<reason>": the reason, and every shape
+whose sides' digests differ, go into the file. Each campaign also counts
+the search's scoring calls and the metric rows they score, by wrapping
+cell_selection._block_metric, the kernel both sides score with (its rows
+are the leading dimensions of what it returns), and sums its searches'
+tallies: searches run and converged, passes and moves. The file keeps
+every campaign's seconds per drop, peak RSS, counts and digest; per
+(side, shape) the min, quartiles and median of the first two, the median
+of the counts, and the digest.
 """
 
 from __future__ import annotations
@@ -89,8 +95,11 @@ digest = hashlib.sha256()
 for run in runs:
     digest.update(run.serving_cell.astype("<i8").tobytes())
     digest.update(run.sinr_db.astype("<f8").tobytes())
+searches = [run for run in runs if run.strategy == "interference"]
+search = {"runs": len(searches), "converged": sum(run.converged for run in searches),
+          "passes": sum(run.passes_used for run in searches), "moves": sum(run.moves_total for run in searches)}
 print(json.dumps({"metrics": {"s_per_drop": seconds / drops, "peak_mb": peak_mb}, "scoring": scoring,
-                  "digest": digest.hexdigest()}))
+                  "search": search, "digest": digest.hexdigest()}))
 """
 
 
@@ -137,8 +146,9 @@ def density(checkout: str, picos: int, users: int, drops: int = DENSITY_DROPS) -
     """One campaign of the shape, run from the checkout's src/ with one BLAS thread.
 
     Its seconds per drop and peak RSS (MB) are under metrics, the search's
-    scoring calls and rows under scoring, and the sha256 of its runs'
-    serving cells and SINR under digest.
+    scoring calls and rows under scoring, its searches' tallies under
+    search, and the sha256 of its runs' serving cells and SINR under
+    digest.
     """
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), OPENBLAS_NUM_THREADS="1")
     cmd = [sys.executable, "-c", DENSITY_RUN, str(picos), str(users), str(drops)]
@@ -155,6 +165,26 @@ def check_digest(first: dict, run: dict) -> None:
             f"density {run['picos']}x{run['users']}: {run['side']} outputs sha256 {run['digest']} "
             f"!= {first['side']} {first['digest']}, not recorded"
         )
+
+
+def density_sweep(dirs: dict[str, str], outputs_change: str | None = None) -> list[dict]:
+    """DENSITY_REPEATS campaigns per side of every shape of SHAPES, the side run first alternating.
+
+    A campaign whose digest differs from the first of its side and shape
+    raises. So does one whose digest differs from the other side's,
+    unless outputs_change gives the reason the outputs changed.
+    """
+    runs = []
+    firsts = {}
+    for i in range(DENSITY_REPEATS):
+        for picos, users in SHAPES:
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                runs.append({"side": side, "picos": picos, "users": users, **density(dirs[side], picos, users)})
+                check_digest(firsts.setdefault((picos, users, side), runs[-1]), runs[-1])
+                if outputs_change is None:
+                    check_digest(firsts.setdefault((picos, users), runs[-1]), runs[-1])
+                print(f"density {picos}x{users} {side}: {runs[-1]}", file=sys.stderr)
+    return runs
 
 
 def stats(runs: list[dict]) -> dict:
@@ -197,6 +227,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--outputs-change", metavar="REASON",
+                        help="record density digests that differ between the sides, for this reason")
     args = parser.parse_args(argv)
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
@@ -216,21 +248,16 @@ def main(argv=None) -> int:
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     runs.append({"side": side, "workload": workload, "trace": 1, "seed": None,
                                  **bench(dirs[side], side, workload, seconds, 1, None)})
-        density_runs = []
-        firsts = {}
-        for i in range(DENSITY_REPEATS):
-            for picos, users in SHAPES:
-                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                    density_runs.append({"side": side, "picos": picos, "users": users,
-                                         **density(dirs[side], picos, users)})
-                    check_digest(firsts.setdefault((picos, users), density_runs[-1]), density_runs[-1])
-                    print(f"density {picos}x{users} {side}: {density_runs[-1]}", file=sys.stderr)
+        density_runs = density_sweep(dirs, args.outputs_change)
 
     def of(side, workload, trace):
         return [r for r in runs if (r["side"], r["workload"], r["trace"]) == (side, workload, trace)]
 
     def of_shape(side, picos, users):
         return [r for r in density_runs if (r["side"], r["picos"], r["users"]) == (side, picos, users)]
+
+    digests = {f"{picos}x{users}": {side: of_shape(side, picos, users)[0]["digest"] for side in ("parent", "change")}
+               for picos, users in SHAPES}
 
     summary = {
         side: {
@@ -270,6 +297,13 @@ def main(argv=None) -> int:
                 side: {f"{picos}x{users}": medians(of_shape(side, picos, users), "scoring") for picos, users in SHAPES}
                 for side in ("parent", "change")
             },
+            "search": {
+                side: {f"{picos}x{users}": medians(of_shape(side, picos, users), "search") for picos, users in SHAPES}
+                for side in ("parent", "change")
+            },
+            "digests": digests,
+            "outputs_change": args.outputs_change,
+            "outputs_changed": [shape for shape, d in digests.items() if d["parent"] != d["change"]],
             "runs": density_runs,
         },
     }
