@@ -365,10 +365,10 @@ def _movers(metrics: np.ndarray, own_cells: np.ndarray) -> tuple[np.ndarray, np.
     A move needs a strict relative gain, so the own cell never passes the
     test, and no row moves to the cell it is in.
     """
-    rows = np.arange(len(metrics))
+    starts = np.arange(0, metrics.size, metrics.shape[1])   # each row's flat start
     best = metrics.argmin(axis=1)
-    own = metrics[rows, own_cells]
-    return best, (metrics[rows, best] < own * (1.0 - MOVE_REL_THRESHOLD)).nonzero()[0]
+    own = metrics.take(starts + own_cells)
+    return best, (metrics.take(starts + best) < own * (1.0 - MOVE_REL_THRESHOLD)).nonzero()[0]
 
 
 def select_interference_based(
@@ -533,8 +533,9 @@ def _assignment_metrics(
     the shape, and the powers from the held _power_table, shared with the
     search of the instance. Per instance, each assignment's slot rows are
     gathered once, (A, S, D, C), and the kernel broadcasts them over the
-    positions of their slot, with the gains from _g_slot. A band that the
-    blocks do not tile raises allocate's ValueError.
+    positions of their slot. The gains, of the received powers and of the
+    kernel, are _g_slot's, so an instance converts its dB gains to linear
+    once. A band that the blocks do not tile raises allocate's ValueError.
     """
     n_users, n_cells = gains.n_users, gains.n_cells
     slots = slot_count(total_rbs, power_cfg.rbs_per_user)
@@ -542,10 +543,12 @@ def _assignment_metrics(
     # per-RB received power of user j at every cell when served by cell i,
     # at flat row j * n_cells + i; the last n_cells rows are zero
     mw = _power_table(gains, power_cfg)                                        # (C, K)
+    g_slot = _g_slot(gains, slots)
+    linear = g_slot.transpose(1, 0, 2).reshape(-1, n_cells)[:n_users]          # (K, C) in user order
     received = np.zeros((n_users + 1, n_cells, n_cells))
-    received[:n_users] = gains.g_linear.T[:, None, :] * mw.T[:, :, None]
+    received[:n_users] = linear[:, None, :] * mw.T[:, :, None]
     rows = received.reshape(-1, n_cells)[gather]                               # (A, S, D, C)
-    metrics = _block_metric(mask, rows[:, :, None], _g_slot(gains, slots), power_cfg.rbs_per_user, noise_rb_mw)
+    metrics = _block_metric(mask, rows[:, :, None], g_slot, power_cfg.rbs_per_user, noise_rb_mw)
     return grid, own, metrics
 
 

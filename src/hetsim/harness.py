@@ -295,7 +295,9 @@ def _sinr_links(state: NetworkState) -> tuple[np.ndarray, np.ndarray]:
     slots, depth = state.subframe.shape
     mask = coblock_mask(state.subframe)
     serving = per_slot(state.serving, slots)
-    links = state.g_slot[np.arange(slots)[:, None, None], np.arange(depth), serving[:, :, None]]
+    links = np.empty((slots, depth, depth))
+    for s, g in enumerate(state.g_slot):
+        links[s] = g[:, serving[s]].T   # one column take per slot; padding reads cell 0
     return mask, links
 
 
@@ -563,12 +565,16 @@ def _summary_text(scenario: Scenario, table: list[dict], runs: list[SinrRun]) ->
         "strategy alpha macro_attached pico_attached converged_rate mean_passes capped_users",
     ]
     groups: dict[tuple[str, float], list[SinrRun]] = {}
+    on_macro: dict[int, np.ndarray] = {}  # per drop, whether each cell is a macro: its runs share the tiers
     for run in runs:
         groups.setdefault((run.strategy, run.alpha), []).append(run)
+        if run.drop not in on_macro:
+            on_macro[run.drop] = run.cell_tier == MACRO
     for (strategy, alpha), items in groups.items():
-        tiers = [run.cell_tier[run.serving_cell] for run in items]
-        macro = np.mean([np.sum(t == MACRO) for t in tiers])
-        pico = np.mean([np.sum(t == PICO) for t in tiers])
+        macro_counts = [np.count_nonzero(on_macro[run.drop][run.serving_cell]) for run in items]
+        macro = np.mean(macro_counts)
+        # every cell is a macro or a pico
+        pico = np.mean([len(run.serving_cell) - n for run, n in zip(items, macro_counts)])
         conv = np.mean([1.0 if run.converged else 0.0 for run in items])
         passes = np.mean([run.passes_used for run in items])
         capped = np.mean([run.capped_users for run in items])

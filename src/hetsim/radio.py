@@ -72,9 +72,9 @@ class GainMatrix:
     def g_linear(self) -> np.ndarray:
         """Linear-scale gains, cached after the first access.
 
-        A drop never reads it: the search and the SINR take their gains
-        from cell_selection._g_slot, which has these bits. The brute-force
-        oracle and the tests' references read it.
+        The program never reads it: the search, the oracle and the SINR
+        take their gains from cell_selection._g_slot, which has these
+        bits. The tests' references read it.
         """
         return 10.0 ** (self.g / 10.0)
 
@@ -106,15 +106,16 @@ def antenna_pattern_db(theta_deg, params: RadioParams = DEFAULT_RADIO):
     return -atten if atten.shape else -float(atten)
 
 
-def _nearest_image(cell_pos, users, wrap_vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distance from every cell to the nearest wraparound image of every user, and that image's index.
+def _nearest_image(cell_pos, users, wrap_vectors, pick=None) -> np.ndarray:
+    """Squared distance (cells, users) from every cell to the nearest wraparound image of every user.
 
-    A running minimum over the images that keeps the first on ties; the
-    index is into wrap_vectors.
+    One loop over the images keeps a running minimum. If pick, a (cells,
+    users) integer array, is given, it receives each nearest image's
+    index into wrap_vectors, the first on ties; only the macro sites need
+    it, for the antenna angle, so the pico links keep np.minimum alone.
     """
     shape = (len(cell_pos), len(users))
     best2, dist2, dy = np.empty(shape), np.empty(shape), np.empty(shape)
-    pick = np.zeros(shape, dtype=np.int8)
     for k, shift in enumerate(wrap_vectors):
         dx = dist2 if k else best2
         np.subtract((users[:, 0] + shift[0])[None, :], cell_pos[:, 0, None], out=dx)
@@ -122,11 +123,15 @@ def _nearest_image(cell_pos, users, wrap_vectors) -> tuple[np.ndarray, np.ndarra
         dx *= dx
         dy *= dy
         dx += dy
-        if k:
+        if not k:
+            continue
+        if pick is None:
+            np.minimum(best2, dist2, out=best2)
+        else:
             closer = dist2 < best2
             np.copyto(best2, dist2, where=closer)
             pick[closer] = k
-    return best2, pick
+    return best2
 
 
 def compute_gain_matrix(
@@ -149,7 +154,8 @@ def compute_gain_matrix(
 
     # a site's sectors share its position, so the macro tier's image search,
     # path loss and angle run per site and are spread over its sectors
-    site_dist2, pick = _nearest_image(layout.sites, users, layout.wrap_vectors)
+    pick = np.zeros((len(layout.sites), len(users)), dtype=np.int8)
+    site_dist2 = _nearest_image(layout.sites, users, layout.wrap_vectors, pick)
     disp = layout.wrap_vectors[pick]
     disp += users
     disp -= layout.sites[:, None, :]
@@ -168,7 +174,7 @@ def compute_gain_matrix(
     site_pl = path_loss_db(MACRO, site_d, params)
     np.negative(site_pl[layout.sector_site], out=g[:n_sec])
     if n_pico:
-        dist2, _ = _nearest_image(nodes.picos, users, layout.wrap_vectors)
+        dist2 = _nearest_image(nodes.picos, users, layout.wrap_vectors)
         d = np.sqrt(dist2, out=dist2)
         np.maximum(d, MIN_LINK_DISTANCE_M, out=d)
         np.negative(path_loss_db(PICO, d, params), out=g[n_sec:])

@@ -340,29 +340,33 @@ def place_users(
     placed = 0
     with _Draws(rng) as draws:
         for sector in range(layout.n_sectors):
-            # the seed users, one row of classes per pico, then the uniform
-            # users, one row
+            # the seed users walk their own windows, one row of classes per
+            # seed still to place, then the uniform users theirs
             seeds = np.flatnonzero(pico_sector == sector) if len(pico_sector) else np.array([], dtype=int)
-            names = [f"seed user for pico {pico}" for pico in seeds] + [f"user placement in sector {sector}"]
-            first, end, pairs = placed, placed + users_per_sector, ()
+            end, pairs = placed + len(seeds), ()
             while placed < end:
                 pairs = draws.window(end - placed, len(pairs))
                 r = seed_radius_m * np.sqrt(pairs[:, 0])
                 phi = 2 * np.pi * pairs[:, 1]
-                seeded = _polar(picos[seeds], r, phi)
-                home = sector_of(seeded.reshape(-1, 2), layout).reshape(seeded.shape[:2]) == sector
-                uniform, inside = _sector_candidates(layout, sector, pairs)
-                points = np.concatenate([seeded, uniform[None]])
+                todo = seeds[len(seeds) - (end - placed):]
+                seeded = _polar(picos[todo], r, phi)
                 # a seed user has one budget: a draw outside the host sector
                 # costs one try
-                kinds = np.where(np.concatenate([home, inside[None]]), _PASS, _OUTER)
-                kinds[-1, ~inside] = _INNER
-                while placed < end:
-                    row = min(placed - first, len(seeds))
-                    i = draws.walk(kinds[row], names[row])
+                home = sector_of(seeded.reshape(-1, 2), layout).reshape(seeded.shape[:2]) == sector
+                kinds = np.where(home, _PASS, _OUTER)
+                for row, pico in enumerate(todo.tolist()):
+                    i = draws.walk(kinds[row], f"seed user for pico {pico}")
                     if i is None:
                         break
-                    users[placed] = points[row, i]
+                    users[placed] = seeded[row, i]
+                    placed += 1
+            end, pairs = end + users_per_sector - len(seeds), ()
+            while placed < end:
+                pairs = draws.window(end - placed, len(pairs))
+                uniform, inside = _sector_candidates(layout, sector, pairs)
+                kinds = np.where(inside, _PASS, _INNER)
+                while placed < end and (i := draws.walk(kinds, f"user placement in sector {sector}")) is not None:
+                    users[placed] = uniform[i]
                     placed += 1
 
     return NodeSet(

@@ -219,10 +219,39 @@ def test_main_records_both_digests_and_the_reason(tmp_path, monkeypatch):
     monkeypatch.setattr(tool, "export", lambda rev, into: shutil.copytree(dirs[rev], into) and rev)
     monkeypatch.setattr(tool, "bench", lambda checkout, side, workload, seconds, trace, seed: {
         "correct": True, "attempted": 10, "failed": 0, "metrics": dict(metrics), "shares": {"a.s": 0.5}})
+    (tmp_path / "change" / "src").mkdir()
+    (tmp_path / "change" / "src" / "m.py").write_text('"""Doc."""\nX = 1\n', encoding="utf-8")
     out = tmp_path / "bench.json"
     tool.main(["--parent", "parent", "--change", "change", "--out", str(out), "--outputs-change", "landing rule"])
-    density = json.loads(out.read_text(encoding="utf-8"))["density"]
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["src_lines"] == {
+        "parent": {"total": 0, "docstring": 0, "comment": 0, "blank": 0, "code": 0},
+        "change": {"total": 2, "docstring": 1, "comment": 0, "blank": 0, "code": 1},
+    }
+    density = record["density"]
     assert density["outputs_change"] == "landing rule"
     assert density["digests"] == {"6x24": {"parent": "ab", "change": "cd"}}
     assert density["outputs_changed"] == ["6x24"]
     assert density["search"]["change"]["6x24"] == {"runs": 2, "converged": 1, "passes": 7, "moves": 5}
+
+
+def test_src_lines_take_docstrings_from_the_ast(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        '"""Module.\n\nMore."""\n'        # docstring, its blank line included
+        "import os\n"
+        "\n"
+        "# why\n"
+        "class A:\n"
+        '    """One line."""\n'
+        "    def f(self):\n"
+        '        """Two\n'
+        "        # in the docstring\n"
+        '        """\n'
+        "        return 1  # code with a comment\n"
+        "    x = 'a string, not a docstring'\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "src" / "notes.txt").write_text("not python\n", encoding="utf-8")
+    assert load_tool().src_lines(str(tmp_path)) == {"total": 14, "docstring": 7, "comment": 1, "blank": 1, "code": 5}

@@ -396,6 +396,20 @@ def test_oracle_equals_per_assignment_reference(seed, n_cells, n_users, alpha, t
     assert by_user.tobytes() == arrays.tobytes()
 
 
+@pytest.mark.parametrize("n_cells, n_users, total_rbs", [(2, 3, 4), (3, 5, 4), (4, 6, 8), (3, 4, 12)])
+def test_oracle_never_computes_the_linear_gains(n_cells, n_users, total_rbs):
+    # the received powers and the kernel take _g_slot's entries, which have
+    # g_linear's bits, so an instance converts its dB gains to linear once
+    gains = random_gm(np.random.default_rng(n_users), n_cells, n_users)
+    power = PowerConfig(-90.0, 0.6)
+    result = brute_force_oracle(gains, power, NOISE_MW, total_rbs)
+    _, _, metrics = _assignment_metrics(gains, power, NOISE_MW, total_rbs)
+    assert "g_linear" not in gains.__dict__
+    expected, arrays = reference_brute_force_oracle(gains, power, NOISE_MW, total_rbs)
+    assert result.stable == expected.stable
+    assert per_user(metrics, n_users).tobytes() == arrays.tobytes()
+
+
 def per_user(table, n_users):
     """An (A, S, D, ...) per-slot oracle table by user, (A, K, ...)."""
     users = np.arange(n_users)

@@ -1,6 +1,8 @@
 import math
 import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -651,6 +653,26 @@ def test_batched_sinr_equals_per_block_loop(drawn):
     assert np.allclose(batched, slow, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("n_users", [1, 13, 30, 36])
+def test_sinr_links_equal_one_three_array_gather(n_users):
+    # links[s, j, i] is user [s, i]'s gain at user [s, j]'s cell, padding
+    # included: the per-slot column takes equal one fancy index over the
+    # slots, the positions and the serving cells bit for bit
+    from hetsim.scheduler import per_slot
+
+    rng = np.random.default_rng(n_users)
+    gains = random_small_gains(rng, 4, n_users)
+    serving = rng.integers(0, 4, size=n_users)
+    state = NetworkState.build(gains, serving, PowerConfig(-90.0, 0.8), NoiseModel().per_rb_noise_mw, 48)
+    slots, depth = state.subframe.shape
+    assert (n_users % slots > 0) == (state.subframe == -1).any()
+    cells = per_slot(state.serving, slots)
+    former = state.g_slot[np.arange(slots)[:, None, None], np.arange(depth), cells[:, :, None]]
+    _, links = _sinr_links(state)
+    assert links.flags.c_contiguous and links.shape == former.shape
+    assert links.tobytes() == former.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(sinr_states(), st.lists(st.sampled_from([0.0, 0.4, 0.6, 0.8, 1.0]), min_size=1, max_size=4, unique=True))
 def test_shared_sinr_blocks_equal_a_fresh_state_per_alpha(drawn, alphas):
@@ -1064,6 +1086,17 @@ def test_failed_drops_name_their_stage(workers):
     error = DropError(1, "placement", ValueError("no room"))
     again = pickle.loads(pickle.dumps(error))
     assert (str(again), again.drop_index, again.stage) == (str(error), 1, "placement")
+
+
+def test_importing_hetsim_loads_no_process_pool():
+    # run_campaign imports its process pool only for more than one worker:
+    # multiprocessing adds about 1 MB to every process that imports hetsim,
+    # which the oracle workload's peak RSS would carry
+    code = "import sys, hetsim; print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---- CLI --------------------------------------------------------------------

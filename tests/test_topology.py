@@ -570,6 +570,39 @@ def test_budget_below_window_matches_reference(case, budget, seed):
     assert new_state == ref_state
 
 
+def _past_sector_edge(layout, picos, psec, gap=40.0):
+    """The picos of _on_sector_edge moved gap metres out of their sector, square to the edge."""
+    on_edge, psec = _on_sector_edge(layout, picos, psec)
+    out = np.deg2rad(layout.sector_boresight_deg[psec] + 150.0)
+    return on_edge + gap * np.stack([np.cos(out), np.sin(out)], axis=1), psec
+
+
+@pytest.mark.parametrize("users", [2, 5])
+def test_seeds_past_their_first_window_match_reference(users):
+    # a pico 40 m outside its host sector keeps about 5% of its 50 m disc
+    # in the sector, so the seeds of a sector run out of their own first
+    # window and walk on in later ones, carrying their failures over; the
+    # uniform users then start from the pair after the last seed's pass
+    seeds_out = []
+    walk = topology._Draws.walk
+
+    def recorded(draws, kinds, name):
+        i = walk(draws, kinds, name)
+        seeds_out.append(name.startswith("seed user") and i is None)
+        return i
+
+    params = {**_ACC, "users": users}
+    fns = tuple(lambda *args, fn=fn: _past_sector_edge(args[0], *fn(*args)) for fn in (_ref_place_picos, place_picos))
+    ref_out, ref_state = _outcome(fns[0], _ref_place_users, params, 4)
+    with mock.patch.object(topology._Draws, "walk", recorded):
+        new_out, new_state = _outcome(fns[1], place_users, params, 4)
+    assert isinstance(ref_out[0], np.ndarray)
+    assert all(_same_bits(a, b) for a, b in zip(ref_out, new_out))
+    assert new_state == ref_state
+    # the seed walks that ran out of their window
+    assert sum(seeds_out) > 10
+
+
 def test_acc2_drop0_placement_and_gains_match_scalar_reference():
     # the production shape at the real budget: acc2 (seed 1), drop 0
     from hetsim.radio import RadioParams, compute_gain_matrix

@@ -20,7 +20,9 @@ metric such as peak RSS grows with the units a run completes), and
 the median of each traced per-layer metric and of each layer's share,
 since layer seconds drift with the host more than the shares of one
 run do; per workload and end-to-end metric, the number
-of pairs the change won; and the full git revisions and the CPU count.
+of pairs the change won; the full git revisions and the CPU count; and
+each side's line count of src/ (src_lines), in docstring, comment, blank
+and code lines.
 A run whose summary says `correct: false` or `failed > 0` stops the
 recording with an error that names its workload, side and seed.
 
@@ -49,6 +51,7 @@ of the counts, and the digest.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -158,6 +161,37 @@ def density(checkout: str, picos: int, users: int, drops: int = DENSITY_DROPS) -
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def src_lines(checkout: str) -> dict:
+    """Line counts of the Python files under the checkout's src/: total, and
+    docstring, comment, blank and code lines, which add up to it.
+
+    A docstring is the string that opens a module, class or function, and
+    its lines are found from the AST, so a string's blank or '#' lines
+    count as docstring. Outside docstrings, a line is blank when it holds
+    only whitespace, a comment when its first other character is '#', and
+    code otherwise.
+    """
+    counts = dict.fromkeys(("total", "docstring", "comment", "blank", "code"), 0)
+    for root, _, names in os.walk(os.path.join(checkout, "src")):
+        for name in names:
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                text = fh.read()
+            docstring = set()
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and ast.get_docstring(node, clean=False) is not None:
+                    docstring.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+            for number, line in enumerate(text.splitlines(), 1):
+                counts["total"] += 1
+                stripped = line.strip()
+                kind = ("docstring" if number in docstring else "blank" if not stripped
+                        else "comment" if stripped.startswith("#") else "code")
+                counts[kind] += 1
+    return counts
+
+
 def check_digest(first: dict, run: dict) -> None:
     """Raise unless run's outputs have the digest of first, a campaign of the same shape."""
     if run["digest"] != first["digest"]:
@@ -237,6 +271,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: os.path.join(tmp, side) for side in ("parent", "change")}
         revisions = {side: export(getattr(args, side), path) for side, path in dirs.items()}
+        lines = {side: src_lines(path) for side, path in dirs.items()}
         for workload in workloads:
             for i in range(PAIRS):
                 seed = FIRST_SEED + i
@@ -275,6 +310,7 @@ def main(argv=None) -> int:
         "command": spec["command"],
         "run_seconds": seconds,
         "revisions": revisions,
+        "src_lines": lines,
         "cpu_count": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)),
         "summary": summary,
