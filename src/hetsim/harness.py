@@ -292,12 +292,11 @@ def _sinr_links(state: NetworkState) -> tuple[np.ndarray, np.ndarray]:
     serving cell of the user at [s, j]. Both follow from the serving
     vector alone, so the runs of one assignment at any alpha share them.
     """
-    slots, depth = state.subframe.shape
     mask = coblock_mask(state.subframe)
-    serving = per_slot(state.serving, slots)
-    links = np.empty((slots, depth, depth))
-    for s, g in enumerate(state.g_slot):
-        links[s] = g[:, serving[s]].T   # one column take per slot; padding reads cell 0
+    serving = per_slot(state.serving, state.slots)      # padding reads cell 0
+    # index arrays split by a slice: their (slots, depth) axes come first and
+    # the sliced users' axis last, so one copy gives links[s, j, i]
+    links = state.g_slot[np.arange(state.slots)[:, None], :, serving]
     return mask, links
 
 

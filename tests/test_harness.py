@@ -656,7 +656,7 @@ def test_batched_sinr_equals_per_block_loop(drawn):
 @pytest.mark.parametrize("n_users", [1, 13, 30, 36])
 def test_sinr_links_equal_one_three_array_gather(n_users):
     # links[s, j, i] is user [s, i]'s gain at user [s, j]'s cell, padding
-    # included: the per-slot column takes equal one fancy index over the
+    # included: the index split by a slice equals one fancy index over the
     # slots, the positions and the serving cells bit for bit
     from hetsim.scheduler import per_slot
 
